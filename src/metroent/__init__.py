@@ -9,66 +9,4 @@ such class, infers class quantifiers from measured values, counts excluded
 partition-enumeration oracle.
 """
 
-from .bounds import (
-    WhDecomposition,
-    WidthDecomposition,
-    decompose_wh,
-    decompose_width,
-    max_qfi_height,
-    max_qfi_rank,
-    max_qfi_rank_simple,
-    max_qfi_wh,
-    max_qfi_wh_clamped,
-    max_qfi_wh_simple,
-    max_qfi_width,
-    max_qfi_width_simple,
-    quantum_advantage,
-    valid_ranks,
-)
-from .oracle import BruteForceResult, ClassPredicate, EmptyClassError, brute_force_max, verify_closed_forms
-from .partitions import YoungDiagram, enumerate_diagrams, iter_partition_rows
-from .squeezing import (
-    SqueezingValue,
-    db_text_to_linear,
-    db_to_linear,
-    linear_to_db,
-    xi2_floor_from_qfi,
-    xi2_floor_height,
-    xi2_floor_rank,
-    xi2_floor_wh_simple,
-    xi2_floor_width,
-)
-from .states import (
-    AXIS_X,
-    AXIS_Y,
-    AXIS_Z,
-    GhzProduct,
-    SpinAxis,
-    ghz_product,
-    optimal_state,
-    qfi_analytic,
-    qfi_statevector,
-)
-from .tuples import (
-    TupleClass,
-    all_tuples,
-    count_height_geq,
-    count_rank_leq,
-    count_rank_leq_closed,
-    count_width_leq,
-    is_valid,
-)
-from .witness import (
-    GridCell,
-    Measurement,
-    TupleGrid,
-    WitnessReport,
-    analyze,
-    build_grid,
-    exceeds,
-    infer_depth,
-    infer_rank,
-    infer_separability,
-)
-
 __version__ = "0.1.0"

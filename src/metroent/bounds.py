@@ -85,21 +85,6 @@ def max_qfi_wh_simple(n: int, w: int, h: int) -> int:
     return w * (n - h) + n
 
 
-def max_qfi_wh_clamped(n: int, w: int, h: int) -> int:
-    """Probe helper for (w, h) requests outside the realizable tuple domain.
-
-    Clamps w down to n + 1 - h and h up to ceil(n / w), which is safe by the
-    strict monotonicity of the bound in both arguments.  Use this when
-    scanning class constraints; invalid tuples passed to :func:`max_qfi_wh`
-    itself are errors.
-    """
-    if n < 1 or not (1 <= w <= n and 1 <= h <= n):
-        raise ValueError(f"clamped probe needs 1 <= w, h <= n; got w={w}, h={h}, n={n}")
-    w_eff = min(w, n + 1 - h)
-    h_eff = max(h, _ceil_div(n, w_eff))
-    return max_qfi_wh(n, w_eff, h_eff)
-
-
 def quantum_advantage(f_measured, n: int):
     """Sensitivity gain over the shot-noise limit: measured value minus n."""
     return f_measured - n

@@ -46,6 +46,12 @@ def parse_dataset_text(text: str) -> list[Measurement]:
     for row in reader:
         if any(row.get(field) is None for field in DATASET_HEADER):
             raise ValueError(f"dataset row is missing fields: {row}")
+        # the label names the record's directory under --out
+        if row["label"] in ("", ".", "..") or any(c in row["label"] for c in "/\\\0"):
+            raise ValueError(
+                f"bad label {row['label']!r}: a label must not be empty, '.' or '..',"
+                " nor contain '/', '\\' or NUL"
+            )
         if row["label"] in seen:
             raise ValueError(f"duplicate label {row['label']!r} in dataset")
         seen.add(row["label"])
@@ -64,15 +70,6 @@ def parse_dataset_text(text: str) -> list[Measurement]:
             )
         )
     return records
-
-
-def format_dataset_text(records: list[Measurement]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(DATASET_HEADER)
-    for m in records:
-        writer.writerow([m.label, m.n, m.kind, m.value, m.unit, m.reference])
-    return out.getvalue()
 
 
 def load_dataset(path_or_alias: str) -> list[Measurement]:
@@ -118,9 +115,7 @@ def _cmd_bounds(args) -> int:
     if args.cls == "wh":
         f = bounds.max_qfi_wh_simple if args.simple else bounds.max_qfi_wh
         lines.append("w,h,f")
-        lines.extend(
-            f"{t.w},{t.h},{_format_value(f(n, t.w, t.h))}" for t in tuples.all_tuples(n)
-        )
+        lines.extend(f"{w},{h},{_format_value(f(n, w, h))}" for w, h in tuples.all_tuples(n))
     elif args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
         lines.append("x,f")

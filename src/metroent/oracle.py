@@ -24,15 +24,6 @@ class ClassPredicate:
     min_height: int | None = None
     max_rank: int | None = None
 
-    def admits(self, rows: tuple[int, ...]) -> bool:
-        if self.max_width is not None and rows[0] > self.max_width:
-            return False
-        if self.min_height is not None and len(rows) < self.min_height:
-            return False
-        if self.max_rank is not None and rows[0] - len(rows) > self.max_rank:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class BruteForceResult:
@@ -94,9 +85,9 @@ def verify_closed_forms(n_max: int) -> list[Mismatch]:
             found.append(Mismatch(n=n, label=label, closed=closed, brute=brute))
 
     for n in range(1, n_max + 1):
-        for t in tuples.all_tuples(n):
-            brute = brute_force_max(n, ClassPredicate(max_width=t.w, min_height=t.h))
-            check(n, f"wh({t.w},{t.h})", bounds.max_qfi_wh(n, t.w, t.h), brute.value)
+        for w, h in tuples.all_tuples(n):
+            brute = brute_force_max(n, ClassPredicate(max_width=w, min_height=h))
+            check(n, f"wh({w},{h})", bounds.max_qfi_wh(n, w, h), brute.value)
         for w in range(1, n + 1):
             brute = brute_force_max(n, ClassPredicate(max_width=w))
             check(n, f"w({w})", bounds.max_qfi_width(n, w), brute.value)

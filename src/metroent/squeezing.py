@@ -1,4 +1,4 @@
-"""Spin-squeezing floors per separability class, plus dB conversions.
+"""Spin-squeezing floors per separability class, plus the exact dB-text snapshot.
 
 Each class floor is the exact rational 2n / (f + 2n) where f is the class's
 QFI limit.  Floors are necessary conditions for separability (a measured
@@ -10,22 +10,8 @@ than one particle.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-
-
-def db_to_linear(db: float) -> float:
-    """Decibels to linear scale: 10**(db/10)."""
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Linear scale to decibels: 10*log10(x)."""
-    if x <= 0:
-        raise ValueError(f"linear value must be positive, got {x}")
-    return 10.0 * math.log10(x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,28 +27,6 @@ def db_text_to_linear(text: str, significant_digits: int = 30) -> Fraction:
         ctx.prec = significant_digits
         linear = Decimal(10) ** (Decimal(text) / 10)
     return Fraction(linear)
-
-
-@dataclass(frozen=True)
-class SqueezingValue:
-    """A squeezing coefficient carried on both linear and dB scales."""
-
-    linear: float
-    db: float
-
-    def __post_init__(self):
-        if self.linear <= 0:
-            raise ValueError(f"xi**2 must be positive, got {self.linear}")
-        if abs(self.db - linear_to_db(self.linear)) > 1e-12 * max(1.0, abs(self.db)):
-            raise ValueError(f"inconsistent pair: linear={self.linear}, db={self.db}")
-
-    @classmethod
-    def from_linear(cls, x: float) -> "SqueezingValue":
-        return cls(linear=x, db=linear_to_db(x))
-
-    @classmethod
-    def from_db(cls, db: float) -> "SqueezingValue":
-        return cls(linear=db_to_linear(db), db=db)
 
 
 def xi2_floor_from_qfi(f, n: int) -> Fraction:

@@ -8,30 +8,12 @@ use exact integer arithmetic only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import bounds
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-@dataclass(frozen=True)
-class TupleClass:
-    """A realizable width/height pair for n particles."""
-
-    n: int
-    w: int
-    h: int
-
-    def __post_init__(self):
-        if not is_valid(self.n, self.w, self.h):
-            raise ValueError(f"(w={self.w}, h={self.h}) is not realizable for n={self.n}")
-
-    @property
-    def rank(self) -> int:
-        return self.w - self.h
 
 
 def is_valid(n: int, w: int, h: int) -> bool:
@@ -41,15 +23,11 @@ def is_valid(n: int, w: int, h: int) -> bool:
     return w <= n and h <= n and _ceil_div(n, w) <= h <= n + 1 - w
 
 
-def all_tuples(n: int) -> list[TupleClass]:
-    """Every valid tuple for n, ordered by (w ascending, h ascending)."""
+def all_tuples(n: int) -> list[tuple[int, int]]:
+    """Every valid (w, h) pair for n, ordered by (w ascending, h ascending)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return [
-        TupleClass(n, w, h)
-        for w in range(1, n + 1)
-        for h in range(_ceil_div(n, w), n + 2 - w)
-    ]
+    return [(w, h) for w in range(1, n + 1) for h in range(_ceil_div(n, w), n + 2 - w)]
 
 
 def count_width_leq(n: int, w: int) -> int:
@@ -76,7 +54,7 @@ def count_rank_leq(n: int, r: int) -> int:
     :func:`count_rank_leq_closed` is kept as an in-range cross-check only.
     """
     bounds._require_valid_rank(n, r)
-    return sum(1 for t in all_tuples(n) if t.w - t.h <= r)
+    return sum(1 for w, h in all_tuples(n) if w - h <= r)
 
 
 def count_rank_leq_closed(n: int, r: int) -> int:

@@ -80,34 +80,15 @@ class Measurement:
         return 2 * self.n * (1 - q) / q
 
 
-def exceeds(measurement: Measurement, bound_f) -> bool:
-    """True when the measurement strictly beats the class limit ``bound_f``."""
-    return bound_f < measurement.exclusion_threshold()
-
-
-def _width_bound(simple: bool):
-    return bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-
-
-def _rank_bound(simple: bool):
-    return bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
-
-
-def _wh_bound(simple: bool):
-    return bounds.max_qfi_wh_simple if simple else bounds.max_qfi_wh
-
-
 def infer_depth(m: Measurement, *, simple: bool = False) -> int:
     """Smallest producibility w compatible with the measurement.
 
     Returns n + 1 when even the genuine n-partite limit n**2 is exceeded
     (an unphysical measurement; no separable description remains).
     """
-    f = _width_bound(simple)
-    return next(
-        (w for w in range(1, m.n + 1) if not exceeds(m, f(m.n, w))),
-        m.n + 1,
-    )
+    f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
+    threshold = m.exclusion_threshold()
+    return next((w for w in range(1, m.n + 1) if f(m.n, w) >= threshold), m.n + 1)
 
 
 def infer_separability(m: Measurement, *, simple: bool = False) -> int:
@@ -117,9 +98,9 @@ def infer_separability(m: Measurement, *, simple: bool = False) -> int:
     height limit, so ``simple`` is accepted for symmetry and ignored.
     """
     del simple
+    threshold = m.exclusion_threshold()
     return next(
-        (h for h in range(m.n, 0, -1) if not exceeds(m, bounds.max_qfi_height(m.n, h))),
-        0,
+        (h for h in range(m.n, 0, -1) if bounds.max_qfi_height(m.n, h) >= threshold), 0
     )
 
 
@@ -129,11 +110,9 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     Returns n (one past the largest realizable rank) when nothing is
     compatible.
     """
-    f = _rank_bound(simple)
-    return next(
-        (r for r in bounds.valid_ranks(m.n) if not exceeds(m, f(m.n, r))),
-        m.n,
-    )
+    f = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    threshold = m.exclusion_threshold()
+    return next((r for r in bounds.valid_ranks(m.n) if f(m.n, r) >= threshold), m.n)
 
 
 @dataclass(frozen=True)
@@ -168,9 +147,16 @@ class GridCell:
 
 @dataclass(frozen=True)
 class TupleGrid:
-    """Per-tuple exclusion map for one measurement, ordered by (w, h)."""
+    """Per-tuple exclusion map for one measurement, ordered by (w, h).
+
+    ``depth``, ``separability`` and ``rank`` are the inferred w, h and r
+    that the cells' W, H and R flags were read from.
+    """
 
     n: int
+    depth: int
+    separability: int
+    rank: int
     cells: tuple[GridCell, ...]
 
     def counts(self) -> dict[str, int]:
@@ -182,47 +168,39 @@ class TupleGrid:
         }
 
 
-def rank_bound_at_or_above(n: int, r: int, *, simple: bool = False):
-    """Rank limit at the smallest realizable rank >= r.
-
-    Every valid tuple carries a realizable rank, so snapping only matters
-    for probes at the +-(n - 2) gaps; it is safe because the rank classes
-    are nested (rank <= r is contained in rank <= r + 1).
-    """
-    if abs(r) == n - 2:
-        r += 1
-    return _rank_bound(simple)(n, r)
-
-
 def build_grid(m: Measurement, *, simple: bool = False) -> TupleGrid:
     """Evaluate all four exclusion criteria on every valid tuple.
 
-    The cell's f value is the (w, h) limit the decision used: the tight one
-    by default, the simplified one under ``simple``.
+    The class families are nested (width <= w inside width <= w + 1, height
+    >= h + 1 inside height >= h, rank <= r inside rank <= r + 1), so a
+    tuple's W, H and R flags are w < inferred w, h > inferred h and
+    w - h < inferred r.  Only the (w, h) limit is compared per tuple; the
+    cell's f value is the one the decision used: the tight limit by
+    default, the simplified one under ``simple``.
     """
     n = m.n
     threshold = m.exclusion_threshold()
-    f_w = _width_bound(simple)
-    f_r = _rank_bound(simple)
-    f_wh = _wh_bound(simple)
-    width_excluded = {w: f_w(n, w) < threshold for w in range(1, n + 1)}
-    height_excluded = {h: bounds.max_qfi_height(n, h) < threshold for h in range(1, n + 1)}
-    rank_excluded = {r: f_r(n, r) < threshold for r in bounds.valid_ranks(n)}
+    depth = infer_depth(m, simple=simple)
+    separability = infer_separability(m, simple=simple)
+    rank = infer_rank(m, simple=simple)
+    f_wh = bounds.max_qfi_wh_simple if simple else bounds.max_qfi_wh
     cells = []
-    for t in tuples.all_tuples(n):
-        f_val = f_wh(n, t.w, t.h)
+    for w, h in tuples.all_tuples(n):
+        f_val = f_wh(n, w, h)
         cells.append(
             GridCell(
-                w=t.w,
-                h=t.h,
+                w=w,
+                h=h,
                 f=f_val,
-                excluded_w=width_excluded[t.w],
-                excluded_h=height_excluded[t.h],
-                excluded_r=rank_excluded[t.w - t.h],
+                excluded_w=w < depth,
+                excluded_h=h > separability,
+                excluded_r=w - h < rank,
                 excluded_wh=f_val < threshold,
             )
         )
-    return TupleGrid(n=n, cells=tuple(cells))
+    return TupleGrid(
+        n=n, depth=depth, separability=separability, rank=rank, cells=tuple(cells)
+    )
 
 
 @dataclass(frozen=True)
@@ -265,9 +243,9 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     q = bounds.quantum_advantage(m.quantity(), m.n) if m.kind == KIND_QFI else None
     return WitnessReport(
         measurement=m,
-        depth=infer_depth(m, simple=simple),
-        separability=infer_separability(m, simple=simple),
-        rank=infer_rank(m, simple=simple),
+        depth=grid.depth,
+        separability=grid.separability,
+        rank=grid.rank,
         counts=grid.counts(),
         grid=grid,
         q_advantage=q,

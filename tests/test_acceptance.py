@@ -62,9 +62,9 @@ def test_criterion_2_oracle_equivalence_sweep():
 
 def test_criterion_3_saturation_and_dense_cross_check():
     for n in range(1, 41):
-        for t in tuples.all_tuples(n):
-            st = states.optimal_state(n, t.w, t.h)
-            assert states.qfi_analytic(st) == bounds.max_qfi_wh(n, t.w, t.h)
+        for w, h in tuples.all_tuples(n):
+            st = states.optimal_state(n, w, h)
+            assert states.qfi_analytic(st) == bounds.max_qfi_wh(n, w, h)
     worst = 0.0
     for n in range(1, 13):
         for rows in partitions_desc(n):
@@ -77,7 +77,7 @@ def test_criterion_3_saturation_and_dense_cross_check():
 
 def test_criterion_4_counting_formula_equivalence():
     for n in range(1, 61):
-        ts = [(t.w, t.h) for t in tuples.all_tuples(n)]
+        ts = tuples.all_tuples(n)
         for w in range(1, n + 1):
             assert tuples.count_width_leq(n, w) == sum(1 for ww, _ in ts if ww <= w)
         for h in range(1, n + 1):

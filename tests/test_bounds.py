@@ -28,27 +28,27 @@ def test_max_qfi_wh_rejects_invalid_tuples():
 
 def test_decomposition_invariants():
     for n in range(1, 41):
-        for t in tuples.all_tuples(n):
-            d = bounds.decompose_wh(n, t.w, t.h)
-            assert d.k * t.w + d.u + d.v == n
-            assert 1 <= d.u <= t.w
+        for w, h in tuples.all_tuples(n):
+            d = bounds.decompose_wh(n, w, h)
+            assert d.k * w + d.u + d.v == n
+            assert 1 <= d.u <= w
             assert d.v >= 0
-            assert d.k + 1 + d.v == t.h
-            rows = d.rows(t.w)
-            assert sum(rows) == n and rows[0] == t.w and len(rows) == t.h
+            assert d.k + 1 + d.v == h
+            rows = d.rows(w)
+            assert sum(rows) == n and rows[0] == w and len(rows) == h
 
 
 def test_capped_quotient_matches_verbatim_arithmetic():
     # the uncapped quotient (n-h)//(w-1) gives v = -1 when n == w*h, but the
     # value k*w**2 + u**2 + v is unchanged; check the raw arithmetic agrees
     for n in range(2, 41):
-        for t in tuples.all_tuples(n):
-            if t.w == 1:
+        for w, h in tuples.all_tuples(n):
+            if w == 1:
                 continue
-            k = (n - t.h) // (t.w - 1)
-            u = n - t.h + 1 - (t.w - 1) * k
-            v = t.h - k - 1
-            assert k * t.w * t.w + u * u + v == bounds.max_qfi_wh(n, t.w, t.h)
+            k = (n - h) // (w - 1)
+            u = n - h + 1 - (w - 1) * k
+            v = h - k - 1
+            assert k * w * w + u * u + v == bounds.max_qfi_wh(n, w, h)
 
 
 def test_rectangle_tuples():
@@ -69,11 +69,11 @@ def test_dominance_and_monotonicity_sweep():
     for n in range(1, 61):
         by_h = {}
         by_w = {}
-        for t in tuples.all_tuples(n):
-            f = bounds.max_qfi_wh(n, t.w, t.h)
-            assert f <= bounds.max_qfi_wh_simple(n, t.w, t.h)
-            by_h.setdefault(t.h, []).append((t.w, f))
-            by_w.setdefault(t.w, []).append((t.h, f))
+        for w, h in tuples.all_tuples(n):
+            f = bounds.max_qfi_wh(n, w, h)
+            assert f <= bounds.max_qfi_wh_simple(n, w, h)
+            by_h.setdefault(h, []).append((w, f))
+            by_w.setdefault(w, []).append((h, f))
         # strictly increasing in w at fixed h, strictly decreasing in h at fixed w
         for vals in by_h.values():
             vals.sort()
@@ -183,7 +183,7 @@ def test_max_qfi_rank_simple():
 def test_marginals_consistent_with_grid_maxima():
     for n in range(1, 41):
         ts = tuples.all_tuples(n)
-        grid = {(t.w, t.h): bounds.max_qfi_wh(n, t.w, t.h) for t in ts}
+        grid = {(w, h): bounds.max_qfi_wh(n, w, h) for w, h in ts}
         for w in range(1, n + 1):
             col = [f for (ww, _), f in grid.items() if ww == w]
             assert bounds.max_qfi_width(n, w) == max(col)
@@ -197,25 +197,10 @@ def test_marginals_consistent_with_grid_maxima():
 
 def test_all_bounds_are_exact_integers():
     for n in range(1, 41):
-        for t in tuples.all_tuples(n):
-            assert isinstance(bounds.max_qfi_wh(n, t.w, t.h), int)
+        for w, h in tuples.all_tuples(n):
+            assert isinstance(bounds.max_qfi_wh(n, w, h), int)
         for w in range(1, n + 1):
             assert isinstance(bounds.max_qfi_width(n, w), int)
             assert isinstance(bounds.max_qfi_height(n, w), int)
         for r in bounds.valid_ranks(n):
             assert isinstance(bounds.max_qfi_rank(n, r), int)
-
-
-def test_clamped_probe():
-    # clamping must agree with the true class maximum over the whole square grid
-    for n in range(1, 13):
-        parts = list(partitions_desc(n))
-        for w in range(1, n + 1):
-            for h in range(1, n + 1):
-                cls = [p for p in parts if p[0] <= w and len(p) >= h]
-                expected = max(sum(x * x for x in p) for p in cls)
-                assert bounds.max_qfi_wh_clamped(n, w, h) == expected
-    with pytest.raises(ValueError):
-        bounds.max_qfi_wh_clamped(7, 8, 1)
-    with pytest.raises(ValueError):
-        bounds.max_qfi_wh_clamped(7, 1, 8)

@@ -1,12 +1,16 @@
 """Tests for the command-line interface and its file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from metroent import bounds, cli
 from metroent.cli import (
-    format_dataset_text,
+    bundled_dataset_text,
     grid_csv_text,
     load_dataset,
     main,
@@ -131,10 +135,8 @@ def test_grid_csv_statuses_cover_convention():
 def test_dataset_round_trip(tmp_path):
     records = load_dataset("bundled.csv")
     assert len(records) == 5
-    text = format_dataset_text(records)
-    assert parse_dataset_text(text) == records
     path = tmp_path / "copy.csv"
-    path.write_text(text)
+    path.write_text(bundled_dataset_text())
     assert load_dataset(str(path)) == records
 
 
@@ -152,6 +154,22 @@ def test_dataset_rejects_bad_input():
         parse_dataset_text("label,n,kind,value,unit,reference\na,x,fq,6,none,\n")
     with pytest.raises(ValueError):
         parse_dataset_text("label,n,kind,value,unit,reference\na,5,fq\n")
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"])
+def test_analyze_rejects_unsafe_labels(capsys, tmp_path, label):
+    # a label names a directory under --out, so it must not leave it
+    dataset = tmp_path / "in.csv"
+    dataset.write_text(
+        "label,n,kind,value,unit,reference\n"
+        "safe,5,fq,6,none,\n"
+        f"{label},5,fq,6,none,\n"
+    )
+    out_dir = tmp_path / "work" / "out"
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
+    assert "bad label" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_rank_summary_bundled(capsys):
@@ -197,3 +215,16 @@ def test_verify_detects_corrupted_bound(capsys, monkeypatch):
 def test_bundled_alias_requires_known_name():
     with pytest.raises(ValueError):
         load_dataset("unknown-alias")
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the dense cross-check in metroent.states
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import metroent.cli, sys; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"

@@ -77,12 +77,12 @@ def test_argmax_is_first_in_enumeration_order():
 def test_optimal_diagram_structure_attains_maximum():
     # the k-full-rows / partial-row / singletons construction is a maximizer
     for n in range(2, 17):
-        for t in all_tuples(n):
-            if t.w < 2:
+        for w, h in all_tuples(n):
+            if w < 2:
                 continue
-            d = bounds.decompose_wh(n, t.w, t.h)
-            built = YoungDiagram(d.rows(t.w))
-            brute = brute_force_max(n, ClassPredicate(max_width=t.w, min_height=t.h))
+            d = bounds.decompose_wh(n, w, h)
+            built = YoungDiagram(d.rows(w))
+            brute = brute_force_max(n, ClassPredicate(max_width=w, min_height=h))
             assert built.sum_squares() == brute.value
 
 

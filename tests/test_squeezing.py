@@ -1,4 +1,4 @@
-"""Tests for spin-squeezing floors and dB conversions."""
+"""Tests for spin-squeezing floors and the exact dB-text snapshot."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -18,43 +18,12 @@ from metroent.bounds import (
 from metroent.tuples import all_tuples
 
 
-def test_db_conversions():
-    assert squeezing.db_to_linear(0.0) == 1.0
-    assert squeezing.db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
-    # pinned by direct evaluation
-    assert squeezing.db_to_linear(-4.5) == pytest.approx(0.354813389234, abs=5e-13)
-    assert squeezing.linear_to_db(1.0) == 0.0
-    with pytest.raises(ValueError):
-        squeezing.linear_to_db(0.0)
-
-
-def test_db_round_trip():
-    for db in (-20.0, -4.5, -0.1, 0.0, 3.0, 10.0):
-        x = squeezing.db_to_linear(db)
-        assert squeezing.linear_to_db(x) == pytest.approx(db, abs=1e-12)
-    for x in (0.01, 0.354813, 1.0, 42.0):
-        assert squeezing.db_to_linear(squeezing.linear_to_db(x)) == pytest.approx(
-            x, rel=1e-12
-        )
-
-
 def test_db_text_to_linear_is_exact_30_digit_snapshot():
     got = squeezing.db_text_to_linear("-4.5")
     assert got == Fraction(Decimal("0.354813389233575458433218702264"))
     assert squeezing.db_text_to_linear("0") == 1
     assert squeezing.db_text_to_linear("10") == 10
     assert squeezing.db_text_to_linear("20") == 100
-
-
-def test_squeezing_value_pairing():
-    sv = squeezing.SqueezingValue.from_db(-4.5)
-    assert sv.linear == pytest.approx(0.354813389234, abs=5e-13)
-    sv2 = squeezing.SqueezingValue.from_linear(0.5)
-    assert sv2.db == pytest.approx(-3.0102999566398, abs=1e-12)
-    with pytest.raises(ValueError):
-        squeezing.SqueezingValue(linear=0.5, db=-4.5)
-    with pytest.raises(ValueError):
-        squeezing.SqueezingValue(linear=-1.0, db=0.0)
 
 
 def test_floor_from_qfi_examples():
@@ -84,9 +53,9 @@ def test_floor_wh_simple():
         assert squeezing.xi2_floor_wh_simple(n, 1, n) == Fraction(2, 3)
     # simple floors never exceed the tight ones
     for n in range(1, 31):
-        for t in all_tuples(n):
-            tight = squeezing.xi2_floor_from_qfi(max_qfi_wh(n, t.w, t.h), n)
-            assert squeezing.xi2_floor_wh_simple(n, t.w, t.h) <= tight
+        for w, h in all_tuples(n):
+            tight = squeezing.xi2_floor_from_qfi(max_qfi_wh(n, w, h), n)
+            assert squeezing.xi2_floor_wh_simple(n, w, h) <= tight
 
 
 def test_floor_width():
@@ -132,10 +101,10 @@ def test_floor_rank():
 
 def test_tight_floor_dominates_simplified_for_every_class():
     for n in range(1, 61):
-        for t in all_tuples(n):
+        for w, h in all_tuples(n):
             assert squeezing.xi2_floor_from_qfi(
-                max_qfi_wh(n, t.w, t.h), n
-            ) >= squeezing.xi2_floor_wh_simple(n, t.w, t.h)
+                max_qfi_wh(n, w, h), n
+            ) >= squeezing.xi2_floor_wh_simple(n, w, h)
         for r in valid_ranks(n):
             tight = squeezing.xi2_floor_from_qfi(max_qfi_rank(n, r), n)
             simple = squeezing.xi2_floor_from_qfi(max_qfi_rank_simple(n, r), n)

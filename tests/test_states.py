@@ -45,11 +45,11 @@ def test_optimal_state_examples():
 
 def test_optimal_state_saturates_bound():
     for n in range(1, 17):
-        for t in all_tuples(n):
-            st = states.optimal_state(n, t.w, t.h)
-            assert states.qfi_analytic(st) == max_qfi_wh(n, t.w, t.h)
+        for w, h in all_tuples(n):
+            st = states.optimal_state(n, w, h)
+            assert states.qfi_analytic(st) == max_qfi_wh(n, w, h)
             assert st.blocks.n == n
-            assert st.blocks.width() == t.w and st.blocks.height() == t.h
+            assert st.blocks.width() == w and st.blocks.height() == h
 
 
 def test_statevector_matches_analytic_along_z():

@@ -28,25 +28,18 @@ def test_is_valid_matches_enumeration():
 
 
 def test_all_tuples_examples():
-    assert [(t.w, t.h) for t in tuples.all_tuples(2)] == [(1, 2), (2, 1)]
+    assert tuples.all_tuples(2) == [(1, 2), (2, 1)]
     t14 = tuples.all_tuples(14)
     assert len(t14) == 68
-    pairs = {(t.w, t.h) for t in tuples.all_tuples(7)}
+    pairs = set(tuples.all_tuples(7))
     assert (4, 3) in pairs and (4, 5) not in pairs
 
 
 def test_all_tuples_ordering_and_length():
     for n in (1, 5, 14, 30):
         ts = tuples.all_tuples(n)
-        assert [(t.w, t.h) for t in ts] == sorted((t.w, t.h) for t in ts)
+        assert ts == sorted(ts)
         assert len(ts) == tuples.count_width_leq(n, n)
-
-
-def test_tuple_class_validation():
-    t = tuples.TupleClass(7, 4, 3)
-    assert t.rank == 1
-    with pytest.raises(ValueError):
-        tuples.TupleClass(7, 4, 5)
 
 
 def test_count_width_leq_examples():
@@ -73,7 +66,7 @@ def test_count_rank_leq_examples():
 
 def test_counts_match_enumeration():
     for n in range(1, 61):
-        ts = [(t.w, t.h) for t in tuples.all_tuples(n)]
+        ts = tuples.all_tuples(n)
         for w in range(1, n + 1):
             assert tuples.count_width_leq(n, w) == sum(1 for ww, _ in ts if ww <= w)
         for h in range(1, n + 1):
@@ -82,7 +75,7 @@ def test_counts_match_enumeration():
 
 def test_count_rank_closed_form_in_range():
     for n in range(6, 41):
-        ts = [(t.w, t.h) for t in tuples.all_tuples(n)]
+        ts = tuples.all_tuples(n)
         for r in range(3 - n, n - 2):
             if abs(r) == n - 2:
                 continue
@@ -122,5 +115,5 @@ def test_count_monotonicity():
 def test_tuple_ranks_are_always_realizable():
     # no valid tuple carries one of the +-(n - 2) rank gaps
     for n in range(1, 41):
-        ranks = {t.w - t.h for t in tuples.all_tuples(n)}
+        ranks = {w - h for w, h in tuples.all_tuples(n)}
         assert ranks == set(valid_ranks(n))

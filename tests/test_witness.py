@@ -1,11 +1,14 @@
 """Tests for measurement parsing, exclusion logic and grid construction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from metroent import witness
+from metroent import bounds, witness
 from metroent.bounds import max_qfi_rank, max_qfi_width
 from metroent.witness import Measurement, fraction_to_decimal_text
 
@@ -49,14 +52,15 @@ def test_quantity_is_exact():
 
 
 def test_exceeds_examples():
-    m = fq(14, "40.4")
-    assert witness.exceeds(m, 40)
-    assert not witness.exceeds(m, 44)
-    assert not witness.exceeds(fq(14, "14"), 14)  # exactly at the bound: compatible
-    m470 = xi2_linear(470, "0.354813")
-    assert witness.exceeds(m470, 1408)
+    # a class with QFI limit f is excluded exactly when f < T
+    t14 = fq(14, "40.4").exclusion_threshold()
+    assert t14 == Fraction("40.4")
+    assert 40 < t14 and not 44 < t14
+    assert not 14 < fq(14, "14").exclusion_threshold()  # exactly at the bound: compatible
+    t470 = xi2_linear(470, "0.354813").exclusion_threshold()
+    assert 1408 < t470
     assert max_qfi_width(470, 4) == 1876
-    assert not witness.exceeds(m470, 1876)
+    assert not 1876 < t470
 
 
 def test_infer_examples():
@@ -196,15 +200,53 @@ def test_monotonicity_in_measurement():
             assert c2.excluded_wh >= c1.excluded_wh
 
 
+def _measurement_up_to(rng, n_max):
+    """A QFI, linear or dB squeezing value for n log-uniform over 2..n_max."""
+    n = round(math.exp(rng.uniform(math.log(2), math.log(n_max))))
+    kind = rng.choice(("fq", "on-limit", "linear", "db"))
+    if kind == "fq":
+        return fq(n, f"{n * n ** rng.random():.2f}")
+    if kind == "on-limit":
+        return fq(n, str(max_qfi_width(n, rng.randint(1, n))))
+    if kind == "linear":
+        return xi2_linear(n, f"{rng.uniform(2 / (n + 2), 1):.6f}")
+    return xi2_db(n, f"{rng.uniform(-20, -0.05):.2f}")
+
+
 def test_boundary_consistency():
-    for m in (fq(14, "40.4"), fq(36, "54.36"), xi2_db(470, "-4.5")):
-        w_star = witness.infer_depth(m)
-        h_star = witness.infer_separability(m)
-        r_star = witness.infer_rank(m)
-        for c in witness.build_grid(m).cells:
-            assert c.excluded_w == (c.w < w_star)
-            assert c.excluded_h == (c.h > h_star)
-            assert c.excluded_r == (c.w - c.h < r_star)
+    # every W, H and R flag agrees with its own class limit, whatever the
+    # grid derived it from
+    rng = random.Random(2718)
+    ms = [fq(14, "40.4"), fq(36, "54.36"), xi2_db(470, "-4.5")]
+    ms += [_measurement_up_to(rng, 300) for _ in range(40)]
+    for m in ms:
+        n, threshold = m.n, m.exclusion_threshold()
+        for simple in (False, True):
+            f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
+            f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+            out_w = {w: f_w(n, w) < threshold for w in range(1, n + 1)}
+            out_h = {h: bounds.max_qfi_height(n, h) < threshold for h in range(1, n + 1)}
+            out_r = {r: f_r(n, r) < threshold for r in bounds.valid_ranks(n)}
+            for c in witness.build_grid(m, simple=simple).cells:
+                flags = (c.excluded_w, c.excluded_h, c.excluded_r)
+                assert flags == (out_w[c.w], out_h[c.h], out_r[c.w - c.h]), (m, simple, c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(1, 500), simple=st.booleans())
+@example(n=500, simple=False)
+@example(n=500, simple=True)
+def test_class_limits_are_monotone(n, simple):
+    # the nesting build_grid relies on: width and rank limits never fall,
+    # height limits never rise
+    f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
+    f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    widths = [f_w(n, w) for w in range(1, n + 1)]
+    heights = [bounds.max_qfi_height(n, h) for h in range(1, n + 1)]
+    ranks = [f_r(n, r) for r in bounds.valid_ranks(n)]
+    assert all(a <= b for a, b in zip(widths, widths[1:]))
+    assert all(a >= b for a, b in zip(heights, heights[1:]))
+    assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
 
 def test_rank_plus_n_stays_in_range():
@@ -227,14 +269,6 @@ def test_simple_bounds_mode():
         assert cs.excluded_wh <= ct.excluded_wh
         assert cs.excluded_w <= ct.excluded_w
         assert cs.excluded_r <= ct.excluded_r
-
-
-def test_rank_bound_snapping():
-    # +-(n - 2) are rank gaps; the snapped lookup uses the next class up
-    assert witness.rank_bound_at_or_above(10, 8) == max_qfi_rank(10, 9)
-    assert witness.rank_bound_at_or_above(10, -8) == max_qfi_rank(10, -7)
-    assert witness.rank_bound_at_or_above(10, -9) == max_qfi_rank(10, -9)
-    assert witness.rank_bound_at_or_above(14, -3) == 44
 
 
 def test_fraction_to_decimal_text():
