@@ -46,12 +46,6 @@ def parse_dataset_text(text: str) -> list[Measurement]:
     for row in reader:
         if any(row.get(field) is None for field in DATASET_HEADER):
             raise ValueError(f"dataset row is missing fields: {row}")
-        # the label names the record's directory under --out
-        if row["label"] in ("", ".", "..") or any(c in row["label"] for c in "/\\\0"):
-            raise ValueError(
-                f"bad label {row['label']!r}: a label must not be empty, '.' or '..',"
-                " nor contain '/', '\\' or NUL"
-            )
         if row["label"] in seen:
             raise ValueError(f"duplicate label {row['label']!r} in dataset")
         seen.add(row["label"])

@@ -1,11 +1,13 @@
 """Brute-force ground truth for every closed-form sensitivity limit.
 
-The oracle maximizes the squared-row sum over explicitly enumerated
-partition classes and never shares code with the closed forms it checks.
+The oracle enumerates the partitions of each n once, keeps the largest
+squared-row sum of every (width, height) shape, and reads each class maximum
+from that table.  It never shares code with the closed forms it checks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import bounds, tuples
@@ -23,6 +25,14 @@ class ClassPredicate:
     max_width: int | None = None
     min_height: int | None = None
     max_rank: int | None = None
+
+    def admits(self, w: int, h: int) -> bool:
+        """Whether diagrams of width w and height h belong to the class."""
+        return (
+            (self.max_width is None or w <= self.max_width)
+            and (self.min_height is None or h >= self.min_height)
+            and (self.max_rank is None or w - h <= self.max_rank)
+        )
 
 
 @dataclass(frozen=True)
@@ -44,27 +54,34 @@ class Mismatch:
         return {"n": self.n, "class": self.label, "closed": self.closed, "brute": self.brute}
 
 
+@functools.lru_cache(maxsize=1)
+def _shape_maxima(n: int) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
+    """Map each (width, height) shape of n to (best sum, first rows attaining it).
+
+    Every class is a union of shapes, so this one pass over the partitions
+    of n decides every class of n.
+    """
+    table = {}
+    for rows in iter_partition_rows(n):
+        s = sum(r * r for r in rows)
+        shape = (rows[0], len(rows))
+        if shape not in table or s > table[shape][0]:
+            table[shape] = (s, rows)
+    return table
+
+
 def brute_force_max(n: int, pred: ClassPredicate = ClassPredicate()) -> BruteForceResult:
     """Exhaustively maximize the squared-row sum over the predicate's class.
 
     Ties are broken by enumeration order (first maximizer in
-    reverse-lexicographic order wins), so results are deterministic.
+    reverse-lexicographic order, i.e. the largest rows, wins), so results
+    are deterministic.
     """
-    best = -1
-    best_rows = None
-    for rows in iter_partition_rows(
-        n,
-        max_width=pred.max_width,
-        min_height=pred.min_height,
-        max_rank=pred.max_rank,
-    ):
-        s = sum(r * r for r in rows)
-        if s > best:
-            best = s
-            best_rows = rows
-    if best_rows is None:
+    admitted = [best for shape, best in _shape_maxima(n).items() if pred.admits(*shape)]
+    if not admitted:
         raise EmptyClassError(f"no partition of n={n} satisfies {pred}")
-    return BruteForceResult(value=best, argmax=YoungDiagram(best_rows))
+    value, rows = max(admitted)
+    return BruteForceResult(value=value, argmax=YoungDiagram(rows))
 
 
 def verify_closed_forms(n_max: int) -> list[Mismatch]:

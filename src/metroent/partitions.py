@@ -1,4 +1,4 @@
-"""Young diagrams (integer partitions) with constrained streaming enumeration.
+"""Young diagrams (integer partitions) and their reverse-lexicographic enumeration.
 
 A diagram is a non-increasing tuple of positive row sizes.  Its width is the
 largest row (size of the biggest entangled block), its height the number of
@@ -63,59 +63,19 @@ class YoungDiagram:
         return ",".join(str(r) for r in self.rows)
 
 
-def iter_partition_rows(
-    n: int,
-    *,
-    max_width: int | None = None,
-    min_height: int | None = None,
-    max_rank: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Stream raw row tuples of every partition of ``n`` meeting the constraints.
+def iter_partition_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Stream the row tuples of every partition of ``n``, exactly once.
 
-    Low-overhead variant of :func:`enumerate_diagrams` for bulk scans; yields
-    plain tuples in reverse-lexicographic order.  Constraints prune the
-    generation tree instead of filtering afterwards.  Unsatisfiable
-    constraints produce an empty stream, not an error.
+    Yields plain tuples in reverse-lexicographic order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    width_cap = n if max_width is None else min(max_width, n)
-    height_floor = 1 if min_height is None else max(min_height, 1)
-    if width_cap < 1 or height_floor > n:
-        return
-    for first in range(width_cap, 0, -1):
-        # a first part of `first` fixes the width, so a rank cap turns into
-        # the extra height requirement height >= first - max_rank
-        need = height_floor if max_rank is None else max(height_floor, first - max_rank)
-        yield from _descending_rows(n - first, first, need - 1, (first,))
+    yield from _descending_rows(n, n, ())
 
 
-def _descending_rows(remaining, bound, rows_needed, prefix):
+def _descending_rows(remaining, bound, prefix):
     if remaining == 0:
-        if rows_needed <= 0:
-            yield prefix
+        yield prefix
         return
-    top = min(remaining, bound)
-    if rows_needed > 1:
-        # every future row takes at least one box
-        top = min(top, remaining - (rows_needed - 1))
-    for part in range(top, 0, -1):
-        yield from _descending_rows(remaining - part, part, rows_needed - 1, prefix + (part,))
-
-
-def enumerate_diagrams(
-    n: int,
-    *,
-    max_width: int | None = None,
-    min_height: int | None = None,
-    max_rank: int | None = None,
-) -> Iterator[YoungDiagram]:
-    """Yield every partition of ``n`` satisfying the constraints, exactly once.
-
-    Order is reverse-lexicographic on the row tuples.  The iterator is
-    single-consumer; the yielded diagrams are immutable and freely shareable.
-    """
-    for rows in iter_partition_rows(
-        n, max_width=max_width, min_height=min_height, max_rank=max_rank
-    ):
-        yield YoungDiagram(rows)
+    for part in range(min(remaining, bound), 0, -1):
+        yield from _descending_rows(remaining - part, part, prefix + (part,))

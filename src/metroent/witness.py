@@ -14,6 +14,7 @@ limits are attainable, so exclusion requires strictly exceeding them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds, tuples
@@ -23,6 +24,10 @@ KIND_QFI = "fq"
 KIND_SQUEEZING = "xi2"
 KINDS = (KIND_QFI, KIND_SQUEEZING)
 UNITS = ("none", "linear", "db")
+# limits on a measured value's decimal text, so that no value parses into a
+# huge integer
+MAX_VALUE_CHARS = 100
+MAX_EXPONENT = 100
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,12 @@ class Measurement:
     reference: str = ""
 
     def __post_init__(self):
+        # the label names the record's directory under --out
+        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\\0"):
+            raise ValueError(
+                f"bad label {self.label!r}: a label must not be empty, '.' or '..',"
+                " nor contain '/', '\\' or NUL"
+            )
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.kind not in KINDS:
@@ -61,6 +72,11 @@ class Measurement:
     def quantity(self) -> Fraction:
         """The measured quantity on linear scale, as an exact rational."""
         try:
+            # bound the text before Fraction or Decimal expands its exponent
+            if len(self.value) > MAX_VALUE_CHARS:
+                raise ValueError
+            if abs(Decimal(self.value).adjusted()) > MAX_EXPONENT:
+                raise ValueError
             if self.kind == KIND_SQUEEZING and self.unit == "db":
                 return db_text_to_linear(self.value)
             return Fraction(self.value)

@@ -62,10 +62,13 @@ def filtered_partitions(n, max_width=None, min_height=None, max_rank=None):
 
 
 def brute_max_squares(n, max_width=None, min_height=None, max_rank=None):
-    """Max squared-row sum over a filtered class, or None when empty."""
-    best = None
-    for p in filtered_partitions(n, max_width=max_width, min_height=min_height, max_rank=max_rank):
-        s = sum(x * x for x in p)
-        if best is None or s > best:
-            best = s
-    return best
+    """(max squared-row sum, largest maximizer) over a filtered class, or None when empty."""
+    return max(
+        (
+            (sum(x * x for x in p), p)
+            for p in filtered_partitions(
+                n, max_width=max_width, min_height=min_height, max_rank=max_rank
+            )
+        ),
+        default=None,
+    )

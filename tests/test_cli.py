@@ -84,13 +84,20 @@ def test_analyze_xi2_db(capsys):
     ]
 
 
-def test_analyze_input_errors(capsys):
+def test_analyze_input_errors(capsys, tmp_path):
     assert main(["analyze", "--n", "14"]) == 2
     assert main(["analyze", "--fq", "40.4"]) == 2
     assert main(["analyze", "--n", "14", "--fq", "40.4", "--xi2", "0.5"]) == 2
     assert main(["analyze", "--dataset", "no-such-file.csv"]) == 2
     assert main(["analyze", "--dataset", "x.csv", "--fq", "1"]) == 2
     assert main(["analyze", "--n", "14", "--fq", "abc"]) == 2
+    # decimal text is bounded when parsed, before anything is written
+    capsys.readouterr()
+    assert main(["analyze", "--n", "5", "--fq", "1e5000", "--out", str(tmp_path / "o")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert main(["analyze", "--n", "5", "--fq", "1e-5000"]) == 2
+    assert main(["analyze", "--n", "5", "--xi2-db", "1e5000"]) == 2
+    assert capsys.readouterr().err.count("bad decimal value") == 3
 
 
 def test_analyze_bundled_dataset(capsys, tmp_path):

@@ -4,9 +4,9 @@ import itertools
 import random
 
 import pytest
-from support import brute_max_squares
+from support import brute_max_squares, matches
 
-from metroent import bounds
+from metroent import bounds, oracle
 from metroent.oracle import (
     ClassPredicate,
     EmptyClassError,
@@ -48,10 +48,11 @@ def test_empty_class_raises():
 
 
 def test_matches_independent_filtered_brute():
-    for n in (4, 9, 14):
-        widths = (None, 2, n // 2, n)
-        heights = (None, 2, n // 2)
-        ranks = (None, 1 - n, 0, n - 1)
+    # value and argmax (the largest maximizer) across a constraint grid
+    for n in (1, 2, 3, 4, 5, 8, 9, 12, 14, 16, 20):
+        widths = (None, 1, 2, 3, max(1, n // 2), n)
+        heights = (None, 1, 2, max(1, n // 2), n)
+        ranks = (None, 1 - n, 0, 2, n - 1)
         for mw, mh, mr in itertools.product(widths, heights, ranks):
             expected = brute_max_squares(n, max_width=mw, min_height=mh, max_rank=mr)
             pred = ClassPredicate(max_width=mw, min_height=mh, max_rank=mr)
@@ -59,7 +60,8 @@ def test_matches_independent_filtered_brute():
                 with pytest.raises(EmptyClassError):
                     brute_force_max(n, pred)
             else:
-                assert brute_force_max(n, pred).value == expected
+                res = brute_force_max(n, pred)
+                assert (res.value, res.argmax.rows) == expected, (n, mw, mh, mr)
 
 
 def test_argmax_is_first_in_enumeration_order():
@@ -68,10 +70,27 @@ def test_argmax_is_first_in_enumeration_order():
         res = brute_force_max(n, pred)
         firsts = [
             rows
-            for rows in iter_partition_rows(n, max_width=3, min_height=3)
-            if sum(r * r for r in rows) == res.value
+            for rows in iter_partition_rows(n)
+            if matches(rows, max_width=3, min_height=3) and sum(r * r for r in rows) == res.value
         ]
         assert res.argmax.rows == firsts[0]
+
+
+def test_verify_enumerates_each_n_once(monkeypatch):
+    calls = []
+    original = oracle.iter_partition_rows
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    oracle._shape_maxima.cache_clear()
+    monkeypatch.setattr(oracle, "iter_partition_rows", counting)
+    try:
+        assert verify_closed_forms(12) == []
+    finally:
+        oracle._shape_maxima.cache_clear()
+    assert calls == list(range(1, 13))
 
 
 def test_optimal_diagram_structure_attains_maximum():

@@ -1,11 +1,9 @@
-"""Tests for Young diagram values and constrained enumeration."""
-
-import itertools
+"""Tests for Young diagram values and partition enumeration."""
 
 import pytest
-from support import count_partitions, filtered_partitions
+from support import count_partitions
 
-from metroent.partitions import YoungDiagram, enumerate_diagrams, iter_partition_rows
+from metroent.partitions import YoungDiagram, iter_partition_rows
 
 
 def test_width_height_rank_examples():
@@ -86,37 +84,12 @@ def test_enumeration_order_is_reverse_lexicographic():
 
 
 def test_single_particle():
-    assert [d.rows for d in enumerate_diagrams(1)] == [(1,)]
-
-
-def test_constrained_example():
-    rows = {d.rows for d in enumerate_diagrams(7, max_width=4, min_height=3)}
-    assert (4, 2, 1) in rows
-    assert (3, 3, 1) in rows
-    assert (4, 3) not in rows
-    assert len(rows) == len(filtered_partitions(7, max_width=4, min_height=3))
-
-
-def test_constrained_equals_filtered():
-    # pruned generation must agree with post-filtering across a constraint grid
-    for n in (1, 2, 3, 5, 8, 12, 16, 20):
-        widths = (None, 1, 2, 3, max(1, n // 2), n)
-        heights = (None, 1, 2, max(1, n // 2), n)
-        ranks = (None, 1 - n, 0, 2, n - 1)
-        for mw, mh, mr in itertools.product(widths, heights, ranks):
-            got = list(iter_partition_rows(n, max_width=mw, min_height=mh, max_rank=mr))
-            want = filtered_partitions(n, max_width=mw, min_height=mh, max_rank=mr)
-            assert sorted(got) == sorted(want), (n, mw, mh, mr)
-
-
-def test_unsatisfiable_constraints_yield_empty_stream():
-    assert list(iter_partition_rows(5, min_height=6)) == []
-    assert list(iter_partition_rows(5, max_width=2, max_rank=-5)) == []
+    assert list(iter_partition_rows(1)) == [(1,)]
 
 
 def test_yielded_diagrams_are_valid_and_unique():
     for n in (6, 11, 17):
-        diagrams = list(enumerate_diagrams(n))
+        diagrams = [YoungDiagram(rows) for rows in iter_partition_rows(n)]
         assert len(diagrams) == len(set(diagrams))
         for d in diagrams:
             assert d.n == n

@@ -40,6 +40,18 @@ def test_measurement_validation():
         Measurement(label="x", n=5, kind="fq", value="-3")
     with pytest.raises(ValueError):
         Measurement(label="x", n=5, kind="xi2", value="0", unit="linear")
+    # decimal text is bounded in length and in exponent
+    for value in ("1e101", "1e-101", "1" * 101):
+        with pytest.raises(ValueError, match="bad decimal value"):
+            fq(5, value)
+    assert fq(5, "1e100").quantity() == 10**100
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "../outside", "a/b", "/abs", "a\\b", "a\0b"])
+def test_measurement_rejects_unsafe_labels(label):
+    # library callers get the same label rule as dataset files
+    with pytest.raises(ValueError, match="bad label"):
+        Measurement(label=label, n=5, kind="fq", value="6")
 
 
 def test_quantity_is_exact():
