@@ -91,7 +91,8 @@ def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
     target = Path(out_dir) / report.measurement.label
     target.mkdir(parents=True, exist_ok=True)
     (target / "report.json").write_text(report_json_text(report))
-    (target / "grid.csv").write_text(grid_csv_text(report.grid))
+    grid = witness.build_grid(report.measurement, simple=report.simple)
+    (target / "grid.csv").write_text(grid_csv_text(grid))
     return target
 
 

@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def db_text_to_linear(text: str, significant_digits: int = 30) -> Fraction:
     """Exact-rational snapshot of 10**(db/10) for a decimal dB string.
 

@@ -175,14 +175,6 @@ class TupleGrid:
     rank: int
     cells: tuple[GridCell, ...]
 
-    def counts(self) -> dict[str, int]:
-        return {
-            "by_w": sum(c.excluded_w for c in self.cells),
-            "by_h": sum(c.excluded_h for c in self.cells),
-            "by_r": sum(c.excluded_r for c in self.cells),
-            "by_wh": sum(c.excluded_wh for c in self.cells),
-        }
-
 
 def build_grid(m: Measurement, *, simple: bool = False) -> TupleGrid:
     """Evaluate all four exclusion criteria on every valid tuple.
@@ -219,6 +211,39 @@ def build_grid(m: Measurement, *, simple: bool = False) -> TupleGrid:
     )
 
 
+def exclusion_counts(
+    m: Measurement, depth: int, separability: int, rank: int, *, simple: bool = False
+) -> dict[str, int]:
+    """The four excluded-tuple counts, from one pass over the widths.
+
+    Width w's valid heights ceil(n/w) <= h <= n + 1 - w form an interval that
+    the W, H and R flags of :func:`build_grid` cut once each.  The (w, h)
+    limit falls in h and rises in w, so the excluded heights are a suffix
+    from some p, and p carries over to w + 1 while p - 1 is a compatible
+    height of w that w + 1 shares; otherwise it restarts at ceil(n/(w+1)).
+    """
+    n = m.n
+    threshold = m.exclusion_threshold()
+    f_wh = bounds.max_qfi_wh_simple if simple else bounds.max_qfi_wh
+    by_w = by_h = by_r = by_wh = 0
+    p = 0  # first excluded height of the previous width
+    prev_lo = n + 1
+    for w in range(1, n + 1):
+        lo, hi = -(-n // w), n + 1 - w
+        if w < depth:
+            by_w += hi - lo + 1
+        by_h += max(0, hi - max(lo, separability + 1) + 1)
+        by_r += max(0, hi - max(lo, w - rank + 1) + 1)
+        p = min(p, hi + 1)
+        if p - 1 < prev_lo:
+            p = lo
+        while p <= hi and f_wh(n, w, p) >= threshold:
+            p += 1
+        by_wh += hi + 1 - p
+        prev_lo = lo
+    return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     """Everything inferred from one measurement."""
@@ -228,7 +253,7 @@ class WitnessReport:
     separability: int
     rank: int
     counts: dict
-    grid: TupleGrid
+    simple: bool
     q_advantage: "Fraction | None"
 
     @property
@@ -254,16 +279,21 @@ class WitnessReport:
 
 
 def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
-    """Full inference for one measurement: w, h, r, grid, counts, advantage."""
-    grid = build_grid(m, simple=simple)
+    """Full inference for one measurement: w, h, r, counts, advantage.
+
+    No grid is built here; :func:`build_grid` gives it when one is wanted.
+    """
+    depth = infer_depth(m, simple=simple)
+    separability = infer_separability(m, simple=simple)
+    rank = infer_rank(m, simple=simple)
     q = bounds.quantum_advantage(m.quantity(), m.n) if m.kind == KIND_QFI else None
     return WitnessReport(
         measurement=m,
-        depth=grid.depth,
-        separability=grid.separability,
-        rank=grid.rank,
-        counts=grid.counts(),
-        grid=grid,
+        depth=depth,
+        separability=separability,
+        rank=rank,
+        counts=exclusion_counts(m, depth, separability, rank, simple=simple),
+        simple=simple,
         q_advantage=q,
     )
 

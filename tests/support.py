@@ -72,3 +72,13 @@ def brute_max_squares(n, max_width=None, min_height=None, max_rank=None):
         ),
         default=None,
     )
+
+
+def grid_counts(cells) -> dict[str, int]:
+    """The four exclusion counts tallied cell by cell over a materialised grid."""
+    return {
+        "by_w": sum(c.excluded_w for c in cells),
+        "by_h": sum(c.excluded_h for c in cells),
+        "by_r": sum(c.excluded_r for c in cells),
+        "by_wh": sum(c.excluded_wh for c in cells),
+    }

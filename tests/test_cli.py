@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from metroent import bounds, cli
+from metroent import bounds, cli, witness
 from metroent.cli import (
     bundled_dataset_text,
     grid_csv_text,
@@ -16,7 +16,7 @@ from metroent.cli import (
     main,
     parse_dataset_text,
 )
-from metroent.witness import Measurement, analyze
+from metroent.witness import Measurement
 
 
 def test_bounds_wh_n2(capsys):
@@ -84,6 +84,29 @@ def test_analyze_xi2_db(capsys):
     ]
 
 
+def test_grid_is_built_only_under_out(capsys, monkeypatch, tmp_path):
+    build_grid = witness.build_grid
+
+    def no_grid(m, *, simple=False):
+        raise AssertionError(f"grid built for {m.label}")
+
+    monkeypatch.setattr(witness, "build_grid", no_grid)
+    assert main(["analyze", "--n", "470", "--xi2-db", "-4.5"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[5:12] == ["4", "435", "-399", "548", "596", "1191", "2941"]
+
+    # --out builds each record's grid once, for its grid.csv
+    built = []
+
+    def counting(m, *, simple=False):
+        built.append(m.label)
+        return build_grid(m, simple=simple)
+
+    monkeypatch.setattr(witness, "build_grid", counting)
+    assert main(["analyze", "--dataset", "bundled.csv", "--out", str(tmp_path)]) == 0
+    assert built == ["ions-n8", "ions-n14", "atoms-n36", "ions-n127", "bec-n470"]
+
+
 def test_analyze_input_errors(capsys, tmp_path):
     assert main(["analyze", "--n", "14"]) == 2
     assert main(["analyze", "--fq", "40.4"]) == 2
@@ -132,7 +155,7 @@ def test_analyze_reports_are_deterministic(tmp_path):
 
 
 def test_grid_csv_statuses_cover_convention():
-    grid = analyze(Measurement(label="m", n=14, kind="fq", value="40.4")).grid
+    grid = witness.build_grid(Measurement(label="m", n=14, kind="fq", value="40.4"))
     text = grid_csv_text(grid)
     statuses = {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
     assert "OK" in statuses and "WH" in statuses and "WHR" in statuses

@@ -26,6 +26,10 @@ def test_db_text_to_linear_is_exact_30_digit_snapshot():
     assert squeezing.db_text_to_linear("20") == 100
 
 
+def test_db_cache_is_bounded():
+    assert squeezing.db_text_to_linear.cache_info().maxsize is not None
+
+
 def test_floor_from_qfi_examples():
     assert squeezing.xi2_floor_from_qfi(max_qfi_width(470, 3), 470) == Fraction(940, 2348)
     assert max_qfi_width(470, 3) == 1408

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from support import grid_counts
 
-from metroent import bounds, witness
-from metroent.bounds import max_qfi_rank, max_qfi_width
+from metroent import bounds, tuples, witness
+from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_wh_simple, max_qfi_width
 from metroent.witness import Measurement, fraction_to_decimal_text
 
 
@@ -259,6 +260,48 @@ def test_class_limits_are_monotone(n, simple):
     assert all(a <= b for a, b in zip(widths, widths[1:]))
     assert all(a >= b for a, b in zip(heights, heights[1:]))
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 150), simple=st.booleans())
+@example(n=150, simple=False)
+@example(n=150, simple=True)
+def test_wh_limit_is_a_staircase(n, simple):
+    # the shape exclusion_counts walks: over valid tuples the (w, h) limit
+    # never rises with h and never falls with w
+    f_wh = max_qfi_wh_simple if simple else max_qfi_wh
+    f = {(w, h): f_wh(n, w, h) for w, h in tuples.all_tuples(n)}
+    for (w, h), value in f.items():
+        assert f.get((w, h + 1), value) <= value, (n, w, h)
+        assert f.get((w + 1, h), value) >= value, (n, w, h)
+
+
+def test_counts_match_the_grid(monkeypatch):
+    # the one-pass counts equal the cell-by-cell tally of the full grid
+    rng = random.Random(8128)
+    ms = [xi2_db(10, "-21.35"), fq(4, "17"), fq(1, "1"), fq(2, "3"), xi2_linear(3, "0.5")]
+    ms += [_measurement_up_to(rng, 300) for _ in range(40)]
+    for _ in range(40):
+        n = rng.randint(1, 120)
+        w, h = rng.choice(tuples.all_tuples(n))
+        limit = rng.choice((max_qfi_wh, max_qfi_wh_simple))(n, w, h)
+        ms += [fq(n, str(limit + d)) for d in (-1, 0, 1) if limit + d > 0]
+    expected = {}
+    for m in ms:
+        for simple in (False, True):
+            grid = witness.build_grid(m, simple=simple)
+            inferred = (grid.depth, grid.separability, grid.rank)
+            expected[m, simple] = inferred, grid_counts(grid.cells)
+    assert expected[xi2_db(10, "-21.35"), False][1]["by_wh"] == len(tuples.all_tuples(10))
+
+    def no_grid(m, *, simple=False):
+        raise AssertionError("analyze built the grid")
+
+    monkeypatch.setattr(witness, "build_grid", no_grid)
+    for (m, simple), (inferred, counts) in expected.items():
+        rep = witness.analyze(m, simple=simple)
+        assert (rep.depth, rep.separability, rep.rank) == inferred, (m, simple)
+        assert rep.counts == counts, (m, simple)
 
 
 def test_rank_plus_n_stays_in_range():
