@@ -43,29 +43,36 @@ class WhDecomposition:
         return (w,) * self.k + (self.u,) + (1,) * self.v
 
 
-@dataclass(frozen=True)
-class WidthDecomposition:
-    """s full blocks of width w plus one remainder block of t boxes (t < w)."""
-
-    s: int
-    t: int
-
-
-def decompose_wh(n: int, w: int, h: int) -> WhDecomposition:
-    """Shape of the square-sum maximizer among diagrams of width w, height h.
+def _wh_rows(n: int, w: int, h: int) -> tuple[int, int, int]:
+    """(k, u, v) of the square-sum maximizer at a valid width w and height h.
 
     For w == 1 the only diagram is all singletons.  The quotient
     (n - h) // (w - 1) is capped at h - 1: the cap only binds when n == w*h,
     where the maximizer is the full w-by-h rectangle and the uncapped
     quotient would produce a negative singleton count.
     """
-    _require_valid_tuple(n, w, h)
     if w == 1:
-        return WhDecomposition(k=0, u=1, v=n - 1)
+        return 0, 1, n - 1
     k = min((n - h) // (w - 1), h - 1)
-    u = n - h + 1 - (w - 1) * k
-    v = h - k - 1
+    return k, n - h + 1 - (w - 1) * k, h - k - 1
+
+
+def decompose_wh(n: int, w: int, h: int) -> WhDecomposition:
+    """Shape of the square-sum maximizer among diagrams of width w, height h."""
+    _require_valid_tuple(n, w, h)
+    k, u, v = _wh_rows(n, w, h)
     return WhDecomposition(k=k, u=u, v=v)
+
+
+def wh_limit(n: int, w: int, h: int) -> int:
+    """:func:`max_qfi_wh` without its validity check, for loops over valid tuples."""
+    k, u, v = _wh_rows(n, w, h)
+    return k * w * w + u * u + v
+
+
+def wh_limit_simple(n: int, w: int, h: int) -> int:
+    """:func:`max_qfi_wh_simple` without its validity check."""
+    return w * (n - h) + n
 
 
 def max_qfi_wh(n: int, w: int, h: int) -> int:
@@ -75,14 +82,14 @@ def max_qfi_wh(n: int, w: int, h: int) -> int:
     partitions of n with width <= w and height >= h, attained at width
     exactly w and height exactly h.
     """
-    d = decompose_wh(n, w, h)
-    return d.k * w * w + d.u * d.u + d.v
+    _require_valid_tuple(n, w, h)
+    return wh_limit(n, w, h)
 
 
 def max_qfi_wh_simple(n: int, w: int, h: int) -> int:
     """Non-tight (w, h) limit w*(n - h) + n; dominates :func:`max_qfi_wh`."""
     _require_valid_tuple(n, w, h)
-    return w * (n - h) + n
+    return wh_limit_simple(n, w, h)
 
 
 def quantum_advantage(f_measured, n: int):
@@ -90,17 +97,12 @@ def quantum_advantage(f_measured, n: int):
     return f_measured - n
 
 
-def decompose_width(n: int, w: int) -> WidthDecomposition:
+def max_qfi_width(n: int, w: int) -> int:
+    """Largest QFI of any w-producible state: s*w**2 + t**2 with n = s*w + t."""
     if not 1 <= w <= n:
         raise ValueError(f"width must satisfy 1 <= w <= n; got w={w}, n={n}")
     s, t = divmod(n, w)
-    return WidthDecomposition(s=s, t=t)
-
-
-def max_qfi_width(n: int, w: int) -> int:
-    """Largest QFI of any w-producible state: s*w**2 + t**2 with n = s*w + t."""
-    d = decompose_width(n, w)
-    return d.s * w * w + d.t * d.t
+    return s * w * w + t * t
 
 
 def max_qfi_width_simple(n: int, w: int) -> int:

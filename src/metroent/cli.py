@@ -78,7 +78,7 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
 
 def grid_csv_text(grid: TupleGrid) -> str:
     lines = ["w,h,f_wh,status"]
-    lines.extend(f"{c.w},{c.h},{c.f},{c.status()}" for c in grid.cells)
+    lines.extend(f"{w},{h},{f},{status}" for w, h, f, status in grid.cells)
     return "\n".join(lines) + "\n"
 
 
@@ -91,7 +91,7 @@ def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
     target = Path(out_dir) / report.measurement.label
     target.mkdir(parents=True, exist_ok=True)
     (target / "report.json").write_text(report_json_text(report))
-    grid = witness.build_grid(report.measurement, simple=report.simple)
+    grid = witness.build_grid(report)
     (target / "grid.csv").write_text(grid_csv_text(grid))
     return target
 
@@ -108,9 +108,9 @@ def _cmd_bounds(args) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     lines = []
     if args.cls == "wh":
-        f = bounds.max_qfi_wh_simple if args.simple else bounds.max_qfi_wh
+        f = bounds.wh_limit_simple if args.simple else bounds.wh_limit
         lines.append("w,h,f")
-        lines.extend(f"{w},{h},{_format_value(f(n, w, h))}" for w, h in tuples.all_tuples(n))
+        lines.extend(f"{w},{h},{f(n, w, h)}" for w, h in tuples.all_tuples(n))
     elif args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
         lines.append("x,f")

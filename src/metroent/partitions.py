@@ -31,15 +31,6 @@ class YoungDiagram:
     def from_rows(cls, rows) -> "YoungDiagram":
         return cls(tuple(rows))
 
-    @classmethod
-    def from_text(cls, text: str) -> "YoungDiagram":
-        """Parse the comma-joined text form, e.g. ``"4,2,1"``."""
-        try:
-            rows = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad diagram text {text!r}") from exc
-        return cls(rows)
-
     @property
     def n(self) -> int:
         """Total number of boxes (particles)."""

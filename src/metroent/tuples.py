@@ -16,13 +16,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def is_valid(n: int, w: int, h: int) -> bool:
-    """True iff a partition of n with width exactly w and height exactly h exists."""
-    if n < 1 or w < 1 or h < 1:
-        raise ValueError(f"n, w, h must be >= 1; got n={n}, w={w}, h={h}")
-    return w <= n and h <= n and _ceil_div(n, w) <= h <= n + 1 - w
-
-
 def all_tuples(n: int) -> list[tuple[int, int]]:
     """Every valid (w, h) pair for n, ordered by (w ascending, h ascending)."""
     if n < 1:

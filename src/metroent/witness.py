@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from . import bounds, tuples
+from . import bounds
 from .squeezing import db_text_to_linear
 
 KIND_QFI = "fq"
@@ -131,116 +131,48 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     return next((r for r in bounds.valid_ranks(m.n) if f(m.n, r) >= threshold), m.n)
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One (w, h) tuple with its QFI limit and per-criterion exclusion flags."""
+def _width_segments(m: Measurement, simple: bool):
+    """Yield (w, lo, hi, p) for every width w = 1..n.
 
-    w: int
-    h: int
-    f: int
-    excluded_w: bool
-    excluded_h: bool
-    excluded_r: bool
-    excluded_wh: bool
-
-    def status(self) -> str:
-        """Flag-set string for CSV export.
-
-        Violated projections are concatenated in the order W, H, R; a tuple
-        caught only by the full (w, h) information reads WH, and a
-        compatible tuple reads OK.  (W and H together force R, so the
-        two-letter value WH is unambiguous.)
-        """
-        flags = (
-            ("W" if self.excluded_w else "")
-            + ("H" if self.excluded_h else "")
-            + ("R" if self.excluded_r else "")
-        )
-        if flags:
-            return flags
-        return "WH" if self.excluded_wh else "OK"
-
-
-@dataclass(frozen=True)
-class TupleGrid:
-    """Per-tuple exclusion map for one measurement, ordered by (w, h).
-
-    ``depth``, ``separability`` and ``rank`` are the inferred w, h and r
-    that the cells' W, H and R flags were read from.
-    """
-
-    n: int
-    depth: int
-    separability: int
-    rank: int
-    cells: tuple[GridCell, ...]
-
-
-def build_grid(m: Measurement, *, simple: bool = False) -> TupleGrid:
-    """Evaluate all four exclusion criteria on every valid tuple.
-
-    The class families are nested (width <= w inside width <= w + 1, height
-    >= h + 1 inside height >= h, rank <= r inside rank <= r + 1), so a
-    tuple's W, H and R flags are w < inferred w, h > inferred h and
-    w - h < inferred r.  Only the (w, h) limit is compared per tuple; the
-    cell's f value is the one the decision used: the tight limit by
-    default, the simplified one under ``simple``.
+    Width w's valid heights are lo = ceil(n/w) <= h <= hi = n + 1 - w, and
+    the (w, h) limit excludes exactly the heights p <= h <= hi.  The limit
+    falls in h and rises in w, so p carries over to w + 1 (clamped to
+    hi + 1) while p - 1 is a compatible height of w that w + 1 shares;
+    otherwise it restarts at ceil(n/(w+1)).  Each comparison is exact: the
+    integer limit times the threshold's denominator against its numerator.
     """
     n = m.n
     threshold = m.exclusion_threshold()
-    depth = infer_depth(m, simple=simple)
-    separability = infer_separability(m, simple=simple)
-    rank = infer_rank(m, simple=simple)
-    f_wh = bounds.max_qfi_wh_simple if simple else bounds.max_qfi_wh
-    cells = []
-    for w, h in tuples.all_tuples(n):
-        f_val = f_wh(n, w, h)
-        cells.append(
-            GridCell(
-                w=w,
-                h=h,
-                f=f_val,
-                excluded_w=w < depth,
-                excluded_h=h > separability,
-                excluded_r=w - h < rank,
-                excluded_wh=f_val < threshold,
-            )
-        )
-    return TupleGrid(
-        n=n, depth=depth, separability=separability, rank=rank, cells=tuple(cells)
-    )
+    num, den = threshold.numerator, threshold.denominator
+    f_wh = bounds.wh_limit_simple if simple else bounds.wh_limit
+    p = 0  # first excluded height of the previous width
+    prev_lo = n + 1
+    for w in range(1, n + 1):
+        lo, hi = -(-n // w), n + 1 - w
+        p = min(p, hi + 1)
+        if p - 1 < prev_lo:
+            p = lo
+        while p <= hi and f_wh(n, w, p) * den >= num:
+            p += 1
+        yield w, lo, hi, p
+        prev_lo = lo
 
 
 def exclusion_counts(
     m: Measurement, depth: int, separability: int, rank: int, *, simple: bool = False
 ) -> dict[str, int]:
-    """The four excluded-tuple counts, from one pass over the widths.
+    """The four excluded-tuple counts, tallied over :func:`_width_segments`.
 
-    Width w's valid heights ceil(n/w) <= h <= n + 1 - w form an interval that
-    the W, H and R flags of :func:`build_grid` cut once each.  The (w, h)
-    limit falls in h and rises in w, so the excluded heights are a suffix
-    from some p, and p carries over to w + 1 while p - 1 is a compatible
-    height of w that w + 1 shares; otherwise it restarts at ceil(n/(w+1)).
+    The class families are nested, so the W, H and R flags cut each width's
+    height interval once: w < depth, h > separability and h > w - rank.
     """
-    n = m.n
-    threshold = m.exclusion_threshold()
-    f_wh = bounds.max_qfi_wh_simple if simple else bounds.max_qfi_wh
     by_w = by_h = by_r = by_wh = 0
-    p = 0  # first excluded height of the previous width
-    prev_lo = n + 1
-    for w in range(1, n + 1):
-        lo, hi = -(-n // w), n + 1 - w
+    for w, lo, hi, p in _width_segments(m, simple):
         if w < depth:
             by_w += hi - lo + 1
         by_h += max(0, hi - max(lo, separability + 1) + 1)
         by_r += max(0, hi - max(lo, w - rank + 1) + 1)
-        p = min(p, hi + 1)
-        if p - 1 < prev_lo:
-            p = lo
-        while p <= hi and f_wh(n, w, p) >= threshold:
-            p += 1
         by_wh += hi + 1 - p
-        prev_lo = lo
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
 
 
@@ -281,7 +213,9 @@ class WitnessReport:
 def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     """Full inference for one measurement: w, h, r, counts, advantage.
 
-    No grid is built here; :func:`build_grid` gives it when one is wanted.
+    The counts cost O(n) work; no per-tuple grid is built here.
+    :func:`build_grid` expands the same width segments into ``grid.csv``
+    rows when one is wanted.
     """
     depth = infer_depth(m, simple=simple)
     separability = infer_separability(m, simple=simple)
@@ -296,6 +230,42 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
         simple=simple,
         q_advantage=q,
     )
+
+
+@dataclass(frozen=True)
+class TupleGrid:
+    """Per-tuple exclusion map for one measurement, ordered by (w, h).
+
+    Each cell is a plain ``(w, h, f, status)`` tuple.  ``f`` is the (w, h)
+    limit the decision used: the tight one by default, the simplified one
+    under ``simple``.  ``status`` concatenates the violated projections in
+    the order W, H, R; a tuple caught only by the full (w, h) information
+    reads WH, and a compatible tuple reads OK.  (W and H together force R,
+    so the two-letter value WH is unambiguous.)
+    """
+
+    cells: tuple[tuple[int, int, int, str], ...]
+
+
+def build_grid(report: WitnessReport) -> TupleGrid:
+    """Expand the width segments of ``report`` into one cell per valid tuple.
+
+    The W, H and R flags read the report's inferred w, h and r; the (w, h)
+    flag splits each width at the segment's first excluded height.
+    """
+    m = report.measurement
+    n, depth, separability, rank = m.n, report.depth, report.separability, report.rank
+    f_wh = bounds.wh_limit_simple if report.simple else bounds.wh_limit
+    cells = []
+    for w, lo, hi, p in _width_segments(m, report.simple):
+        flag_w = "W" if w < depth else ""
+        for first, stop, default in ((lo, p, "OK"), (p, hi + 1, "WH")):
+            for h in range(first, stop):
+                flags = (
+                    flag_w + ("H" if h > separability else "") + ("R" if w - h < rank else "")
+                )
+                cells.append((w, h, f_wh(n, w, h), flags or default))
+    return TupleGrid(cells=tuple(cells))
 
 
 def fraction_to_decimal_text(value: Fraction) -> str:

@@ -2,10 +2,16 @@
 
 Deliberately different algorithms from the package: partitions come from
 Kelleher's ascending-composition generator (the package recurses on
-descending parts) and counts come from the classic bounded-part recurrence.
+descending parts), counts come from the classic bounded-part recurrence,
+and the per-tuple exclusion grid compares every tuple with its own class
+limits instead of walking the (w, h) staircase.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
+
+from metroent import bounds, tuples
 
 
 def accel_asc(n):
@@ -74,11 +80,63 @@ def brute_max_squares(n, max_width=None, min_height=None, max_rank=None):
     )
 
 
-def grid_counts(cells) -> dict[str, int]:
-    """The four exclusion counts tallied cell by cell over a materialised grid."""
+class ReferenceCell(NamedTuple):
+    """One (w, h) tuple with its QFI limit and per-criterion exclusion flags."""
+
+    w: int
+    h: int
+    f: int
+    excluded_w: bool
+    excluded_h: bool
+    excluded_r: bool
+    excluded_wh: bool
+
+    def status(self) -> str:
+        """The grid.csv status: violated projections as W, H, R, else WH or OK."""
+        flags = "W" * self.excluded_w + "H" * self.excluded_h + "R" * self.excluded_r
+        return flags or ("WH" if self.excluded_wh else "OK")
+
+
+def reference_grid_rows(m, simple: bool) -> list[ReferenceCell]:
+    """Every valid tuple of ``m``, each flag read from its own class limit.
+
+    A class is excluded when its limit is below ``m.exclusion_threshold()``;
+    no inferred w, h or r and no staircase pointer is involved.
+    """
+    n, threshold = m.n, m.exclusion_threshold()
+    f_wh = bounds.max_qfi_wh_simple if simple else bounds.max_qfi_wh
+    f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
+    f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    out_w = {w: f_w(n, w) < threshold for w in range(1, n + 1)}
+    out_h = {h: bounds.max_qfi_height(n, h) < threshold for h in range(1, n + 1)}
+    out_r = {r: f_r(n, r) < threshold for r in bounds.valid_ranks(n)}
+    rows = []
+    for w, h in tuples.all_tuples(n):
+        f = f_wh(n, w, h)
+        rows.append(ReferenceCell(w, h, f, out_w[w], out_h[h], out_r[w - h], f < threshold))
+    return rows
+
+
+def reference_csv_text(rows) -> str:
+    """The grid.csv text of reference rows."""
+    return "w,h,f_wh,status\n" + "".join(f"{c.w},{c.h},{c.f},{c.status()}\n" for c in rows)
+
+
+def grid_counts(rows) -> dict[str, int]:
+    """The four exclusion counts tallied row by row over reference rows."""
     return {
-        "by_w": sum(c.excluded_w for c in cells),
-        "by_h": sum(c.excluded_h for c in cells),
-        "by_r": sum(c.excluded_r for c in cells),
-        "by_wh": sum(c.excluded_wh for c in cells),
+        "by_w": sum(c.excluded_w for c in rows),
+        "by_h": sum(c.excluded_h for c in rows),
+        "by_r": sum(c.excluded_r for c in rows),
+        "by_wh": sum(c.excluded_wh for c in rows),
     }
+
+
+def cell_flags(cell, threshold) -> tuple[bool, bool, bool, bool]:
+    """The (W, H, R, (w, h)) flags of one ``(w, h, f, status)`` grid cell.
+
+    W and H together force R, so a WH status names the (w, h) flag alone.
+    """
+    _, _, f, status = cell
+    letters = "" if status in ("OK", "WH") else status
+    return "W" in letters, "H" in letters, "R" in letters, f < threshold

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from support import partitions_desc
+from support import cell_flags, partitions_desc
 
 from metroent import bounds, oracle, states, tuples, witness
 from metroent.witness import Measurement
@@ -115,21 +115,21 @@ def test_criterion_5_property_suites():
     rng = random.Random(20240917)
     cases = [_random_measurement(rng) for _ in range(1000)]
     for i, m in enumerate(cases):
-        grid = witness.build_grid(m)
-        for c in grid.cells:
-            if c.excluded_w or c.excluded_h or c.excluded_r:
-                assert c.excluded_wh, (m, c)
+        threshold = m.exclusion_threshold()
+        grid = witness.build_grid(witness.analyze(m))
+        flags = [cell_flags(c, threshold) for c in grid.cells]
+        for c, (out_w, out_h, out_r, out_wh) in zip(grid.cells, flags):
+            if out_w or out_h or out_r:
+                assert out_wh, (m, c)
         r = witness.infer_rank(m)
         assert 1 <= r + m.n <= 2 * m.n - 1, (m, r)
         # strengthening the measurement never shrinks any excluded set
         if i % 5 == 0:
             stronger = _strengthened(m)
-            g2 = witness.build_grid(stronger)
-            for c1, c2 in zip(grid.cells, g2.cells):
-                assert c2.excluded_w >= c1.excluded_w
-                assert c2.excluded_h >= c1.excluded_h
-                assert c2.excluded_r >= c1.excluded_r
-                assert c2.excluded_wh >= c1.excluded_wh
+            g2 = witness.build_grid(witness.analyze(stronger))
+            t2 = stronger.exclusion_threshold()
+            for c1, c2, flags1 in zip(grid.cells, g2.cells, flags):
+                assert all(b >= a for a, b in zip(flags1, cell_flags(c2, t2))), (m, c1, c2)
     for n in range(1, 201):
         assert bounds.max_qfi_wh(n, 1, n) == n
         assert bounds.max_qfi_wh(n, n, 1) == n * n

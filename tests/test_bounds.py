@@ -100,7 +100,6 @@ def test_max_qfi_width_examples():
     assert bounds.max_qfi_width(14, 3) == 40
     assert bounds.max_qfi_width(14, 1) == 14
     assert bounds.max_qfi_width(127, 2) == 253
-    assert bounds.decompose_width(14, 3) == bounds.WidthDecomposition(s=4, t=2)
     with pytest.raises(ValueError):
         bounds.max_qfi_width(14, 0)
     with pytest.raises(ValueError):

@@ -2,13 +2,15 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from support import reference_csv_text, reference_grid_rows
 
-from metroent import bounds, cli, witness
+from metroent import bounds, cli, tuples, witness
 from metroent.cli import (
     bundled_dataset_text,
     grid_csv_text,
@@ -87,8 +89,8 @@ def test_analyze_xi2_db(capsys):
 def test_grid_is_built_only_under_out(capsys, monkeypatch, tmp_path):
     build_grid = witness.build_grid
 
-    def no_grid(m, *, simple=False):
-        raise AssertionError(f"grid built for {m.label}")
+    def no_grid(report):
+        raise AssertionError(f"grid built for {report.measurement.label}")
 
     monkeypatch.setattr(witness, "build_grid", no_grid)
     assert main(["analyze", "--n", "470", "--xi2-db", "-4.5"]) == 0
@@ -98,9 +100,9 @@ def test_grid_is_built_only_under_out(capsys, monkeypatch, tmp_path):
     # --out builds each record's grid once, for its grid.csv
     built = []
 
-    def counting(m, *, simple=False):
-        built.append(m.label)
-        return build_grid(m, simple=simple)
+    def counting(report):
+        built.append(report.measurement.label)
+        return build_grid(report)
 
     monkeypatch.setattr(witness, "build_grid", counting)
     assert main(["analyze", "--dataset", "bundled.csv", "--out", str(tmp_path)]) == 0
@@ -155,11 +157,40 @@ def test_analyze_reports_are_deterministic(tmp_path):
 
 
 def test_grid_csv_statuses_cover_convention():
-    grid = witness.build_grid(Measurement(label="m", n=14, kind="fq", value="40.4"))
-    text = grid_csv_text(grid)
+    report = witness.analyze(Measurement(label="m", n=14, kind="fq", value="40.4"))
+    text = grid_csv_text(witness.build_grid(report))
     statuses = {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
     assert "OK" in statuses and "WH" in statuses and "WHR" in statuses
     assert statuses <= {"OK", "WH", "W", "H", "R", "WR", "HR", "WHR"}
+
+
+def _on_limit_values():
+    # every (w, h) limit +-1 for small n, and a seeded sample of larger ones
+    rng = random.Random(1729)
+    pairs = [(n, w, h) for n in range(1, 9) for w, h in tuples.all_tuples(n)]
+    for _ in range(12):
+        n = rng.randint(9, 80)
+        pairs.append((n, *rng.choice(tuples.all_tuples(n))))
+    for n, w, h in pairs:
+        for f_wh in (bounds.max_qfi_wh, bounds.max_qfi_wh_simple):
+            limit = f_wh(n, w, h)
+            for value in {limit - 1, limit, limit + 1} - {0}:
+                yield Measurement(label="lim", n=n, kind="fq", value=str(value))
+
+
+def test_grid_csv_matches_the_reference():
+    ms = load_dataset("bundled.csv") + [
+        Measurement(label="db", n=10, kind="xi2", value="-21.35", unit="db"),
+        Measurement(label="above", n=4, kind="fq", value="17"),
+        Measurement(label="n1", n=1, kind="fq", value="1"),
+        Measurement(label="n2", n=2, kind="fq", value="3"),
+        Measurement(label="n3", n=3, kind="xi2", value="0.5", unit="linear"),
+    ]
+    ms += _on_limit_values()
+    for m in ms:
+        for simple in (False, True):
+            text = grid_csv_text(witness.build_grid(witness.analyze(m, simple=simple)))
+            assert text == reference_csv_text(reference_grid_rows(m, simple)), (m, simple)
 
 
 def test_dataset_round_trip(tmp_path):

@@ -11,20 +11,10 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def test_is_valid_examples():
-    assert tuples.is_valid(7, 4, 3)
-    assert not tuples.is_valid(7, 4, 5)
-    assert not tuples.is_valid(7, 2, 3)
-    with pytest.raises(ValueError):
-        tuples.is_valid(7, 0, 3)
-
-
-def test_is_valid_matches_enumeration():
+def test_all_tuples_match_enumeration():
     for n in range(1, 21):
         achieved = {(p[0], len(p)) for p in partitions_desc(n)}
-        for w in range(1, n + 1):
-            for h in range(1, n + 1):
-                assert tuples.is_valid(n, w, h) == ((w, h) in achieved), (n, w, h)
+        assert set(tuples.all_tuples(n)) == achieved, n
 
 
 def test_all_tuples_examples():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import grid_counts
+from support import cell_flags, grid_counts, reference_grid_rows
 
 from metroent import bounds, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_wh_simple, max_qfi_width
@@ -106,7 +106,7 @@ def test_shot_noise_measurement_excludes_nothing():
     assert witness.infer_depth(m) == 1
     assert witness.infer_separability(m) == 10
     assert witness.infer_rank(m) == -9
-    assert all(c.status() == "OK" for c in witness.build_grid(m).cells)
+    assert all(status == "OK" for *_, status in witness.build_grid(witness.analyze(m)).cells)
 
 
 def test_beyond_heisenberg_sentinels():
@@ -114,35 +114,22 @@ def test_beyond_heisenberg_sentinels():
     assert witness.infer_depth(m) == 5
     assert witness.infer_separability(m) == 0
     assert witness.infer_rank(m) == 4
-    grid = witness.build_grid(m)
-    assert all(c.excluded_wh for c in grid.cells)
+    grid = witness.build_grid(witness.analyze(m))
+    assert all(f < 17 and status != "OK" for _, _, f, status in grid.cells)
 
 
 def test_grid_cells_n14():
     m = fq(14, "40.4")
-    grid = witness.build_grid(m)
-    cells = {(c.w, c.h): c for c in grid.cells}
-    shot = cells[(1, 14)]
-    assert (
-        shot.excluded_w
-        and shot.excluded_h
-        and shot.excluded_r
-        and shot.excluded_wh
-    )
-    assert shot.status() == "WHR"
-    heis = cells[(14, 1)]
-    assert heis.status() == "OK"
-    assert not heis.excluded_wh
+    grid = witness.build_grid(witness.analyze(m))
+    cells = {(w, h): (f, status) for w, h, f, status in grid.cells}
+    # the shot-noise tuple is excluded by every criterion
+    assert cells[(1, 14)] == (14, "WHR")
+    assert cells[(14, 1)] == (196, "OK")
     # caught by the full (w, h) information only
-    assert cells[(4, 7)].f == 40
-    assert cells[(4, 7)].status() == "WH"
-    assert cells[(5, 8)].status() == "WH"
+    assert cells[(4, 7)] == (40, "WH")
+    assert cells[(5, 8)][1] == "WH"
     # (4, 9) has f = 32 < 40.4 but its rank -5 class is also excluded
-    cell = cells[(4, 9)]
-    assert cell.f == 32
-    assert cell.excluded_wh and cell.excluded_r
-    assert not cell.excluded_w and not cell.excluded_h
-    assert cell.status() == "R"
+    assert cells[(4, 9)] == (32, "R")
     assert max_qfi_rank(14, -5) == 34
 
 
@@ -189,8 +176,7 @@ def test_projection_dominance_and_flag_soundness_random():
     rng = random.Random(424242)
     for _ in range(60):
         m = _random_measurement(rng)
-        grid = witness.build_grid(m)
-        for c in grid.cells:
+        for c in reference_grid_rows(m, False):
             if c.excluded_w or c.excluded_h or c.excluded_r:
                 assert c.excluded_wh, (m, c)
             # W and H together force R, keeping the WH status unambiguous
@@ -204,13 +190,13 @@ def test_monotonicity_in_measurement():
         n = rng.randint(2, 40)
         f1 = rng.uniform(1, n * n)
         f2 = min(f1 * rng.uniform(1.0, 1.5) + 1, n * n)
-        g1 = witness.build_grid(fq(n, f"{f1:.2f}"))
-        g2 = witness.build_grid(fq(n, f"{f2:.2f}"))
+        m1, m2 = fq(n, f"{f1:.2f}"), fq(n, f"{f2:.2f}")
+        t1, t2 = m1.exclusion_threshold(), m2.exclusion_threshold()
+        g1 = witness.build_grid(witness.analyze(m1))
+        g2 = witness.build_grid(witness.analyze(m2))
         for c1, c2 in zip(g1.cells, g2.cells):
-            assert c2.excluded_w >= c1.excluded_w
-            assert c2.excluded_h >= c1.excluded_h
-            assert c2.excluded_r >= c1.excluded_r
-            assert c2.excluded_wh >= c1.excluded_wh
+            flags1, flags2 = cell_flags(c1, t1), cell_flags(c2, t2)
+            assert all(b >= a for a, b in zip(flags1, flags2)), (n, c1, c2)
 
 
 def _measurement_up_to(rng, n_max):
@@ -227,22 +213,16 @@ def _measurement_up_to(rng, n_max):
 
 
 def test_boundary_consistency():
-    # every W, H and R flag agrees with its own class limit, whatever the
-    # grid derived it from
+    # every cell's f and flags agree with the per-tuple reference, which reads
+    # each flag from its own class limit
     rng = random.Random(2718)
     ms = [fq(14, "40.4"), fq(36, "54.36"), xi2_db(470, "-4.5")]
     ms += [_measurement_up_to(rng, 300) for _ in range(40)]
     for m in ms:
-        n, threshold = m.n, m.exclusion_threshold()
         for simple in (False, True):
-            f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-            f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
-            out_w = {w: f_w(n, w) < threshold for w in range(1, n + 1)}
-            out_h = {h: bounds.max_qfi_height(n, h) < threshold for h in range(1, n + 1)}
-            out_r = {r: f_r(n, r) < threshold for r in bounds.valid_ranks(n)}
-            for c in witness.build_grid(m, simple=simple).cells:
-                flags = (c.excluded_w, c.excluded_h, c.excluded_r)
-                assert flags == (out_w[c.w], out_h[c.h], out_r[c.w - c.h]), (m, simple, c)
+            expected = [(c.w, c.h, c.f, c.status()) for c in reference_grid_rows(m, simple)]
+            cells = witness.build_grid(witness.analyze(m, simple=simple)).cells
+            assert list(cells) == expected, (m, simple)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -250,7 +230,7 @@ def test_boundary_consistency():
 @example(n=500, simple=False)
 @example(n=500, simple=True)
 def test_class_limits_are_monotone(n, simple):
-    # the nesting build_grid relies on: width and rank limits never fall,
+    # the nesting build_grid and exclusion_counts rely on: width and rank limits never fall,
     # height limits never rise
     f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
     f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
@@ -277,7 +257,7 @@ def test_wh_limit_is_a_staircase(n, simple):
 
 
 def test_counts_match_the_grid(monkeypatch):
-    # the one-pass counts equal the cell-by-cell tally of the full grid
+    # the one-pass counts equal the row-by-row tally of the per-tuple reference
     rng = random.Random(8128)
     ms = [xi2_db(10, "-21.35"), fq(4, "17"), fq(1, "1"), fq(2, "3"), xi2_linear(3, "0.5")]
     ms += [_measurement_up_to(rng, 300) for _ in range(40)]
@@ -286,22 +266,16 @@ def test_counts_match_the_grid(monkeypatch):
         w, h = rng.choice(tuples.all_tuples(n))
         limit = rng.choice((max_qfi_wh, max_qfi_wh_simple))(n, w, h)
         ms += [fq(n, str(limit + d)) for d in (-1, 0, 1) if limit + d > 0]
-    expected = {}
-    for m in ms:
-        for simple in (False, True):
-            grid = witness.build_grid(m, simple=simple)
-            inferred = (grid.depth, grid.separability, grid.rank)
-            expected[m, simple] = inferred, grid_counts(grid.cells)
-    assert expected[xi2_db(10, "-21.35"), False][1]["by_wh"] == len(tuples.all_tuples(10))
+    expected = {(m, simple): grid_counts(reference_grid_rows(m, simple))
+                for m in ms for simple in (False, True)}
+    assert expected[xi2_db(10, "-21.35"), False]["by_wh"] == len(tuples.all_tuples(10))
 
-    def no_grid(m, *, simple=False):
+    def no_grid(report):
         raise AssertionError("analyze built the grid")
 
     monkeypatch.setattr(witness, "build_grid", no_grid)
-    for (m, simple), (inferred, counts) in expected.items():
-        rep = witness.analyze(m, simple=simple)
-        assert (rep.depth, rep.separability, rep.rank) == inferred, (m, simple)
-        assert rep.counts == counts, (m, simple)
+    for (m, simple), counts in expected.items():
+        assert witness.analyze(m, simple=simple).counts == counts, (m, simple)
 
 
 def test_rank_plus_n_stays_in_range():
@@ -318,12 +292,11 @@ def test_simple_bounds_mode():
     assert witness.infer_depth(m, simple=True) == 3
     rep = witness.analyze(m, simple=True)
     assert rep.counts["by_wh"] <= 24  # looser bounds never exclude more
-    grid_tight = witness.build_grid(m)
-    grid_simple = witness.build_grid(m, simple=True)
+    threshold = m.exclusion_threshold()
+    grid_tight = witness.build_grid(witness.analyze(m))
+    grid_simple = witness.build_grid(rep)
     for ct, cs in zip(grid_tight.cells, grid_simple.cells):
-        assert cs.excluded_wh <= ct.excluded_wh
-        assert cs.excluded_w <= ct.excluded_w
-        assert cs.excluded_r <= ct.excluded_r
+        assert all(s <= t for t, s in zip(cell_flags(ct, threshold), cell_flags(cs, threshold)))
 
 
 def test_fraction_to_decimal_text():
