@@ -57,16 +57,38 @@ class YoungDiagram:
 def iter_partition_rows(n: int) -> Iterator[tuple[int, ...]]:
     """Stream the row tuples of every partition of ``n``, exactly once.
 
-    Yields plain tuples in reverse-lexicographic order.
+    Yields plain tuples in reverse-lexicographic order, generated by
+    Zoghbi and Stojmenovic's ZS1 algorithm ("Fast algorithms for generating
+    integer partitions", Int. J. Comput. Math. 70, 1998) over one row
+    buffer: ``x[1..m]`` holds the current rows, ``h`` indexes its last row
+    larger than 1, and every entry past ``h`` is 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    yield from _descending_rows(n, n, ())
-
-
-def _descending_rows(remaining, bound, prefix):
-    if remaining == 0:
-        yield prefix
-        return
-    for part in range(min(remaining, bound), 0, -1):
-        yield from _descending_rows(remaining - part, part, prefix + (part,))
+    x = [1] * (n + 1)
+    x[1] = n
+    m = h = 1
+    yield (n,)
+    while x[1] != 1:
+        if x[h] == 2:
+            # split the last 2 into 1 + 1
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            # lower the last row above 1 by one and refill with parts of that size
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[1 : m + 1])

@@ -1,7 +1,7 @@
 """Independent reference implementations used to pin expected test values.
 
 Deliberately different algorithms from the package: partitions come from
-Kelleher's ascending-composition generator (the package recurses on
+Kelleher's ascending-composition generator (the package runs ZS1 over
 descending parts), counts come from the classic bounded-part recurrence,
 and the per-tuple exclusion grid compares every tuple with its own class
 limits instead of walking the (w, h) staircase.

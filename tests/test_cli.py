@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from support import reference_csv_text, reference_grid_rows
 
-from metroent import bounds, cli, tuples, witness
+from metroent import bounds, cli, oracle, tuples, witness
 from metroent.cli import (
     bundled_dataset_text,
     grid_csv_text,
@@ -262,6 +262,28 @@ def test_verify_ok(capsys):
 
 def test_verify_rejects_nmax_below_two():
     assert main(["verify", "--nmax", "1"]) == 2
+
+
+def test_verify_rejects_nmax_above_the_cap(capsys, monkeypatch):
+    calls = []
+
+    def refuse(n):
+        calls.append(n)
+        raise AssertionError("enumeration started")
+
+    oracle._shape_maxima.cache_clear()
+    monkeypatch.setattr(oracle, "iter_partition_rows", refuse)
+    try:
+        assert main(["verify", "--nmax", "61"]) == 2
+    finally:
+        oracle._shape_maxima.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n_max must be <= 60, got 61: "
+        "the exhaustive sweep enumerates all p(n) partitions of each n\n"
+    )
+    assert calls == []
 
 
 def test_verify_detects_corrupted_bound(capsys, monkeypatch):

@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import brute_max_squares, matches
 
 from metroent import bounds, oracle
 from metroent.oracle import (
+    MAX_NMAX,
     ClassPredicate,
     EmptyClassError,
     brute_force_max,
@@ -62,6 +65,32 @@ def test_matches_independent_filtered_brute():
             else:
                 res = brute_force_max(n, pred)
                 assert (res.value, res.argmax.rows) == expected, (n, mw, mh, mr)
+
+
+@st.composite
+def classes(draw):
+    """n <= 25 and a predicate whose limits are None, out of range or in range."""
+    n = draw(st.integers(1, 25))
+    out_of_range = st.sampled_from([0, -n, n + 2])
+    width = st.one_of(st.none(), out_of_range, st.integers(1, n))
+    height = st.one_of(st.none(), out_of_range, st.integers(1, n))
+    rank = st.one_of(st.none(), out_of_range, st.integers(1 - n, n - 1))
+    return n, draw(width), draw(height), draw(rank)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=classes())
+def test_suffix_maxima_match_filtered_brute(case):
+    # each class read from the per-width suffix maxima equals a filtered scan
+    n, mw, mh, mr = case
+    expected = brute_max_squares(n, max_width=mw, min_height=mh, max_rank=mr)
+    pred = ClassPredicate(max_width=mw, min_height=mh, max_rank=mr)
+    if expected is None:
+        with pytest.raises(EmptyClassError):
+            brute_force_max(n, pred)
+    else:
+        res = brute_force_max(n, pred)
+        assert (res.value, res.argmax.rows) == expected
 
 
 def test_argmax_is_first_in_enumeration_order():
@@ -133,6 +162,25 @@ def test_verify_closed_forms_small():
 def test_verify_rejects_tiny_nmax():
     with pytest.raises(ValueError):
         verify_closed_forms(1)
+
+
+def test_verify_bounds_nmax(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def refuse(n):
+        raise Enumerated(n)
+
+    oracle._shape_maxima.cache_clear()
+    monkeypatch.setattr(oracle, "iter_partition_rows", refuse)
+    try:
+        with pytest.raises(ValueError, match=f"n_max must be <= {MAX_NMAX}"):
+            verify_closed_forms(MAX_NMAX + 1)
+        # MAX_NMAX itself passes validation and reaches the enumeration
+        with pytest.raises(Enumerated):
+            verify_closed_forms(MAX_NMAX)
+    finally:
+        oracle._shape_maxima.cache_clear()
 
 
 def test_verify_reports_corrupted_bound(monkeypatch):
