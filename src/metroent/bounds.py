@@ -10,7 +10,6 @@ exclusion decisions built on these values are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -27,41 +26,20 @@ def _require_valid_tuple(n: int, w: int, h: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WhDecomposition:
-    """Row structure of the dominant diagram at width w and height h.
-
-    k full rows of width w, one partial row of u boxes (1 <= u <= w) and v
-    singleton rows.
-    """
-
-    k: int
-    u: int
-    v: int
-
-    def rows(self, w: int) -> tuple[int, ...]:
-        return (w,) * self.k + (self.u,) + (1,) * self.v
-
-
 def _wh_rows(n: int, w: int, h: int) -> tuple[int, int, int]:
     """(k, u, v) of the square-sum maximizer at a valid width w and height h.
 
-    For w == 1 the only diagram is all singletons.  The quotient
-    (n - h) // (w - 1) is capped at h - 1: the cap only binds when n == w*h,
-    where the maximizer is the full w-by-h rectangle and the uncapped
-    quotient would produce a negative singleton count.
+    The maximizer has k full rows of width w, one partial row of u boxes
+    (1 <= u <= w) and v singleton rows.  For w == 1 the only diagram is all
+    singletons.  The quotient (n - h) // (w - 1) is capped at h - 1: the cap
+    only binds when n == w*h, where the maximizer is the full w-by-h
+    rectangle and the uncapped quotient would produce a negative singleton
+    count.
     """
     if w == 1:
         return 0, 1, n - 1
     k = min((n - h) // (w - 1), h - 1)
     return k, n - h + 1 - (w - 1) * k, h - k - 1
-
-
-def decompose_wh(n: int, w: int, h: int) -> WhDecomposition:
-    """Shape of the square-sum maximizer among diagrams of width w, height h."""
-    _require_valid_tuple(n, w, h)
-    k, u, v = _wh_rows(n, w, h)
-    return WhDecomposition(k=k, u=u, v=v)
 
 
 def wh_limit(n: int, w: int, h: int) -> int:
@@ -71,7 +49,7 @@ def wh_limit(n: int, w: int, h: int) -> int:
 
 
 def wh_limit_simple(n: int, w: int, h: int) -> int:
-    """:func:`max_qfi_wh_simple` without its validity check."""
+    """Non-tight limit w*(n - h) + n of a valid (w, h); dominates :func:`wh_limit`."""
     return w * (n - h) + n
 
 
@@ -84,17 +62,6 @@ def max_qfi_wh(n: int, w: int, h: int) -> int:
     """
     _require_valid_tuple(n, w, h)
     return wh_limit(n, w, h)
-
-
-def max_qfi_wh_simple(n: int, w: int, h: int) -> int:
-    """Non-tight (w, h) limit w*(n - h) + n; dominates :func:`max_qfi_wh`."""
-    _require_valid_tuple(n, w, h)
-    return wh_limit_simple(n, w, h)
-
-
-def quantum_advantage(f_measured, n: int):
-    """Sensitivity gain over the shot-noise limit: measured value minus n."""
-    return f_measured - n
 
 
 def max_qfi_width(n: int, w: int) -> int:

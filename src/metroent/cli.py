@@ -28,6 +28,10 @@ from .witness import Measurement, TupleGrid, WitnessReport, fraction_to_decimal_
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 _BUNDLED_ALIASES = {"bundled", "bundled.csv", "published", "published.csv"}
+# Largest n for ``bounds --class wh``.  Its table has one row per valid
+# (w, h) tuple, about n**2 / 2 of them, and is built in memory before it is
+# printed: n = 2000 gives about 2 million rows, n = MAX_N would give 5e11.
+MAX_WH_TABLE_N = 2000
 
 
 def bundled_dataset_text() -> str:
@@ -106,6 +110,13 @@ def _cmd_bounds(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > witness.MAX_N:
+        raise ValueError(f"n must be <= {witness.MAX_N}, got {n}")
+    if args.cls == "wh" and n > MAX_WH_TABLE_N:
+        raise ValueError(
+            f"n must be <= {MAX_WH_TABLE_N} for --class wh, got {n}: "
+            "the table has one row per (w, h) tuple, about n**2 / 2 rows"
+        )
     lines = []
     if args.cls == "wh":
         f = bounds.wh_limit_simple if args.simple else bounds.wh_limit

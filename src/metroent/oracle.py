@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from . import bounds, tuples
-from .partitions import YoungDiagram, iter_partition_rows
+from .partitions import iter_partition_rows
 
 # Largest n_max verify_closed_forms accepts.  The sweep enumerates all p(n)
 # partitions of each n, and p(n) grows like exp(pi * sqrt(2n/3)): n_max = 60
@@ -36,8 +36,10 @@ class ClassPredicate:
 
 @dataclass(frozen=True)
 class BruteForceResult:
+    """The class maximum and the row tuple of its first maximizer."""
+
     value: int
-    argmax: YoungDiagram
+    argmax: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def brute_force_max(n: int, pred: ClassPredicate = ClassPredicate()) -> BruteFor
     if found is None:
         raise EmptyClassError(f"no partition of n={n} satisfies {pred}")
     value, rows = found
-    return BruteForceResult(value=value, argmax=YoungDiagram(rows))
+    return BruteForceResult(value=value, argmax=rows)
 
 
 def verify_closed_forms(n_max: int) -> list[Mismatch]:

@@ -13,7 +13,7 @@ limits are attainable, so exclusion requires strictly exceeding them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,15 +28,19 @@ UNITS = ("none", "linear", "db")
 # huge integer
 MAX_VALUE_CHARS = 100
 MAX_EXPONENT = 100
+# Largest particle count accepted, so that no input starts unbounded work:
+# atomic-ensemble squeezing experiments reach 10**5 to 10**6 atoms, and each
+# record costs O(n) exact-integer work.
+MAX_N = 10**6
 
 
 @dataclass(frozen=True)
 class Measurement:
     """One published sensitivity value for an n-particle state.
 
-    ``value`` is kept as the original decimal text and parsed exactly;
-    squeezing values carry an explicit unit (``linear`` or ``db``), QFI
-    values carry ``none``.
+    ``value`` is kept as the original decimal text and parsed exactly, once,
+    when the measurement is made; squeezing values carry an explicit unit
+    (``linear`` or ``db``), QFI values carry ``none``.
     """
 
     label: str
@@ -45,6 +49,7 @@ class Measurement:
     value: str
     unit: str = "none"
     reference: str = ""
+    _quantity: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the label names the record's directory under --out
@@ -55,6 +60,8 @@ class Measurement:
             )
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be <= {MAX_N}, got {self.n}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.unit not in UNITS:
@@ -63,14 +70,6 @@ class Measurement:
             raise ValueError("QFI measurements take unit 'none'")
         if self.kind == KIND_SQUEEZING and self.unit == "none":
             raise ValueError("squeezing measurements need unit 'linear' or 'db'")
-        q = self.quantity()
-        if self.kind == KIND_QFI and q <= 0:
-            raise ValueError(f"QFI value must be positive, got {self.value}")
-        if self.kind == KIND_SQUEEZING and q <= 0:
-            raise ValueError(f"linear xi**2 must be positive, got {self.value}")
-
-    def quantity(self) -> Fraction:
-        """The measured quantity on linear scale, as an exact rational."""
         try:
             # bound the text before Fraction or Decimal expands its exponent
             if len(self.value) > MAX_VALUE_CHARS:
@@ -78,10 +77,20 @@ class Measurement:
             if abs(Decimal(self.value).adjusted()) > MAX_EXPONENT:
                 raise ValueError
             if self.kind == KIND_SQUEEZING and self.unit == "db":
-                return db_text_to_linear(self.value)
-            return Fraction(self.value)
+                q = db_text_to_linear(self.value)
+            else:
+                q = Fraction(self.value)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad decimal value {self.value!r}") from exc
+        if self.kind == KIND_QFI and q <= 0:
+            raise ValueError(f"QFI value must be positive, got {self.value}")
+        if self.kind == KIND_SQUEEZING and q <= 0:
+            raise ValueError(f"linear xi**2 must be positive, got {self.value}")
+        object.__setattr__(self, "_quantity", q)
+
+    def quantity(self) -> Fraction:
+        """The measured quantity on linear scale, as an exact rational."""
+        return self._quantity
 
     def exclusion_threshold(self) -> Fraction:
         """The rational T such that a class with QFI limit f is excluded iff f < T.
@@ -90,7 +99,7 @@ class Measurement:
         xi**2 excludes a class when xi**2 < 2n/(f + 2n), which rearranges to
         f < 2n(1 - xi**2)/xi**2.
         """
-        q = self.quantity()
+        q = self._quantity
         if self.kind == KIND_QFI:
             return q
         return 2 * self.n * (1 - q) / q
@@ -107,13 +116,12 @@ def infer_depth(m: Measurement, *, simple: bool = False) -> int:
     return next((w for w in range(1, m.n + 1) if f(m.n, w) >= threshold), m.n + 1)
 
 
-def infer_separability(m: Measurement, *, simple: bool = False) -> int:
+def infer_separability(m: Measurement) -> int:
     """Largest number of separable groups h compatible with the measurement.
 
-    Returns 0 when no h is compatible.  There is no simpler variant of the
-    height limit, so ``simple`` is accepted for symmetry and ignored.
+    Returns 0 when no h is compatible.  The height limit has no simpler
+    variant, so the same h serves both bound modes.
     """
-    del simple
     threshold = m.exclusion_threshold()
     return next(
         (h for h in range(m.n, 0, -1) if bounds.max_qfi_height(m.n, h) >= threshold), 0
@@ -218,9 +226,10 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     rows when one is wanted.
     """
     depth = infer_depth(m, simple=simple)
-    separability = infer_separability(m, simple=simple)
+    separability = infer_separability(m)
     rank = infer_rank(m, simple=simple)
-    q = bounds.quantum_advantage(m.quantity(), m.n) if m.kind == KIND_QFI else None
+    # the sensitivity gain over the shot-noise limit n
+    q = m.quantity() - m.n if m.kind == KIND_QFI else None
     return WitnessReport(
         measurement=m,
         depth=depth,

@@ -1,5 +1,7 @@
-"""GHZ-product states and their quantum Fisher information.
+"""GHZ-product states and their quantum Fisher information, for the tests.
 
+These states saturate the class limits of ``metroent.bounds``; nothing in the
+package needs them, so they live next to the tests that check that claim.
 The analytic path evaluates the QFI of a product of GHZ blocks blockwise
 (each block of size m contributes exactly m**2 along z).  The dense path
 builds the full 2**n state vector and measures 4 * Var(J_axis) directly; it
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import decompose_wh, max_qfi_wh
-from .partitions import YoungDiagram
+from metroent.bounds import _wh_rows, max_qfi_wh
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -47,42 +48,45 @@ AXIS_Z = SpinAxis(0.0, 0.0, 1.0)
 class GhzProduct:
     """A pure product of GHZ blocks, one block per diagram row.
 
-    Block l of size m is (|d...d> + e^{i phase_l} |u...u>) / sqrt(2).
+    ``blocks`` holds the row sizes.  Block l of size m is
+    (|d...d> + e^{i phase_l} |u...u>) / sqrt(2).
     """
 
-    blocks: YoungDiagram
+    blocks: tuple[int, ...]
     phases: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.phases) != self.blocks.height():
+        if len(self.phases) != len(self.blocks):
             raise ValueError(
-                f"need one phase per block: {self.blocks.height()} blocks, "
+                f"need one phase per block: {len(self.blocks)} blocks, "
                 f"{len(self.phases)} phases"
             )
 
 
 def ghz_product(rows, phases=None) -> GhzProduct:
     """Build a GHZ product from row sizes; phases default to zero."""
-    diagram = rows if isinstance(rows, YoungDiagram) else YoungDiagram.from_rows(rows)
+    rows = tuple(rows)
     if phases is None:
-        phases = (0.0,) * diagram.height()
-    return GhzProduct(blocks=diagram, phases=tuple(phases))
+        phases = (0.0,) * len(rows)
+    return GhzProduct(blocks=rows, phases=tuple(phases))
 
 
 def qfi_analytic(state: GhzProduct) -> int:
     """QFI of a GHZ product along z: the squared-row sum, independent of phases."""
-    return state.blocks.sum_squares()
+    return sum(m * m for m in state.blocks)
 
 
 def optimal_state(n: int, w: int, h: int) -> GhzProduct:
     """The GHZ product saturating the (w, h) class limit.
 
     Blocks follow the maximizing diagram shape (full-width rows, one partial
-    row, singletons); its analytic QFI equals ``max_qfi_wh(n, w, h)``.
+    row, singletons); its analytic QFI equals ``max_qfi_wh(n, w, h)``, which
+    also rejects an invalid tuple.
     """
-    d = decompose_wh(n, w, h)
-    state = ghz_product(d.rows(w))
-    assert qfi_analytic(state) == max_qfi_wh(n, w, h)
+    limit = max_qfi_wh(n, w, h)
+    k, u, v = _wh_rows(n, w, h)
+    state = ghz_product((w,) * k + (u,) + (1,) * v)
+    assert qfi_analytic(state) == limit
     return state
 
 
@@ -110,11 +114,11 @@ def qfi_statevector(state: GhzProduct, axis: SpinAxis, *, max_qubits: int = 16) 
     states larger than ``max_qubits`` to bound memory at 2**max_qubits
     amplitudes.
     """
-    n = state.blocks.n
+    n = sum(state.blocks)
     if n > max_qubits:
         raise ValueError(f"state has {n} qubits, dense path capped at {max_qubits}")
     psi = np.array([1.0 + 0j])
-    for size, phase in zip(state.blocks.rows, state.phases):
+    for size, phase in zip(state.blocks, state.phases):
         psi = np.kron(psi, _block_vector(size, phase))
     j_psi = _apply_collective_spin(psi, n, axis)
     mean = np.vdot(psi, j_psi).real

@@ -104,7 +104,7 @@ def reference_grid_rows(m, simple: bool) -> list[ReferenceCell]:
     no inferred w, h or r and no staircase pointer is involved.
     """
     n, threshold = m.n, m.exclusion_threshold()
-    f_wh = bounds.max_qfi_wh_simple if simple else bounds.max_qfi_wh
+    f_wh = bounds.wh_limit_simple if simple else bounds.max_qfi_wh
     f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
     f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
     out_w = {w: f_w(n, w) < threshold for w in range(1, n + 1)}

@@ -9,9 +9,10 @@ import random
 import time
 from fractions import Fraction
 
+import ghz
 from support import cell_flags, partitions_desc
 
-from metroent import bounds, oracle, states, tuples, witness
+from metroent import bounds, oracle, tuples, witness
 from metroent.witness import Measurement
 
 FIVE_DATAPOINTS = [
@@ -63,13 +64,13 @@ def test_criterion_2_oracle_equivalence_sweep():
 def test_criterion_3_saturation_and_dense_cross_check():
     for n in range(1, 41):
         for w, h in tuples.all_tuples(n):
-            st = states.optimal_state(n, w, h)
-            assert states.qfi_analytic(st) == bounds.max_qfi_wh(n, w, h)
+            st = ghz.optimal_state(n, w, h)
+            assert ghz.qfi_analytic(st) == bounds.max_qfi_wh(n, w, h)
     worst = 0.0
     for n in range(1, 13):
         for rows in partitions_desc(n):
-            st = states.ghz_product(rows)
-            err = abs(states.qfi_statevector(st, states.AXIS_Z) - states.qfi_analytic(st))
+            st = ghz.ghz_product(rows)
+            err = abs(ghz.qfi_statevector(st, ghz.AXIS_Z) - ghz.qfi_analytic(st))
             worst = max(worst, err)
     assert worst <= 1e-9, f"dense-vs-analytic deviation {worst}"
     print(f"\nACCEPTANCE 3 saturation n<=40, dense check n<=12 (worst {worst:.1e} <= 1e-9): PASS")

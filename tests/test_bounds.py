@@ -29,12 +29,12 @@ def test_max_qfi_wh_rejects_invalid_tuples():
 def test_decomposition_invariants():
     for n in range(1, 41):
         for w, h in tuples.all_tuples(n):
-            d = bounds.decompose_wh(n, w, h)
-            assert d.k * w + d.u + d.v == n
-            assert 1 <= d.u <= w
-            assert d.v >= 0
-            assert d.k + 1 + d.v == h
-            rows = d.rows(w)
+            k, u, v = bounds._wh_rows(n, w, h)
+            assert k * w + u + v == n
+            assert 1 <= u <= w
+            assert v >= 0
+            assert k + 1 + v == h
+            rows = (w,) * k + (u,) + (1,) * v
             assert sum(rows) == n and rows[0] == w and len(rows) == h
 
 
@@ -54,15 +54,13 @@ def test_capped_quotient_matches_verbatim_arithmetic():
 def test_rectangle_tuples():
     # n == w*h: maximizer is the full rectangle
     assert bounds.max_qfi_wh(6, 3, 2) == 18
-    assert bounds.decompose_wh(6, 3, 2) == bounds.WhDecomposition(k=1, u=3, v=0)
+    assert bounds._wh_rows(6, 3, 2) == (1, 3, 0)
     assert bounds.max_qfi_wh(12, 4, 3) == 48
 
 
 def test_max_qfi_wh_simple_examples():
-    assert bounds.max_qfi_wh_simple(7, 4, 3) == 23
-    assert bounds.max_qfi_wh_simple(14, 1, 14) == 14
-    with pytest.raises(ValueError):
-        bounds.max_qfi_wh_simple(7, 4, 5)
+    assert bounds.wh_limit_simple(7, 4, 3) == 23
+    assert bounds.wh_limit_simple(14, 1, 14) == 14
 
 
 def test_dominance_and_monotonicity_sweep():
@@ -71,7 +69,7 @@ def test_dominance_and_monotonicity_sweep():
         by_w = {}
         for w, h in tuples.all_tuples(n):
             f = bounds.max_qfi_wh(n, w, h)
-            assert f <= bounds.max_qfi_wh_simple(n, w, h)
+            assert f <= bounds.wh_limit_simple(n, w, h)
             by_h.setdefault(h, []).append((w, f))
             by_w.setdefault(w, []).append((h, f))
         # strictly increasing in w at fixed h, strictly decreasing in h at fixed w
@@ -87,13 +85,6 @@ def test_extremes():
     for n in range(1, 201):
         assert bounds.max_qfi_wh(n, 1, n) == n
         assert bounds.max_qfi_wh(n, n, 1) == n * n
-
-
-def test_quantum_advantage():
-    assert bounds.quantum_advantage(Fraction("40.4"), 14) == Fraction("26.4")
-    assert bounds.quantum_advantage(14, 14) == 0
-    for n in (2, 9, 50):
-        assert bounds.quantum_advantage(n * n, n) == n * (n - 1)
 
 
 def test_max_qfi_width_examples():

@@ -64,6 +64,33 @@ def test_bounds_rejects_bad_n(capsys):
     assert main(["bounds", "--n", "0", "--class", "w"]) == 2
 
 
+def test_large_n_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(tuples, "all_tuples", refuse)
+    monkeypatch.setattr(witness, "_width_segments", refuse)
+    too_big = str(witness.MAX_N + 1)
+    dataset = tmp_path / "big.csv"
+    dataset.write_text(f"label,n,kind,value,unit,reference\nbig,{too_big},fq,5,none,\n")
+    assert main(["analyze", "--n", too_big, "--fq", "5", "--out", str(tmp_path / "o")]) == 2
+    assert main(["analyze", "--dataset", str(dataset)]) == 2
+    assert main(["rank-summary", "--dataset", str(dataset)]) == 2
+    assert main(["bounds", "--n", too_big, "--class", "w"]) == 2
+    too_many_rows = str(cli.MAX_WH_TABLE_N + 1)
+    assert main(["bounds", "--n", too_many_rows, "--class", "wh", "--simple"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: n must be <= 1000000, got 1000001"] * 4 + [
+        "error: n must be <= 2000 for --class wh, got 2001: "
+        "the table has one row per (w, h) tuple, about n**2 / 2 rows"
+    ]
+    assert not (tmp_path / "o").exists()
+    # the caps themselves pass and reach the work
+    with pytest.raises(AssertionError, match="work started"):
+        main(["bounds", "--n", str(cli.MAX_WH_TABLE_N), "--class", "wh"])
+
+
 def test_analyze_single_measurement(capsys):
     assert main(["analyze", "--n", "14", "--fq", "40.4"]) == 0
     out = capsys.readouterr().out
@@ -172,7 +199,7 @@ def _on_limit_values():
         n = rng.randint(9, 80)
         pairs.append((n, *rng.choice(tuples.all_tuples(n))))
     for n, w, h in pairs:
-        for f_wh in (bounds.max_qfi_wh, bounds.max_qfi_wh_simple):
+        for f_wh in (bounds.max_qfi_wh, bounds.wh_limit_simple):
             limit = f_wh(n, w, h)
             for value in {limit - 1, limit, limit + 1} - {0}:
                 yield Measurement(label="lim", n=n, kind="fq", value=str(value))
@@ -301,13 +328,23 @@ def test_bundled_alias_requires_known_name():
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy serves only the dense cross-check in metroent.states
+    # numpy serves only the dense cross-check in tests/ghz.py: with it made
+    # unimportable, every module of the package still imports
     src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import metroent\n"
+        "names = [m.name for m in pkgutil.iter_modules(metroent.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('metroent.' + name)\n"
+        "print(' '.join(sorted(names)))\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", "import metroent.cli, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "bounds cli oracle partitions squeezing tuples witness\n"

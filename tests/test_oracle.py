@@ -16,23 +16,23 @@ from metroent.oracle import (
     brute_force_max,
     verify_closed_forms,
 )
-from metroent.partitions import YoungDiagram, iter_partition_rows
+from metroent.partitions import iter_partition_rows
 from metroent.tuples import all_tuples
 
 
 def test_brute_force_examples():
     res = brute_force_max(7, ClassPredicate(max_width=4, min_height=3))
     assert res.value == 21
-    assert res.argmax == YoungDiagram((4, 2, 1))
+    assert res.argmax == (4, 2, 1)
 
     res = brute_force_max(5)
     assert res.value == 25
-    assert res.argmax == YoungDiagram((5,))
+    assert res.argmax == (5,)
 
     # pinned by exhaustive scan: the unique maximizer over rank <= 0 for n=10
     res = brute_force_max(10, ClassPredicate(max_rank=0))
     assert res.value == 34
-    assert res.argmax == YoungDiagram((4, 4, 1, 1))
+    assert res.argmax == (4, 4, 1, 1)
     assert res.value == bounds.max_qfi_rank(10, 0)
 
 
@@ -40,7 +40,7 @@ def test_unconstrained_max_is_single_row():
     for n in range(1, 21):
         res = brute_force_max(n)
         assert res.value == n * n
-        assert res.argmax == YoungDiagram((n,))
+        assert res.argmax == (n,)
 
 
 def test_empty_class_raises():
@@ -64,7 +64,7 @@ def test_matches_independent_filtered_brute():
                     brute_force_max(n, pred)
             else:
                 res = brute_force_max(n, pred)
-                assert (res.value, res.argmax.rows) == expected, (n, mw, mh, mr)
+                assert (res.value, res.argmax) == expected, (n, mw, mh, mr)
 
 
 @st.composite
@@ -90,7 +90,7 @@ def test_suffix_maxima_match_filtered_brute(case):
             brute_force_max(n, pred)
     else:
         res = brute_force_max(n, pred)
-        assert (res.value, res.argmax.rows) == expected
+        assert (res.value, res.argmax) == expected
 
 
 def test_argmax_is_first_in_enumeration_order():
@@ -102,7 +102,7 @@ def test_argmax_is_first_in_enumeration_order():
             for rows in iter_partition_rows(n)
             if matches(rows, max_width=3, min_height=3) and sum(r * r for r in rows) == res.value
         ]
-        assert res.argmax.rows == firsts[0]
+        assert res.argmax == firsts[0]
 
 
 def test_verify_enumerates_each_n_once(monkeypatch):
@@ -128,10 +128,10 @@ def test_optimal_diagram_structure_attains_maximum():
         for w, h in all_tuples(n):
             if w < 2:
                 continue
-            d = bounds.decompose_wh(n, w, h)
-            built = YoungDiagram(d.rows(w))
+            k, u, v = bounds._wh_rows(n, w, h)
+            built = (w,) * k + (u,) + (1,) * v
             brute = brute_force_max(n, ClassPredicate(max_width=w, min_height=h))
-            assert built.sum_squares() == brute.value
+            assert sum(r * r for r in built) == brute.value
 
 
 def test_box_transfer_never_decreases_square_sum():

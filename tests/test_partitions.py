@@ -1,53 +1,17 @@
-"""Tests for Young diagram values and partition enumeration."""
+"""Tests for the partition enumeration."""
 
 import pytest
 from support import count_partitions, partitions_desc
 
-from metroent.partitions import YoungDiagram, iter_partition_rows
-
-
-def test_width_height_rank_examples():
-    d = YoungDiagram((4, 2, 1))
-    assert d.width() == 4
-    assert d.height() == 3
-    assert d.dyson_rank() == 1
-    assert d.n == 7
-    assert YoungDiagram((1,)).width() == 1
-    assert YoungDiagram((3, 3, 1)).width() == 3
-    assert YoungDiagram((1, 1, 1, 1)).height() == 4
-    assert YoungDiagram((4, 3)).height() == 2
-    assert YoungDiagram((4, 3)).dyson_rank() == 2
-    assert YoungDiagram((3, 3, 1)).dyson_rank() == 0
+from metroent.partitions import iter_partition_rows
 
 
 @pytest.mark.parametrize("n", [1, 5, 9])
 def test_rank_extremes(n):
-    assert YoungDiagram((1,) * n).dyson_rank() == 1 - n
-    assert YoungDiagram((n,)).dyson_rank() == n - 1
-
-
-def test_sum_squares():
-    assert YoungDiagram((4, 2, 1)).sum_squares() == 21
-    assert YoungDiagram((5,)).sum_squares() == 25
-
-
-def test_diagram_validation():
-    with pytest.raises(ValueError):
-        YoungDiagram(())
-    with pytest.raises(ValueError):
-        YoungDiagram((3, 0))
-    with pytest.raises(ValueError):
-        YoungDiagram((2, 3))
-    with pytest.raises(ValueError):
-        YoungDiagram((1, -1))
-
-
-def test_text_form_round_trip():
-    d = YoungDiagram((4, 2, 1))
-    assert str(d) == "4,2,1"
-    for rows in ((4, 2, 1), (7,), (1, 1, 1)):
-        text = str(YoungDiagram(rows))
-        assert YoungDiagram.from_rows(int(part) for part in text.split(",")).rows == rows
+    # the order runs from the single row, of rank n - 1, to the column of
+    # singletons, of rank 1 - n
+    rows = list(iter_partition_rows(n))
+    assert rows[0] == (n,) and rows[-1] == (1,) * n
 
 
 def test_enumeration_counts_match_recurrence():
@@ -86,12 +50,13 @@ def test_single_particle():
 
 def test_yielded_diagrams_are_valid_and_unique():
     for n in (6, 11, 17):
-        diagrams = [YoungDiagram(rows) for rows in iter_partition_rows(n)]
+        diagrams = list(iter_partition_rows(n))
         assert len(diagrams) == len(set(diagrams))
-        for d in diagrams:
-            assert d.n == n
-            assert d.dyson_rank() == d.width() - d.height()
-            assert all(a >= b for a, b in zip(d.rows, d.rows[1:]))
+        for rows in diagrams:
+            assert type(rows) is tuple and rows
+            assert all(r >= 1 for r in rows)
+            assert all(a >= b for a, b in zip(rows, rows[1:]))
+            assert sum(rows) == n
 
 
 def test_bad_n_rejected():

@@ -1,21 +1,34 @@
-"""Tests for spin-squeezing floors and the exact dB-text snapshot."""
+"""Tests for the squeezing criterion and the exact dB-text snapshot.
 
+A measured xi**2 strictly below the floor 2n / (f + 2n) excludes a class
+with QFI limit f.  The package holds that criterion only as
+``Measurement.exclusion_threshold``; ``floor`` below is the paper's form,
+kept here as the reference it is checked against.
+"""
+
+import random
 from decimal import Decimal
 from fractions import Fraction
 
-import pytest
-
-from metroent import squeezing
+from metroent import squeezing, witness
 from metroent.bounds import (
     max_qfi_height,
     max_qfi_rank,
-    max_qfi_rank_simple,
     max_qfi_wh,
     max_qfi_width,
     max_qfi_width_simple,
     valid_ranks,
 )
 from metroent.tuples import all_tuples
+from metroent.witness import Measurement
+
+
+def floor(f, n):
+    return Fraction(2 * n, f + 2 * n)
+
+
+def xi2(n, value, unit="linear"):
+    return Measurement(label="m", n=n, kind="xi2", value=value, unit=unit)
 
 
 def test_db_text_to_linear_is_exact_30_digit_snapshot():
@@ -31,85 +44,65 @@ def test_db_cache_is_bounded():
 
 
 def test_floor_from_qfi_examples():
-    assert squeezing.xi2_floor_from_qfi(max_qfi_width(470, 3), 470) == Fraction(940, 2348)
     assert max_qfi_width(470, 3) == 1408
-    for n in (3, 14, 470):
-        assert squeezing.xi2_floor_from_qfi(n, n) == Fraction(2, 3)
+    assert floor(1408, 470) == Fraction(940, 2348)
     # the h = 436 floor sits above the measured -4.5 dB value, h = 435 below
-    measured = squeezing.db_text_to_linear("-4.5")
+    m = xi2(470, "-4.5", unit="db")
+    measured, threshold = m.quantity(), m.exclusion_threshold()
     assert max_qfi_height(470, 436) == 1660
-    assert squeezing.xi2_floor_from_qfi(1660, 470) == Fraction(940, 2600)
-    assert measured < squeezing.xi2_floor_from_qfi(1660, 470)
-    assert measured > squeezing.xi2_floor_from_qfi(max_qfi_height(470, 435), 470)
-
-
-def test_floor_range_and_monotonicity():
-    floors = [squeezing.xi2_floor_from_qfi(f, 20) for f in (1, 20, 50, 400)]
-    assert all(0 < fl <= 1 for fl in floors)
-    assert all(a > b for a, b in zip(floors, floors[1:]))
-    with pytest.raises(ValueError):
-        squeezing.xi2_floor_from_qfi(0, 20)
-
-
-def test_floor_wh_simple():
-    assert squeezing.xi2_floor_wh_simple(7, 4, 3) == Fraction(14, 37)
-    for n in (2, 9, 31):
-        assert squeezing.xi2_floor_wh_simple(n, 1, n) == Fraction(2, 3)
-    # simple floors never exceed the tight ones
-    for n in range(1, 31):
-        for w, h in all_tuples(n):
-            tight = squeezing.xi2_floor_from_qfi(max_qfi_wh(n, w, h), n)
-            assert squeezing.xi2_floor_wh_simple(n, w, h) <= tight
+    assert floor(1660, 470) == Fraction(940, 2600)
+    assert measured < floor(1660, 470) and 1660 < threshold
+    f435 = max_qfi_height(470, 435)
+    assert measured > floor(f435, 470) and not f435 < threshold
+    assert witness.infer_separability(m) == 435
+    # for every class limit, xi**2 < floor(f) exactly when f < threshold
+    rng = random.Random(2012)
+    for n in (1, 2, 7, 30):
+        limits = [max_qfi_wh(n, w, h) for w, h in all_tuples(n)]
+        limits += [max_qfi_rank(n, r) for r in valid_ranks(n)]
+        for value in [f"{rng.uniform(2 / (n + 2), 1):.6f}" for _ in range(20)] + ["1", "0.5"]:
+            m = xi2(n, value)
+            q, threshold = m.quantity(), m.exclusion_threshold()
+            for f in limits:
+                assert (q < floor(f, n)) == (f < threshold), (n, value, f)
 
 
 def test_floor_width():
-    assert squeezing.xi2_floor_width(1) == Fraction(2, 3)
-    assert squeezing.xi2_floor_width(2) == Fraction(1, 2)
-    for n in range(1, 61):
-        for w in range(1, n + 1):
-            simple = squeezing.xi2_floor_width(w)
-            assert simple == squeezing.xi2_floor_from_qfi(max_qfi_width_simple(n, w), n)
-            assert simple <= squeezing.xi2_floor_from_qfi(max_qfi_width(n, w), n)
+    # the floor of the simple width limit w*n is 2/(2 + w) for every n
+    for n in (5, 14, 470):
+        for w in range(1, min(n, 40) + 1):
+            assert floor(max_qfi_width_simple(n, w), n) == Fraction(2, 2 + w)
+    for value in ("0.5", "0.35", "0.2", "0.95"):
+        for n in (40, 100, 470):
+            expected = min(w for w in range(1, n + 1) if Fraction(2, 2 + w) <= Fraction(value))
+            assert witness.infer_depth(xi2(n, value), simple=True) == expected, (n, value)
 
 
 def test_floor_height():
-    for n in (5, 14, 470):
-        assert squeezing.xi2_floor_height(n, n) == Fraction(2, 3)
-        assert squeezing.xi2_floor_height(n, 1) == Fraction(2, n + 2)
-        for h in range(1, min(n, 40) + 1):
-            assert squeezing.xi2_floor_height(n, h) == squeezing.xi2_floor_from_qfi(
-                max_qfi_height(n, h), n
-            )
+    # n + 2 divides a power of ten, so the h = 1 floor 2/(n + 2) is decimal text
+    for n, on_floor, below in ((3, "0.4", "0.399999"), (8, "0.2", "0.199999"),
+                               (14, "0.125", "0.124999"), (498, "0.004", "0.003999")):
+        # floors of the fully separable and the genuine n-partite class
+        assert floor(max_qfi_height(n, n), n) == Fraction(2, 3)
+        assert floor(max_qfi_height(n, 1), n) == Fraction(on_floor)
+        # a value on the h = 1 floor leaves that class compatible; below, none is
+        assert witness.infer_separability(xi2(n, on_floor)) == 1
+        assert witness.infer_separability(xi2(n, below)) == 0
+        # just above 2/3 nothing is excluded; just below, h = n is
+        assert witness.infer_separability(xi2(n, "0.6667")) == n
+        assert witness.infer_separability(xi2(n, "0.6666")) == n - 1
 
 
 def test_floor_rank():
-    assert squeezing.xi2_floor_rank(14, -3) == Fraction(112, 288)
     for n in (2, 14, 470):
-        assert squeezing.xi2_floor_rank(n, 1 - n) == Fraction(2, 3)
+        assert floor(max_qfi_rank(n, 1 - n), n) == Fraction(2, 3)
     # reproduces the published n=470 exclusion boundary between -400 and -399
-    measured = squeezing.db_text_to_linear("-4.5")
-    tight_399 = squeezing.xi2_floor_from_qfi(max_qfi_rank(470, -399), 470)
-    tight_400 = squeezing.xi2_floor_from_qfi(max_qfi_rank(470, -400), 470)
+    m = xi2(470, "-4.5", unit="db")
+    measured, threshold = m.quantity(), m.exclusion_threshold()
+    tight_399 = floor(max_qfi_rank(470, -399), 470)
+    tight_400 = floor(max_qfi_rank(470, -400), 470)
     assert tight_399 == Fraction(940, 2670)
     assert tight_400 == Fraction(940, 2602)
     assert tight_399 <= measured < tight_400
-    # agrees with the floor built from the simplified rank limit off-corner
-    for n in range(1, 41):
-        for r in valid_ranks(n):
-            if n + r == 4:
-                continue
-            assert squeezing.xi2_floor_rank(n, r) == squeezing.xi2_floor_from_qfi(
-                max_qfi_rank_simple(n, r), n
-            )
-
-
-def test_tight_floor_dominates_simplified_for_every_class():
-    for n in range(1, 61):
-        for w, h in all_tuples(n):
-            assert squeezing.xi2_floor_from_qfi(
-                max_qfi_wh(n, w, h), n
-            ) >= squeezing.xi2_floor_wh_simple(n, w, h)
-        for r in valid_ranks(n):
-            tight = squeezing.xi2_floor_from_qfi(max_qfi_rank(n, r), n)
-            simple = squeezing.xi2_floor_from_qfi(max_qfi_rank_simple(n, r), n)
-            assert tight >= simple
+    assert max_qfi_rank(470, -400) < threshold <= max_qfi_rank(470, -399)
+    assert witness.infer_rank(m) == -399

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from support import cell_flags, grid_counts, reference_grid_rows
 
 from metroent import bounds, tuples, witness
-from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_wh_simple, max_qfi_width
+from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width, wh_limit_simple
 from metroent.witness import Measurement, fraction_to_decimal_text
 
 
@@ -46,6 +46,10 @@ def test_measurement_validation():
         with pytest.raises(ValueError, match="bad decimal value"):
             fq(5, value)
     assert fq(5, "1e100").quantity() == 10**100
+    # n is bounded for every caller, before any value is parsed
+    assert fq(witness.MAX_N, "5").n == 10**6
+    with pytest.raises(ValueError, match=r"n must be <= 1000000, got 1000001"):
+        fq(witness.MAX_N + 1, "abc")
 
 
 @pytest.mark.parametrize("label", ["", ".", "..", "../outside", "a/b", "/abs", "a\\b", "a\0b"])
@@ -62,6 +66,20 @@ def test_quantity_is_exact():
     assert xi2_db(470, "-4.5").quantity() == Fraction(
         354813389233575458433218702264, 10**30
     )
+
+
+def test_each_value_is_parsed_once(monkeypatch):
+    calls = []
+    convert = witness.db_text_to_linear
+
+    def counting(text):
+        calls.append(text)
+        return convert(text)
+
+    monkeypatch.setattr(witness, "db_text_to_linear", counting)
+    report = witness.analyze(xi2_db(470, "-4.5"))
+    assert (report.depth, report.separability, report.rank) == (4, 435, -399)
+    assert calls == ["-4.5"]
 
 
 def test_exceeds_examples():
@@ -140,6 +158,15 @@ def test_grid_counts_match_report():
     assert rep.depth == 4 and rep.separability == 9 and rep.rank == -3
     assert rep.q_advantage == Fraction("26.4")
     assert rep.smallest_excluded_h == 10
+
+
+def test_quantum_advantage():
+    # the gain over the shot-noise limit n, reported for QFI records only
+    assert witness.analyze(fq(14, "40.4")).q_advantage == Fraction("26.4")
+    assert witness.analyze(fq(14, "14")).q_advantage == 0
+    for n in (2, 9, 50):
+        assert witness.analyze(fq(n, str(n * n))).q_advantage == n * (n - 1)
+    assert witness.analyze(xi2_db(470, "-4.5")).q_advantage is None
 
 
 def test_report_json_schema():
@@ -249,7 +276,7 @@ def test_class_limits_are_monotone(n, simple):
 def test_wh_limit_is_a_staircase(n, simple):
     # the shape exclusion_counts walks: over valid tuples the (w, h) limit
     # never rises with h and never falls with w
-    f_wh = max_qfi_wh_simple if simple else max_qfi_wh
+    f_wh = wh_limit_simple if simple else max_qfi_wh
     f = {(w, h): f_wh(n, w, h) for w, h in tuples.all_tuples(n)}
     for (w, h), value in f.items():
         assert f.get((w, h + 1), value) <= value, (n, w, h)
@@ -264,7 +291,7 @@ def test_counts_match_the_grid(monkeypatch):
     for _ in range(40):
         n = rng.randint(1, 120)
         w, h = rng.choice(tuples.all_tuples(n))
-        limit = rng.choice((max_qfi_wh, max_qfi_wh_simple))(n, w, h)
+        limit = rng.choice((max_qfi_wh, wh_limit_simple))(n, w, h)
         ms += [fq(n, str(limit + d)) for d in (-1, 0, 1) if limit + d > 0]
     expected = {(m, simple): grid_counts(reference_grid_rows(m, simple))
                 for m in ms for simple in (False, True)}
