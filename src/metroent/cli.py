@@ -28,10 +28,12 @@ from .witness import Measurement, TupleGrid, WitnessReport, fraction_to_decimal_
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 _BUNDLED_ALIASES = {"bundled", "bundled.csv", "published", "published.csv"}
-# Largest n for ``bounds --class wh``.  Its table has one row per valid
-# (w, h) tuple, about n**2 / 2 of them, and is built in memory before it is
-# printed: n = 2000 gives about 2 million rows, n = MAX_N would give 5e11.
+# Largest n for ``bounds --class wh``, whose table has one row per valid (w, h)
+# tuple, about n**2 / 2.  Rows are written as they are made, so this caps output
+# size, not memory: n = 2000 gives about 2 million rows (31 MB), n = MAX_N 5e11.
 MAX_WH_TABLE_N = 2000
+# argparse dest -> (kind, unit) of the single-value analyze flags
+_VALUE_FLAGS = {"fq": ("fq", "none"), "xi2": ("xi2", "linear"), "xi2_db": ("xi2", "db")}
 
 
 def bundled_dataset_text() -> str:
@@ -41,32 +43,38 @@ def bundled_dataset_text() -> str:
 
 def parse_dataset_text(text: str) -> list[Measurement]:
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != DATASET_HEADER:
-        raise ValueError(
-            f"dataset header must be {','.join(DATASET_HEADER)}, got {reader.fieldnames}"
-        )
     records = []
     seen = set()
-    for row in reader:
-        if any(row.get(field) is None for field in DATASET_HEADER):
-            raise ValueError(f"dataset row is missing fields: {row}")
-        if row["label"] in seen:
-            raise ValueError(f"duplicate label {row['label']!r} in dataset")
-        seen.add(row["label"])
-        try:
-            n = int(row["n"])
-        except ValueError as exc:
-            raise ValueError(f"bad particle count {row['n']!r} for {row['label']!r}") from exc
-        records.append(
-            Measurement(
-                label=row["label"],
-                n=n,
-                kind=row["kind"],
-                value=row["value"],
-                unit=row["unit"],
-                reference=row["reference"],
+    # a csv.Error is bad input; its message leaves out reader.line_num, often wrong
+    try:
+        if reader.fieldnames != DATASET_HEADER:
+            raise ValueError(
+                f"dataset header must be {','.join(DATASET_HEADER)}, got {reader.fieldnames}"
             )
-        )
+        for row in reader:
+            if any(row.get(field) is None for field in DATASET_HEADER):
+                raise ValueError(f"dataset row is missing fields: {row}")
+            if row["label"] in seen:
+                raise ValueError(f"duplicate label {row['label']!r} in dataset")
+            seen.add(row["label"])
+            try:
+                n = int(row["n"])
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad particle count {row['n']!r} for {row['label']!r}"
+                ) from exc
+            records.append(
+                Measurement(
+                    label=row["label"],
+                    n=n,
+                    kind=row["kind"],
+                    value=row["value"],
+                    unit=row["unit"],
+                    reference=row["reference"],
+                )
+            )
+    except csv.Error as exc:
+        raise ValueError(f"bad dataset: {exc}") from exc
     return records
 
 
@@ -100,12 +108,6 @@ def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
     return target
 
 
-def _format_value(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return fraction_to_decimal_text(v)
-
-
 def _cmd_bounds(args) -> int:
     n = args.n
     if n < 1:
@@ -117,52 +119,38 @@ def _cmd_bounds(args) -> int:
             f"n must be <= {MAX_WH_TABLE_N} for --class wh, got {n}: "
             "the table has one row per (w, h) tuple, about n**2 / 2 rows"
         )
-    lines = []
+    write = sys.stdout.write
     if args.cls == "wh":
         f = bounds.wh_limit_simple if args.simple else bounds.wh_limit
-        lines.append("w,h,f")
-        lines.extend(f"{w},{h},{f(n, w, h)}" for w, h in tuples.all_tuples(n))
-    elif args.cls == "w":
+        write("w,h,f\n")
+        for w in range(1, n + 1):
+            for h in tuples.heights(n, w):
+                write(f"{w},{h},{f(n, w, h)}\n")
+        return 0
+    # the height limit has no simpler variant; --simple emits the same table
+    f, xs = bounds.max_qfi_height, range(1, n + 1)
+    if args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
-        lines.append("x,f")
-        lines.extend(f"{w},{_format_value(f(n, w))}" for w in range(1, n + 1))
-    elif args.cls == "h":
-        # the height limit has no simpler variant; --simple emits the same table
-        lines.append("x,f")
-        lines.extend(
-            f"{h},{_format_value(bounds.max_qfi_height(n, h))}" for h in range(1, n + 1)
-        )
-    else:
+    elif args.cls == "r":
         f = bounds.max_qfi_rank_simple if args.simple else bounds.max_qfi_rank
-        lines.append("x,f")
-        lines.extend(f"{r},{_format_value(f(n, r))}" for r in bounds.valid_ranks(n))
-    print("\n".join(lines))
+        xs = bounds.valid_ranks(n)
+    write("x,f\n")
+    for x in xs:
+        write(f"{x},{fraction_to_decimal_text(f(n, x))}\n")
     return 0
 
 
 def _measurements_from_args(args) -> list[Measurement]:
-    picked = [
-        name
-        for name, value in (("--fq", args.fq), ("--xi2", args.xi2), ("--xi2-db", args.xi2_db))
-        if value is not None
-    ]
+    picked = [dest for dest in _VALUE_FLAGS if getattr(args, dest) is not None]
     if args.dataset is not None:
         if picked or args.n is not None:
             raise ValueError("--dataset cannot be combined with --n/--fq/--xi2/--xi2-db")
         return load_dataset(args.dataset)
     if args.n is None or len(picked) != 1:
         raise ValueError("need either --dataset or --n with exactly one of --fq/--xi2/--xi2-db")
-    if args.fq is not None:
-        return [Measurement(label=f"fq-n{args.n}", n=args.n, kind="fq", value=args.fq)]
-    if args.xi2 is not None:
-        return [
-            Measurement(
-                label=f"xi2-n{args.n}", n=args.n, kind="xi2", value=args.xi2, unit="linear"
-            )
-        ]
-    return [
-        Measurement(label=f"xi2-n{args.n}", n=args.n, kind="xi2", value=args.xi2_db, unit="db")
-    ]
+    kind, unit = _VALUE_FLAGS[picked[0]]
+    value = getattr(args, picked[0])
+    return [Measurement(label=f"{kind}-n{args.n}", n=args.n, kind=kind, value=value, unit=unit)]
 
 
 def _print_table(header: list[str], rows: list[list[str]]) -> None:

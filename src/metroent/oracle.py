@@ -22,16 +22,7 @@ MAX_NMAX = 60
 
 
 class EmptyClassError(ValueError):
-    """Raised when a predicate admits no partition of the given n."""
-
-
-@dataclass(frozen=True)
-class ClassPredicate:
-    """Constraints selecting a partition class; an empty predicate selects all."""
-
-    max_width: int | None = None
-    min_height: int | None = None
-    max_rank: int | None = None
+    """Raised when a class admits no partition of the given n."""
 
 
 @dataclass(frozen=True)
@@ -82,35 +73,46 @@ def _shape_maxima(n: int) -> list[list[tuple[int, tuple[int, ...]]]]:
     return suffix
 
 
-def brute_force_max(n: int, pred: ClassPredicate = ClassPredicate()) -> BruteForceResult:
-    """Exhaustively maximize the squared-row sum over the predicate's class.
+def brute_force_max(
+    n: int,
+    *,
+    max_width: int | None = None,
+    min_height: int | None = None,
+    max_rank: int | None = None,
+) -> BruteForceResult:
+    """Exhaustively maximize the squared-row sum over one class of partitions.
 
-    For each admitted width w the class keeps the heights from
-    max(ceil(n/w), min_height, w - max_rank) up to n + 1 - w, so its best
+    The class holds the partitions of n with width <= max_width, height >=
+    min_height and Dyson rank <= max_rank; a limit left at None cuts
+    nothing.  Each admitted width w keeps the heights from
+    max(ceil(n/w), min_height, w - max_rank) up to n + 1 - w, so the best
     shape is one suffix entry of ``_shape_maxima(n)``, and a call costs O(n).
     Ties are broken by enumeration order (first maximizer in
     reverse-lexicographic order, i.e. the largest rows, wins), so results
     are deterministic.
     """
     table = _shape_maxima(n)
-    widths = n if pred.max_width is None else min(pred.max_width, n)
+    widths = n if max_width is None else min(max_width, n)
     # heights start at 1 and ranks end at n - 1, so these defaults cut nothing
-    min_height = 1 if pred.min_height is None else pred.min_height
-    max_rank = n if pred.max_rank is None else pred.max_rank
+    least_h = 1 if min_height is None else min_height
+    most_r = n if max_rank is None else max_rank
     found = None
     for w in range(1, widths + 1):
         lo = -(-n // w)
-        # first admitted height, max(lo, min_height, w - max_rank), inlined: this
+        # first admitted height, max(lo, least_h, w - most_r), inlined: this
         # loop is most of a verify run, and the builtin call costs half of it
-        h = lo if lo > min_height else min_height
-        if w - max_rank > h:
-            h = w - max_rank
+        h = lo if lo > least_h else least_h
+        if w - most_r > h:
+            h = w - most_r
         if h <= n + 1 - w:
             entry = table[w][h - lo]
             if found is None or entry > found:
                 found = entry
     if found is None:
-        raise EmptyClassError(f"no partition of n={n} satisfies {pred}")
+        raise EmptyClassError(
+            f"no partition of n={n} satisfies max_width={max_width}, "
+            f"min_height={min_height}, max_rank={max_rank}"
+        )
     value, rows = found
     return BruteForceResult(value=value, argmax=rows)
 
@@ -141,15 +143,15 @@ def verify_closed_forms(n_max: int) -> list[Mismatch]:
 
     for n in range(1, n_max + 1):
         for w, h in tuples.all_tuples(n):
-            brute = brute_force_max(n, ClassPredicate(max_width=w, min_height=h))
+            brute = brute_force_max(n, max_width=w, min_height=h)
             check(n, f"wh({w},{h})", bounds.max_qfi_wh(n, w, h), brute.value)
         for w in range(1, n + 1):
-            brute = brute_force_max(n, ClassPredicate(max_width=w))
+            brute = brute_force_max(n, max_width=w)
             check(n, f"w({w})", bounds.max_qfi_width(n, w), brute.value)
         for h in range(1, n + 1):
-            brute = brute_force_max(n, ClassPredicate(min_height=h))
+            brute = brute_force_max(n, min_height=h)
             check(n, f"h({h})", bounds.max_qfi_height(n, h), brute.value)
         for r in bounds.valid_ranks(n):
-            brute = brute_force_max(n, ClassPredicate(max_rank=r))
+            brute = brute_force_max(n, max_rank=r)
             check(n, f"r({r})", bounds.max_qfi_rank(n, r), brute.value)
     return found

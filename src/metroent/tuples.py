@@ -16,11 +16,16 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def heights(n: int, w: int) -> range:
+    """The valid heights of width w, ceil(n/w) <= h <= n + 1 - w, ascending."""
+    return range(_ceil_div(n, w), n + 2 - w)
+
+
 def all_tuples(n: int) -> list[tuple[int, int]]:
     """Every valid (w, h) pair for n, ordered by (w ascending, h ascending)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return [(w, h) for w in range(1, n + 1) for h in range(_ceil_div(n, w), n + 2 - w)]
+    return [(w, h) for w in range(1, n + 1) for h in heights(n, w)]
 
 
 def count_width_leq(n: int, w: int) -> int:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,7 @@ def test_large_n_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
         raise AssertionError("work started")
 
     monkeypatch.setattr(tuples, "all_tuples", refuse)
+    monkeypatch.setattr(tuples, "heights", refuse)
     monkeypatch.setattr(witness, "_width_segments", refuse)
     too_big = str(witness.MAX_N + 1)
     dataset = tmp_path / "big.csv"
@@ -89,6 +91,43 @@ def test_large_n_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
     # the caps themselves pass and reach the work
     with pytest.raises(AssertionError, match="work started"):
         main(["bounds", "--n", str(cli.MAX_WH_TABLE_N), "--class", "wh"])
+
+
+class _CountingSink:
+    """A stdout stand-in that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "600", "--class", "wh"],
+        ["--n", "600", "--class", "wh", "--simple"],
+        ["--n", "100000", "--class", "w"],
+        ["--n", "100000", "--class", "h"],
+    ],
+    ids=["wh", "wh-simple", "w", "h"],
+)
+def test_bounds_streams_its_rows(monkeypatch, argv):
+    # each row is written as it is made: the peak stays flat while megabytes go out
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["bounds", *argv]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size >= 1_600_000
+    assert peak < 1_000_000
 
 
 def test_analyze_single_measurement(capsys):
@@ -242,6 +281,21 @@ def test_dataset_rejects_bad_input():
         parse_dataset_text("label,n,kind,value,unit,reference\na,x,fq,6,none,\n")
     with pytest.raises(ValueError):
         parse_dataset_text("label,n,kind,value,unit,reference\na,5,fq\n")
+
+
+def test_dataset_csv_error_exits_2(capsys, tmp_path):
+    # a field over the csv module's size limit is bad input, not a crash
+    dataset = tmp_path / "huge.csv"
+    dataset.write_text("label,n,kind,value,unit,reference\na,5,fq,6,none," + "x" * 200_000 + "\n")
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
+    assert main(["rank-summary", "--dataset", str(dataset)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: bad dataset: field larger than field limit (131072)"
+    ] * 2
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"])

@@ -11,7 +11,6 @@ from support import brute_max_squares, matches
 from metroent import bounds, oracle
 from metroent.oracle import (
     MAX_NMAX,
-    ClassPredicate,
     EmptyClassError,
     brute_force_max,
     verify_closed_forms,
@@ -21,7 +20,7 @@ from metroent.tuples import all_tuples
 
 
 def test_brute_force_examples():
-    res = brute_force_max(7, ClassPredicate(max_width=4, min_height=3))
+    res = brute_force_max(7, max_width=4, min_height=3)
     assert res.value == 21
     assert res.argmax == (4, 2, 1)
 
@@ -30,7 +29,7 @@ def test_brute_force_examples():
     assert res.argmax == (5,)
 
     # pinned by exhaustive scan: the unique maximizer over rank <= 0 for n=10
-    res = brute_force_max(10, ClassPredicate(max_rank=0))
+    res = brute_force_max(10, max_rank=0)
     assert res.value == 34
     assert res.argmax == (4, 4, 1, 1)
     assert res.value == bounds.max_qfi_rank(10, 0)
@@ -45,9 +44,9 @@ def test_unconstrained_max_is_single_row():
 
 def test_empty_class_raises():
     with pytest.raises(EmptyClassError):
-        brute_force_max(5, ClassPredicate(min_height=6))
+        brute_force_max(5, min_height=6)
     with pytest.raises(EmptyClassError):
-        brute_force_max(5, ClassPredicate(max_width=2, max_rank=-5))
+        brute_force_max(5, max_width=2, max_rank=-5)
 
 
 def test_matches_independent_filtered_brute():
@@ -58,18 +57,18 @@ def test_matches_independent_filtered_brute():
         ranks = (None, 1 - n, 0, 2, n - 1)
         for mw, mh, mr in itertools.product(widths, heights, ranks):
             expected = brute_max_squares(n, max_width=mw, min_height=mh, max_rank=mr)
-            pred = ClassPredicate(max_width=mw, min_height=mh, max_rank=mr)
+            limits = dict(max_width=mw, min_height=mh, max_rank=mr)
             if expected is None:
                 with pytest.raises(EmptyClassError):
-                    brute_force_max(n, pred)
+                    brute_force_max(n, **limits)
             else:
-                res = brute_force_max(n, pred)
+                res = brute_force_max(n, **limits)
                 assert (res.value, res.argmax) == expected, (n, mw, mh, mr)
 
 
 @st.composite
 def classes(draw):
-    """n <= 25 and a predicate whose limits are None, out of range or in range."""
+    """n <= 25 and width, height and rank limits, each None, out of range or in range."""
     n = draw(st.integers(1, 25))
     out_of_range = st.sampled_from([0, -n, n + 2])
     width = st.one_of(st.none(), out_of_range, st.integers(1, n))
@@ -84,19 +83,18 @@ def test_suffix_maxima_match_filtered_brute(case):
     # each class read from the per-width suffix maxima equals a filtered scan
     n, mw, mh, mr = case
     expected = brute_max_squares(n, max_width=mw, min_height=mh, max_rank=mr)
-    pred = ClassPredicate(max_width=mw, min_height=mh, max_rank=mr)
+    limits = dict(max_width=mw, min_height=mh, max_rank=mr)
     if expected is None:
         with pytest.raises(EmptyClassError):
-            brute_force_max(n, pred)
+            brute_force_max(n, **limits)
     else:
-        res = brute_force_max(n, pred)
+        res = brute_force_max(n, **limits)
         assert (res.value, res.argmax) == expected
 
 
 def test_argmax_is_first_in_enumeration_order():
     for n in (8, 12):
-        pred = ClassPredicate(max_width=3, min_height=3)
-        res = brute_force_max(n, pred)
+        res = brute_force_max(n, max_width=3, min_height=3)
         firsts = [
             rows
             for rows in iter_partition_rows(n)
@@ -130,7 +128,7 @@ def test_optimal_diagram_structure_attains_maximum():
                 continue
             k, u, v = bounds._wh_rows(n, w, h)
             built = (w,) * k + (u,) + (1,) * v
-            brute = brute_force_max(n, ClassPredicate(max_width=w, min_height=h))
+            brute = brute_force_max(n, max_width=w, min_height=h)
             assert sum(r * r for r in built) == brute.value
 
 
