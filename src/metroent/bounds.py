@@ -11,6 +11,8 @@ exclusion decisions built on these values are bit-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -43,7 +45,11 @@ def _wh_rows(n: int, w: int, h: int) -> tuple[int, int, int]:
 
 
 def wh_limit(n: int, w: int, h: int) -> int:
-    """:func:`max_qfi_wh` without its validity check, for loops over valid tuples."""
+    """:func:`max_qfi_wh` without its validity check, for loops over valid tuples.
+
+    Since n = k*w + u + v, the value k*w**2 + u**2 + v equals
+    n + k*w*(w - 1) + u*(u - 1); :func:`wh_limit_column` builds on that form.
+    """
     k, u, v = _wh_rows(n, w, h)
     return k * w * w + u * u + v
 
@@ -51,6 +57,35 @@ def wh_limit(n: int, w: int, h: int) -> int:
 def wh_limit_simple(n: int, w: int, h: int) -> int:
     """Non-tight limit w*(n - h) + n of a valid (w, h); dominates :func:`wh_limit`."""
     return w * (n - h) + n
+
+
+def wh_limit_column(n: int, w: int, *, simple: bool = False) -> range | list[int]:
+    """:func:`wh_limit` (or :func:`wh_limit_simple`) at every valid height of width w.
+
+    The heights ascend from ceil(n/w) to n + 1 - w.  For w >= 2 write
+    n - h = (w - 1)*k + u - 1 with 1 <= u <= w - 1, so the limit is
+    n + k*w*(w - 1) + u*(u - 1).  This k is the quotient of :func:`_wh_rows`
+    without its cap: at n == w*h it gives k = h and u = 1 where the cap gives
+    k = h - 1 and u = w, and both equal n*w there.  k is constant on blocks
+    of w - 1 heights, within which u falls by one per height, so each block
+    is a constant plus the pronic numbers u*(u - 1) in reverse: one ``map``
+    per block, none per height.
+    """
+    lo = _ceil_div(n, w)
+    if simple:
+        return range(w * (n - lo) + n, n + w * (w - 1) - 1, -w)
+    if w == 1:
+        return [n]
+    # blocks k_first, ..., 1; the first one starts at u = r_first + 1
+    k_first, r_first = divmod(n - lo, w - 1)
+    u_max = w - 1 if k_first > 1 else r_first + 1
+    # u*(u - 1) for u = u_max, ..., 1
+    pronic = list(map(mul, range(u_max, 0, -1), range(u_max - 1, -1, -1)))
+    step = w * (w - 1)
+    column = list(map(add, repeat(n + k_first * step), pronic[u_max - 1 - r_first :]))
+    for k in range(k_first - 1, 0, -1):
+        column += map(add, repeat(n + k * step), pronic)
+    return column
 
 
 def max_qfi_wh(n: int, w: int, h: int) -> int:

@@ -28,10 +28,14 @@ from .witness import Measurement, TupleGrid, WitnessReport, fraction_to_decimal_
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 _BUNDLED_ALIASES = {"bundled", "bundled.csv", "published", "published.csv"}
-# Largest n for ``bounds --class wh``, whose table has one row per valid (w, h)
-# tuple, about n**2 / 2.  Rows are written as they are made, so this caps output
-# size, not memory: n = 2000 gives about 2 million rows (31 MB), n = MAX_N 5e11.
+# Largest n for the two per-tuple outputs, ``bounds --class wh`` and the
+# grid.csv of ``analyze --out``, which have one row per valid (w, h) tuple,
+# about n**2 / 2: n = 2000 gives about 2 million rows (31 MB), n = MAX_N 5e11.
 MAX_WH_TABLE_N = 2000
+# Limits on a dataset file, checked before any record is analysed: the bundled
+# one has 5 records in under 1 kB.
+MAX_DATASET_BYTES = 1 << 20
+MAX_DATASET_RECORDS = 1000
 # argparse dest -> (kind, unit) of the single-value analyze flags
 _VALUE_FLAGS = {"fq": ("fq", "none"), "xi2": ("xi2", "linear"), "xi2_db": ("xi2", "db")}
 
@@ -52,6 +56,8 @@ def parse_dataset_text(text: str) -> list[Measurement]:
                 f"dataset header must be {','.join(DATASET_HEADER)}, got {reader.fieldnames}"
             )
         for row in reader:
+            if len(records) == MAX_DATASET_RECORDS:
+                raise ValueError(f"dataset has more than {MAX_DATASET_RECORDS} records")
             if any(row.get(field) is None for field in DATASET_HEADER):
                 raise ValueError(f"dataset row is missing fields: {row}")
             if row["label"] in seen:
@@ -82,7 +88,12 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
     """Read a dataset file; the name ``bundled.csv`` falls back to the packaged data."""
     path = Path(path_or_alias)
     if path.exists():
-        return parse_dataset_text(path.read_text())
+        with path.open("rb") as f:
+            data = f.read(MAX_DATASET_BYTES + 1)
+        if len(data) > MAX_DATASET_BYTES:
+            raise ValueError(f"dataset file is larger than {MAX_DATASET_BYTES} bytes: {path}")
+        # decoded as Path.read_text would: locale encoding, universal newlines
+        return parse_dataset_text(io.TextIOWrapper(io.BytesIO(data)).read())
     if path_or_alias in _BUNDLED_ALIASES:
         return parse_dataset_text(bundled_dataset_text())
     raise ValueError(f"dataset file not found: {path_or_alias}")
@@ -121,11 +132,11 @@ def _cmd_bounds(args) -> int:
         )
     write = sys.stdout.write
     if args.cls == "wh":
-        f = bounds.wh_limit_simple if args.simple else bounds.wh_limit
         write("w,h,f\n")
         for w in range(1, n + 1):
-            for h in tuples.heights(n, w):
-                write(f"{w},{h},{f(n, w, h)}\n")
+            limits = bounds.wh_limit_column(n, w, simple=args.simple)
+            for h, f in zip(tuples.heights(n, w), limits):
+                write(f"{w},{h},{f}\n")
         return 0
     # the height limit has no simpler variant; --simple emits the same table
     f, xs = bounds.max_qfi_height, range(1, n + 1)
@@ -163,6 +174,13 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 def _cmd_analyze(args) -> int:
     measurements = _measurements_from_args(args)
+    if args.out is not None:
+        for m in measurements:
+            if m.n > MAX_WH_TABLE_N:
+                raise ValueError(
+                    f"n must be <= {MAX_WH_TABLE_N} for --out, got {m.n}: "
+                    "grid.csv has one row per (w, h) tuple, about n**2 / 2 rows"
+                )
     reports = [witness.analyze(m, simple=args.simple) for m in measurements]
     if args.out is not None:
         for report in reports:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 
 from . import bounds
 from .squeezing import db_text_to_linear
@@ -250,7 +251,9 @@ class TupleGrid:
     under ``simple``.  ``status`` concatenates the violated projections in
     the order W, H, R; a tuple caught only by the full (w, h) information
     reads WH, and a compatible tuple reads OK.  (W and H together force R,
-    so the two-letter value WH is unambiguous.)
+    so the two-letter value WH is unambiguous.)  :func:`build_grid` makes
+    the cells a width at a time, from a limit column and runs of equal
+    status.
     """
 
     cells: tuple[tuple[int, int, int, str], ...]
@@ -259,21 +262,29 @@ class TupleGrid:
 def build_grid(report: WitnessReport) -> TupleGrid:
     """Expand the width segments of ``report`` into one cell per valid tuple.
 
-    The W, H and R flags read the report's inferred w, h and r; the (w, h)
-    flag splits each width at the segment's first excluded height.
+    Each width's limits come whole from :func:`bounds.wh_limit_column`.  Its
+    status is constant between at most four cut points: the first height
+    above the inferred h (H), the first height whose rank w - h falls below
+    the inferred r (R), the segment's first (w, h)-excluded height and
+    hi + 1; the W flag holds for the whole width when w is below the
+    inferred w.  So the status column is at most four runs, and the cells
+    are zipped from the heights, the limits and the runs.
     """
     m = report.measurement
     n, depth, separability, rank = m.n, report.depth, report.separability, report.rank
-    f_wh = bounds.wh_limit_simple if report.simple else bounds.wh_limit
     cells = []
     for w, lo, hi, p in _width_segments(m, report.simple):
         flag_w = "W" if w < depth else ""
-        for first, stop, default in ((lo, p, "OK"), (p, hi + 1, "WH")):
-            for h in range(first, stop):
-                flags = (
-                    flag_w + ("H" if h > separability else "") + ("R" if w - h < rank else "")
-                )
-                cells.append((w, h, f_wh(n, w, h), flags or default))
+        cuts = {lo, p, hi + 1, separability + 1, w - rank + 1}
+        cuts = sorted(c for c in cuts if lo <= c <= hi + 1)
+        statuses = []
+        for first, stop in zip(cuts, cuts[1:]):
+            flags = (
+                flag_w + ("H" if first > separability else "") + ("R" if w - first < rank else "")
+            )
+            statuses += [flags or ("WH" if first >= p else "OK")] * (stop - first)
+        limits = bounds.wh_limit_column(n, w, simple=report.simple)
+        cells += zip(repeat(w), range(lo, hi + 1), limits, statuses)
     return TupleGrid(cells=tuple(cells))
 
 

@@ -58,6 +58,26 @@ def test_rectangle_tuples():
     assert bounds.max_qfi_wh(12, 4, 3) == 48
 
 
+def _check_limit_column(n, w):
+    hs = tuples.heights(n, w)
+    assert list(bounds.wh_limit_column(n, w)) == [bounds.wh_limit(n, w, h) for h in hs]
+    simple = list(bounds.wh_limit_column(n, w, simple=True))
+    assert simple == [bounds.wh_limit_simple(n, w, h) for h in hs]
+
+
+def test_limit_column_matches_the_per_tuple_limits():
+    for n in range(1, 151):
+        for w in range(1, n + 1):
+            _check_limit_column(n, w)
+    # the rectangles n == w*h, where the cap on k binds, further out; and w == 1
+    for n in range(151, 401):
+        for w in range(1, n + 1):
+            if n % w == 0:
+                _check_limit_column(n, w)
+    for n in (401, 1000, 2000):
+        _check_limit_column(n, 1)
+
+
 def test_max_qfi_wh_simple_examples():
     assert bounds.wh_limit_simple(7, 4, 3) == 23
     assert bounds.wh_limit_simple(14, 1, 14) == 14

@@ -93,6 +93,78 @@ def test_large_n_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
         main(["bounds", "--n", str(cli.MAX_WH_TABLE_N), "--class", "wh"])
 
 
+def test_analyze_out_is_refused_above_the_table_cap(capsys, monkeypatch, tmp_path):
+    # grid.csv has about n**2 / 2 rows, so --out takes n no larger than bounds --class wh
+    def refuse(report):
+        raise AssertionError(f"grid built for {report.measurement.label}")
+
+    monkeypatch.setattr(witness, "build_grid", refuse)
+    too_big = str(cli.MAX_WH_TABLE_N + 1)
+    dataset = tmp_path / "big.csv"
+    dataset.write_text(
+        "label,n,kind,value,unit,reference\n"
+        "small,5,fq,6,none,\n"
+        f"big,{too_big},fq,5,none,\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--n", "1000000", "--fq", "5", "--out", str(out_dir)]) == 2
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "error: n must be <= 2000 for --out, got {}: "
+    message += "grid.csv has one row per (w, h) tuple, about n**2 / 2 rows"
+    assert captured.err.splitlines() == [message.format(1000000), message.format(too_big)]
+    assert not out_dir.exists()
+    # the cap itself passes and reaches the grid
+    with pytest.raises(AssertionError, match="grid built for fq-n2000"):
+        main(["analyze", "--n", str(cli.MAX_WH_TABLE_N), "--fq", "5", "--out", str(out_dir)])
+
+
+def _run_dataset_commands(dataset, out_dir):
+    return [
+        main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]),
+        main(["rank-summary", "--dataset", str(dataset)]),
+    ]
+
+
+def test_dataset_file_size_is_bounded(capsys, tmp_path):
+    # valid records, their long references cut so that the file is the cap's size
+    rows = [f"a{i},5,fq,6,none,{'x' * 100_000}\n" for i in range(11)]
+    text = "label,n,kind,value,unit,reference\n" + "".join(rows)
+    text = text[: cli.MAX_DATASET_BYTES - 1] + "\n"
+    dataset = tmp_path / "big.csv"
+    dataset.write_text(text + "\n")  # one byte over, still a valid dataset
+    out_dir = tmp_path / "out"
+    assert _run_dataset_commands(dataset, out_dir) == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: dataset file is larger than 1048576 bytes: {dataset}"
+    ] * 2
+    assert not out_dir.exists()
+    # a file of exactly the cap is read
+    dataset.write_text(text)
+    assert main(["rank-summary", "--dataset", str(dataset)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 11
+
+
+def test_dataset_record_count_is_bounded(capsys, tmp_path):
+    header = "label,n,kind,value,unit,reference\n"
+    rows = [f"r{i},5,fq,6,none,\n" for i in range(cli.MAX_DATASET_RECORDS + 1)]
+    dataset = tmp_path / "many.csv"
+    dataset.write_text(header + "".join(rows))
+    out_dir = tmp_path / "out"
+    assert _run_dataset_commands(dataset, out_dir) == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: dataset has more than 1000 records"] * 2
+    assert not out_dir.exists()
+    # exactly the cap is accepted
+    dataset.write_text(header + "".join(rows[:-1]))
+    assert main(["rank-summary", "--dataset", str(dataset)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + cli.MAX_DATASET_RECORDS
+
+
 class _CountingSink:
     """A stdout stand-in that keeps only the number of characters written."""
 
