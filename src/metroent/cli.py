@@ -31,9 +31,11 @@ _BUNDLED_ALIASES = {"bundled", "bundled.csv", "published", "published.csv"}
 # Largest n for the two per-tuple outputs, ``bounds --class wh`` and the
 # grid.csv of ``analyze --out``, which have one row per valid (w, h) tuple,
 # about n**2 / 2: n = 2000 gives about 2 million rows (31 MB), n = MAX_N 5e11.
+# Under --out the n**2 of all records together must not pass MAX_WH_TABLE_N**2.
 MAX_WH_TABLE_N = 2000
 # Limits on a dataset file, checked before any record is analysed: the bundled
-# one has 5 records in under 1 kB.
+# one has 5 records in under 1 kB.  The n of all records together must not pass
+# witness.MAX_N either, as each record costs O(n) work.
 MAX_DATASET_BYTES = 1 << 20
 MAX_DATASET_RECORDS = 1000
 # argparse dest -> (kind, unit) of the single-value analyze flags
@@ -81,6 +83,9 @@ def parse_dataset_text(text: str) -> list[Measurement]:
             )
     except csv.Error as exc:
         raise ValueError(f"bad dataset: {exc}") from exc
+    total = sum(m.n for m in records)
+    if total > witness.MAX_N:
+        raise ValueError(f"dataset records' n must sum to <= {witness.MAX_N}, got {total}")
     return records
 
 
@@ -181,6 +186,12 @@ def _cmd_analyze(args) -> int:
                     f"n must be <= {MAX_WH_TABLE_N} for --out, got {m.n}: "
                     "grid.csv has one row per (w, h) tuple, about n**2 / 2 rows"
                 )
+        total = sum(m.n * m.n for m in measurements)
+        if total > MAX_WH_TABLE_N**2:
+            raise ValueError(
+                f"n**2 must sum to <= {MAX_WH_TABLE_N**2} over the records for --out, "
+                f"got {total}: each grid.csv has about n**2 / 2 rows"
+            )
     reports = [witness.analyze(m, simple=args.simple) for m in measurements]
     if args.out is not None:
         for report in reports:

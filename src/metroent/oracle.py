@@ -1,22 +1,27 @@
 """Brute-force ground truth for every closed-form sensitivity limit.
 
-The oracle enumerates the partitions of each n once, keeps the largest
-squared-row sum of every (width, height) shape, folds those into per-width
-suffix maxima over height, and reads each class maximum as one suffix entry
-per width.  It never shares code with the closed forms it checks.
+The oracle enumerates the partitions of each n once and keeps the largest
+squared-row sum of every (width, height) shape.  It folds those into
+per-width suffix maxima over height, and those in turn into prefix maxima
+over width, so a width, height or (width, height) class maximum is one
+table entry and a Dyson-rank class one entry per width.  It never shares
+code with the closed forms it checks.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
+from typing import NamedTuple
 
 from . import bounds, tuples
 from .partitions import iter_partition_rows
 
 # Largest n_max verify_closed_forms accepts.  The sweep enumerates all p(n)
 # partitions of each n, and p(n) grows like exp(pi * sqrt(2n/3)): n_max = 60
-# (p(60) = 966467) takes about 15 s on a 2-vCPU x86 machine, while
+# (p(60) = 966467) takes about 11 s on a 2-vCPU x86 machine, while
 # n_max = 200 would walk p(200), about 4e12 partitions.
 MAX_NMAX = 60
 
@@ -25,12 +30,15 @@ class EmptyClassError(ValueError):
     """Raised when a class admits no partition of the given n."""
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     """The class maximum and the row tuple of its first maximizer."""
 
     value: int
     argmax: tuple[int, ...]
+
+
+# below every real entry, whose sum is at least n >= 1; marks an empty class
+_EMPTY = BruteForceResult(0, ())
 
 
 @dataclass(frozen=True)
@@ -46,31 +54,43 @@ class Mismatch:
         return {"n": self.n, "class": self.label, "closed": self.closed, "brute": self.brute}
 
 
-@functools.lru_cache(maxsize=1)
-def _shape_maxima(n: int) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """Per-width suffix maxima over height of the best (sum, rows) of each shape.
+def _shape_table(n: int) -> list[list[BruteForceResult]]:
+    """The best (sum, rows) of each (width, height) shape, from one pass over the partitions.
 
-    One pass over the partitions of n keeps, for each (width, height) shape,
-    the best squared-row sum and the first rows attaining it.  Width w has
-    every height from ceil(n/w) to n + 1 - w, and entry ``[w][h - ceil(n/w)]``
-    is the largest (sum, rows) over the shapes of width w and height >= h.
-    Every class is a union of such height runs, one per width.
+    Entry ``[w][h]``, for 1 <= w <= n and 0 <= h <= n + 1, holds the largest
+    squared-row sum over the partitions of n with width w and height h and
+    the first rows attaining it, or ``_EMPTY`` when there is no such shape.
     """
-    best = [[None] * (n + 2) for _ in range(n + 1)]
+    best = [[_EMPTY] * (n + 2) for _ in range(n + 1)]
     for rows in iter_partition_rows(n):
-        s = sum(r * r for r in rows)
+        s = sum(map(mul, rows, rows))
         by_height = best[rows[0]]
         h = len(rows)
-        if by_height[h] is None or s > by_height[h][0]:
-            by_height[h] = (s, rows)
-    suffix = [[]]
+        if s > by_height[h][0]:
+            by_height[h] = BruteForceResult(s, rows)
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _shape_maxima(n: int) -> tuple[list[list[BruteForceResult]], list[list[BruteForceResult]]]:
+    """Fold the per-shape table of n into ``(column, corner)``, each indexed ``[w][h]``.
+
+    ``column[w][h]`` is the best entry over the shapes of width w and height
+    >= h, and ``corner[w][h]`` the best over widths <= w and heights >= h,
+    for 0 <= w <= n and 0 <= h <= n + 1; ``_EMPTY`` where there is none.
+    Width w has every height from ceil(n/w) to n + 1 - w, so its column is
+    constant below ceil(n/w).  The fold costs O(n**2).
+    """
+    best = _shape_table(n)
+    column = [[_EMPTY] * (n + 2)]
+    corner = [column[0]]
     for w in range(1, n + 1):
-        run = [best[w][n + 1 - w]]
-        for h in range(n - w, -(-n // w) - 1, -1):
-            run.append(max(best[w][h], run[-1]))
+        lo, hi = -(-n // w), n + 1 - w
+        run = list(accumulate(best[w][hi : lo - 1 : -1], max))
         run.reverse()
-        suffix.append(run)
-    return suffix
+        column.append([run[0]] * lo + run + [_EMPTY] * (n + 1 - hi))
+        corner.append(list(map(max, corner[-1], column[-1])))
+    return column, corner
 
 
 def brute_force_max(
@@ -84,37 +104,41 @@ def brute_force_max(
 
     The class holds the partitions of n with width <= max_width, height >=
     min_height and Dyson rank <= max_rank; a limit left at None cuts
-    nothing.  Each admitted width w keeps the heights from
-    max(ceil(n/w), min_height, w - max_rank) up to n + 1 - w, so the best
-    shape is one suffix entry of ``_shape_maxima(n)``, and a call costs O(n).
+    nothing.  Without max_rank the answer is one entry of the ``corner``
+    table of ``_shape_maxima(n)``, so a call costs O(1).  With max_rank,
+    each admitted width w keeps the heights from max(min_height, w -
+    max_rank) up, one entry of its ``column``, and a call costs O(n).
     Ties are broken by enumeration order (first maximizer in
     reverse-lexicographic order, i.e. the largest rows, wins), so results
     are deterministic.
     """
-    table = _shape_maxima(n)
-    widths = n if max_width is None else min(max_width, n)
-    # heights start at 1 and ranks end at n - 1, so these defaults cut nothing
-    least_h = 1 if min_height is None else min_height
-    most_r = n if max_rank is None else max_rank
-    found = None
-    for w in range(1, widths + 1):
-        lo = -(-n // w)
-        # first admitted height, max(lo, least_h, w - most_r), inlined: this
-        # loop is most of a verify run, and the builtin call costs half of it
-        h = lo if lo > least_h else least_h
-        if w - most_r > h:
-            h = w - most_r
-        if h <= n + 1 - w:
-            entry = table[w][h - lo]
-            if found is None or entry > found:
-                found = entry
-    if found is None:
+    column, corner = _shape_maxima(n)
+    widths = n if max_width is None else max_width
+    least_h = 0 if min_height is None else min_height
+    # heights start at 1 and end at n, so 0 and n + 1 stand for any lower or higher limit
+    if not 0 <= widths <= n:
+        widths = 0 if widths < 0 else n
+    if not 0 <= least_h <= n + 1:
+        least_h = 0 if least_h < 0 else n + 1
+    if max_rank is None:
+        found = corner[widths][least_h]
+    else:
+        found = _EMPTY
+        for w in range(1, widths + 1):
+            # max(least_h, w - max_rank) inlined: this loop is most of a rank query
+            h = w - max_rank
+            if h < least_h:
+                h = least_h
+            if h <= n:
+                entry = column[w][h]
+                if entry > found:
+                    found = entry
+    if found is _EMPTY:
         raise EmptyClassError(
             f"no partition of n={n} satisfies max_width={max_width}, "
             f"min_height={min_height}, max_rank={max_rank}"
         )
-    value, rows = found
-    return BruteForceResult(value=value, argmax=rows)
+    return found
 
 
 def verify_closed_forms(n_max: int) -> list[Mismatch]:
@@ -122,9 +146,11 @@ def verify_closed_forms(n_max: int) -> list[Mismatch]:
 
     Sweeps every valid (w, h) tuple, every realizable Dyson rank, and every
     marginal width/height class, one ``brute_force_max`` call per class; all
-    classes of one n share one enumeration.  Returns the (possibly empty)
-    list of mismatches; mismatches are data, not errors.  n_max >= 18 covers
-    both two-full-row rank special cases (n + r = 10 and 16) and the
+    classes of one n share one enumeration and one fold, after which a
+    (w, h), width or height class costs O(1) and a rank class O(n).  Returns
+    the (possibly empty) list of mismatches; mismatches are data, not
+    errors, and a class label is formatted only for a mismatch.  n_max >= 18
+    covers both two-full-row rank special cases (n + r = 10 and 16) and the
     n + r = 4 corner.  n_max must lie in 2..MAX_NMAX, checked before any
     enumeration starts.
     """
@@ -137,21 +163,19 @@ def verify_closed_forms(n_max: int) -> list[Mismatch]:
         )
     found: list[Mismatch] = []
 
-    def check(n, label, closed, brute):
-        if closed != brute:
-            found.append(Mismatch(n=n, label=label, closed=closed, brute=brute))
+    def check(brute, closed, label, *args):
+        if closed != brute.value:
+            label = label.format(*args)
+            found.append(Mismatch(n=n, label=label, closed=closed, brute=brute.value))
 
     for n in range(1, n_max + 1):
         for w, h in tuples.all_tuples(n):
             brute = brute_force_max(n, max_width=w, min_height=h)
-            check(n, f"wh({w},{h})", bounds.max_qfi_wh(n, w, h), brute.value)
+            check(brute, bounds.max_qfi_wh(n, w, h), "wh({},{})", w, h)
         for w in range(1, n + 1):
-            brute = brute_force_max(n, max_width=w)
-            check(n, f"w({w})", bounds.max_qfi_width(n, w), brute.value)
+            check(brute_force_max(n, max_width=w), bounds.max_qfi_width(n, w), "w({})", w)
         for h in range(1, n + 1):
-            brute = brute_force_max(n, min_height=h)
-            check(n, f"h({h})", bounds.max_qfi_height(n, h), brute.value)
+            check(brute_force_max(n, min_height=h), bounds.max_qfi_height(n, h), "h({})", h)
         for r in bounds.valid_ranks(n):
-            brute = brute_force_max(n, max_rank=r)
-            check(n, f"r({r})", bounds.max_qfi_rank(n, r), brute.value)
+            check(brute_force_max(n, max_rank=r), bounds.max_qfi_rank(n, r), "r({})", r)
     return found

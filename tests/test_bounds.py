@@ -1,6 +1,7 @@
 """Tests for the closed-form class sensitivity limits."""
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import pytest
 from support import partitions_desc
@@ -190,19 +191,38 @@ def test_max_qfi_rank_simple():
             assert bounds.max_qfi_rank_simple(n, r) >= bounds.max_qfi_rank(n, r)
 
 
+def _lattice_maxima(n):
+    """Largest (w, h) limit over each width, height and rank class of n, from the columns.
+
+    Returns the maxima for w = 1..n, h = 1..n and r = -(n - 1)..n - 1.  The
+    width class w is the widths <= w.  The height and rank classes take, from
+    each width w, the heights from the first admitted one up, max(h, ceil(n/w))
+    or max(w - r, ceil(n/w)), while it is <= n + 1 - w.  As h or r moves, that
+    first height moves linearly, so a width's share is its suffix maxima
+    padded at both ends: O(n**2) per n in all.
+    """
+    widths, heights, ranks = [], [], []
+    for w in range(1, n + 1):
+        lo, hi = -(-n // w), n + 1 - w
+        # suffix[i]: the largest limit of width w over heights >= lo + i
+        suffix = list(accumulate(reversed(bounds.wh_limit_column(n, w)), max))[::-1]
+        widths.append(suffix[0])
+        heights.append([*repeat(suffix[0], lo - 1), *suffix, *repeat(0, n - hi)])
+        # r = -(n - 1) .. n - 1: none below w - hi, then heights hi .. lo, then lo
+        tail = repeat(suffix[0], n - 1 - w + lo)
+        ranks.append([*repeat(0, 2 * w - 2), *reversed(suffix), *tail])
+    by_w = list(accumulate(widths, max))
+    return by_w, list(map(max, repeat(0), *heights)), list(map(max, repeat(0), *ranks))
+
+
 def test_marginals_consistent_with_grid_maxima():
-    for n in range(1, 41):
-        ts = tuples.all_tuples(n)
-        grid = {(w, h): bounds.max_qfi_wh(n, w, h) for w, h in ts}
-        for w in range(1, n + 1):
-            col = [f for (ww, _), f in grid.items() if ww == w]
-            assert bounds.max_qfi_width(n, w) == max(col)
-        for h in range(1, n + 1):
-            row = [f for (_, hh), f in grid.items() if hh == h]
-            assert bounds.max_qfi_height(n, h) == max(row)
+    # each marginal closed form is the maximum of the (w, h) limit over its class
+    for n in [*range(1, 251), 1000]:
+        by_w, by_h, by_r = _lattice_maxima(n)
+        assert by_w == [bounds.max_qfi_width(n, w) for w in range(1, n + 1)], n
+        assert by_h == [bounds.max_qfi_height(n, h) for h in range(1, n + 1)], n
         for r in bounds.valid_ranks(n):
-            sub = [f for (ww, hh), f in grid.items() if ww - hh <= r]
-            assert bounds.max_qfi_rank(n, r) == max(sub)
+            assert by_r[r + n - 1] == bounds.max_qfi_rank(n, r), (n, r)
 
 
 def test_all_bounds_are_exact_integers():

@@ -165,6 +165,60 @@ def test_dataset_record_count_is_bounded(capsys, tmp_path):
     assert len(capsys.readouterr().out.splitlines()) == 1 + cli.MAX_DATASET_RECORDS
 
 
+def test_dataset_total_n_is_bounded(capsys, monkeypatch, tmp_path):
+    # every record passes MAX_N on its own; together they must too
+    def refuse(m, **kwargs):
+        raise AssertionError(f"analysed {m.label}")
+
+    monkeypatch.setattr(witness, "analyze", refuse)
+    monkeypatch.setattr(witness, "infer_rank", refuse)
+    header = "label,n,kind,value,unit,reference\n"
+    dataset = tmp_path / "heavy.csv"
+    dataset.write_text(header + f"a,{witness.MAX_N},fq,5,none,\nb,1,fq,1,none,\n")
+    out_dir = tmp_path / "out"
+    assert _run_dataset_commands(dataset, out_dir) == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: dataset records' n must sum to <= 1000000, got 1000001"
+    ] * 2
+    assert not out_dir.exists()
+    # exactly the budget is accepted and reaches the analysis
+    dataset.write_text(header + f"a,{witness.MAX_N - 1},fq,5,none,\nb,1,fq,1,none,\n")
+    assert [m.n for m in load_dataset(str(dataset))] == [witness.MAX_N - 1, 1]
+    with pytest.raises(AssertionError, match="analysed a"):
+        main(["analyze", "--dataset", str(dataset)])
+    with pytest.raises(AssertionError, match="analysed a"):
+        main(["rank-summary", "--dataset", str(dataset)])
+
+
+def test_analyze_out_bounds_the_total_grid(capsys, monkeypatch, tmp_path):
+    # 1200**2 + 1600**2 == 2000**2: the grids together get one largest grid's budget
+    def refuse(m, **kwargs):
+        raise AssertionError(f"analysed {m.label}")
+
+    monkeypatch.setattr(witness, "analyze", refuse)
+    header = "label,n,kind,value,unit,reference\n"
+    dataset = tmp_path / "wide.csv"
+    dataset.write_text(header + "a,1200,fq,5,none,\nb,1601,fq,5,none,\n")
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n**2 must sum to <= 4000000 over the records for --out, "
+        "got 4003201: each grid.csv has about n**2 / 2 rows\n"
+    )
+    assert not out_dir.exists()
+    # exactly the budget is accepted, and without --out the sum is not checked
+    dataset.write_text(header + "a,1200,fq,5,none,\nb,1600,fq,5,none,\n")
+    with pytest.raises(AssertionError, match="analysed a"):
+        main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)])
+    dataset.write_text(header + "a,1200,fq,5,none,\nb,1601,fq,5,none,\n")
+    with pytest.raises(AssertionError, match="analysed a"):
+        main(["analyze", "--dataset", str(dataset)])
+
+
 class _CountingSink:
     """A stdout stand-in that keeps only the number of characters written."""
 

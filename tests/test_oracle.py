@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle and the closed-form verification sweep."""
 
+import collections
 import itertools
 import random
 
@@ -92,6 +93,19 @@ def test_suffix_maxima_match_filtered_brute(case):
         assert (res.value, res.argmax) == expected
 
 
+def test_corner_reads_match_filtered_brute_at_every_limit():
+    # width and height limits alone read one corner entry; pin its index bounds
+    for n in range(1, 13):
+        for mw, mh in itertools.product(range(-1, n + 2), range(-1, n + 3)):
+            expected = brute_max_squares(n, max_width=mw, min_height=mh)
+            if expected is None:
+                with pytest.raises(EmptyClassError):
+                    brute_force_max(n, max_width=mw, min_height=mh)
+            else:
+                res = brute_force_max(n, max_width=mw, min_height=mh)
+                assert (res.value, res.argmax) == expected, (n, mw, mh)
+
+
 def test_argmax_is_first_in_enumeration_order():
     for n in (8, 12):
         res = brute_force_max(n, max_width=3, min_height=3)
@@ -104,20 +118,31 @@ def test_argmax_is_first_in_enumeration_order():
 
 
 def test_verify_enumerates_each_n_once(monkeypatch):
+    # and queries each class once, so per-call and per-row counts stay comparable
     calls = []
+    queries = collections.Counter()
     original = oracle.iter_partition_rows
+    original_max = oracle.brute_force_max
 
     def counting(n):
         calls.append(n)
         return original(n)
 
+    def counting_max(n, **limits):
+        queries[n] += 1
+        return original_max(n, **limits)
+
     oracle._shape_maxima.cache_clear()
     monkeypatch.setattr(oracle, "iter_partition_rows", counting)
+    monkeypatch.setattr(oracle, "brute_force_max", counting_max)
     try:
         assert verify_closed_forms(12) == []
     finally:
         oracle._shape_maxima.cache_clear()
     assert calls == list(range(1, 13))
+    assert queries == {
+        n: len(all_tuples(n)) + 2 * n + len(bounds.valid_ranks(n)) for n in range(1, 13)
+    }
 
 
 def test_optimal_diagram_structure_attains_maximum():
