@@ -241,7 +241,7 @@ def _cmd_verify(args) -> int:
         )
         return 0
     for mm in mismatches:
-        print(json.dumps(mm.as_dict(), sort_keys=True))
+        print(json.dumps(mm, sort_keys=True))
     return 1
 
 

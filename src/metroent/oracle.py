@@ -1,28 +1,29 @@
 """Brute-force ground truth for every closed-form sensitivity limit.
 
-The oracle enumerates the partitions of each n once and keeps the largest
-squared-row sum of every (width, height) shape.  It folds those into
-per-width suffix maxima over height, and those in turn into prefix maxima
-over width, so a width, height or (width, height) class maximum is one
-table entry and a Dyson-rank class one entry per width.  It never shares
-code with the closed forms it checks.
+The oracle enumerates the partitions of each n once and keeps, as a plain
+int, the largest squared-row sum of every (width, height) shape.  It folds
+those into per-width suffix maxima over height, and those in turn into
+prefix maxima over width, so a width, height or (width, height) class
+maximum is one table entry and a Dyson-rank class one entry per width.  It
+returns values only: the diagram attaining a limit comes from the closed
+form (:func:`metroent.bounds._wh_rows`), which the values check.  It never
+shares code with the closed forms it checks.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import NamedTuple
 
 from . import bounds, tuples
 from .partitions import iter_partition_rows
 
 # Largest n_max verify_closed_forms accepts.  The sweep enumerates all p(n)
 # partitions of each n, and p(n) grows like exp(pi * sqrt(2n/3)): n_max = 60
-# (p(60) = 966467) takes about 11 s on a 2-vCPU x86 machine, while
-# n_max = 200 would walk p(200), about 4e12 partitions.
+# (p(60) = 966467) takes about 9 s (6.3 to 10.9 s over four runs) on a
+# 2-vCPU x86 machine with Python 3.11, while n_max = 200 would walk p(200),
+# about 4e12 partitions.
 MAX_NMAX = 60
 
 
@@ -30,65 +31,41 @@ class EmptyClassError(ValueError):
     """Raised when a class admits no partition of the given n."""
 
 
-class BruteForceResult(NamedTuple):
-    """The class maximum and the row tuple of its first maximizer."""
+def _shape_table(n: int) -> list[list[int]]:
+    """The largest squared-row sum of each (width, height) shape, from one pass over partitions.
 
-    value: int
-    argmax: tuple[int, ...]
-
-
-# below every real entry, whose sum is at least n >= 1; marks an empty class
-_EMPTY = BruteForceResult(0, ())
-
-
-@dataclass(frozen=True)
-class Mismatch:
-    """One disagreement between a closed form and the brute-force maximum."""
-
-    n: int
-    label: str
-    closed: int
-    brute: int
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "class": self.label, "closed": self.closed, "brute": self.brute}
-
-
-def _shape_table(n: int) -> list[list[BruteForceResult]]:
-    """The best (sum, rows) of each (width, height) shape, from one pass over the partitions.
-
-    Entry ``[w][h]``, for 1 <= w <= n and 0 <= h <= n + 1, holds the largest
-    squared-row sum over the partitions of n with width w and height h and
-    the first rows attaining it, or ``_EMPTY`` when there is no such shape.
+    Entry ``[w][h]``, for 1 <= w <= n and 0 <= h <= n + 1, is the largest
+    squared-row sum over the partitions of n with width w and height h, or 0
+    when there is no such shape; every real entry is at least n >= 1.
     """
-    best = [[_EMPTY] * (n + 2) for _ in range(n + 1)]
+    best = [[0] * (n + 2) for _ in range(n + 1)]
     for rows in iter_partition_rows(n):
         s = sum(map(mul, rows, rows))
         by_height = best[rows[0]]
         h = len(rows)
-        if s > by_height[h][0]:
-            by_height[h] = BruteForceResult(s, rows)
+        if s > by_height[h]:
+            by_height[h] = s
     return best
 
 
 @functools.lru_cache(maxsize=1)
-def _shape_maxima(n: int) -> tuple[list[list[BruteForceResult]], list[list[BruteForceResult]]]:
+def _shape_maxima(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Fold the per-shape table of n into ``(column, corner)``, each indexed ``[w][h]``.
 
-    ``column[w][h]`` is the best entry over the shapes of width w and height
-    >= h, and ``corner[w][h]`` the best over widths <= w and heights >= h,
-    for 0 <= w <= n and 0 <= h <= n + 1; ``_EMPTY`` where there is none.
+    ``column[w][h]`` is the largest entry over the shapes of width w and
+    height >= h, and ``corner[w][h]`` the largest over widths <= w and
+    heights >= h, for 0 <= w <= n and 0 <= h <= n + 1; 0 where there is none.
     Width w has every height from ceil(n/w) to n + 1 - w, so its column is
     constant below ceil(n/w).  The fold costs O(n**2).
     """
     best = _shape_table(n)
-    column = [[_EMPTY] * (n + 2)]
+    column = [[0] * (n + 2)]
     corner = [column[0]]
     for w in range(1, n + 1):
         lo, hi = -(-n // w), n + 1 - w
         run = list(accumulate(best[w][hi : lo - 1 : -1], max))
         run.reverse()
-        column.append([run[0]] * lo + run + [_EMPTY] * (n + 1 - hi))
+        column.append([run[0]] * lo + run + [0] * (n + 1 - hi))
         corner.append(list(map(max, corner[-1], column[-1])))
     return column, corner
 
@@ -99,7 +76,7 @@ def brute_force_max(
     max_width: int | None = None,
     min_height: int | None = None,
     max_rank: int | None = None,
-) -> BruteForceResult:
+) -> int:
     """Exhaustively maximize the squared-row sum over one class of partitions.
 
     The class holds the partitions of n with width <= max_width, height >=
@@ -108,9 +85,6 @@ def brute_force_max(
     table of ``_shape_maxima(n)``, so a call costs O(1).  With max_rank,
     each admitted width w keeps the heights from max(min_height, w -
     max_rank) up, one entry of its ``column``, and a call costs O(n).
-    Ties are broken by enumeration order (first maximizer in
-    reverse-lexicographic order, i.e. the largest rows, wins), so results
-    are deterministic.
     """
     column, corner = _shape_maxima(n)
     widths = n if max_width is None else max_width
@@ -123,7 +97,7 @@ def brute_force_max(
     if max_rank is None:
         found = corner[widths][least_h]
     else:
-        found = _EMPTY
+        found = 0
         for w in range(1, widths + 1):
             # max(least_h, w - max_rank) inlined: this loop is most of a rank query
             h = w - max_rank
@@ -133,7 +107,7 @@ def brute_force_max(
                 entry = column[w][h]
                 if entry > found:
                     found = entry
-    if found is _EMPTY:
+    if not found:
         raise EmptyClassError(
             f"no partition of n={n} satisfies max_width={max_width}, "
             f"min_height={min_height}, max_rank={max_rank}"
@@ -141,18 +115,19 @@ def brute_force_max(
     return found
 
 
-def verify_closed_forms(n_max: int) -> list[Mismatch]:
+def verify_closed_forms(n_max: int) -> list[dict]:
     """Compare every closed form against brute force for all n <= n_max.
 
     Sweeps every valid (w, h) tuple, every realizable Dyson rank, and every
     marginal width/height class, one ``brute_force_max`` call per class; all
     classes of one n share one enumeration and one fold, after which a
     (w, h), width or height class costs O(1) and a rank class O(n).  Returns
-    the (possibly empty) list of mismatches; mismatches are data, not
-    errors, and a class label is formatted only for a mismatch.  n_max >= 18
-    covers both two-full-row rank special cases (n + r = 10 and 16) and the
-    n + r = 4 corner.  n_max must lie in 2..MAX_NMAX, checked before any
-    enumeration starts.
+    the (possibly empty) list of mismatches, each a dict with keys "n",
+    "class", "closed" and "brute"; mismatches are data, not errors, and a
+    class label is formatted only for a mismatch.  n_max >= 18 covers both
+    two-full-row rank special cases (n + r = 10 and 16) and the n + r = 4
+    corner.  n_max must lie in 2..MAX_NMAX, checked before any enumeration
+    starts.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -161,12 +136,11 @@ def verify_closed_forms(n_max: int) -> list[Mismatch]:
             f"n_max must be <= {MAX_NMAX}, got {n_max}: "
             "the exhaustive sweep enumerates all p(n) partitions of each n"
         )
-    found: list[Mismatch] = []
+    found: list[dict] = []
 
     def check(brute, closed, label, *args):
-        if closed != brute.value:
-            label = label.format(*args)
-            found.append(Mismatch(n=n, label=label, closed=closed, brute=brute.value))
+        if closed != brute:
+            found.append({"n": n, "class": label.format(*args), "closed": closed, "brute": brute})
 
     for n in range(1, n_max + 1):
         for w, h in tuples.all_tuples(n):

@@ -135,10 +135,13 @@ def test_max_qfi_height_examples():
 
 
 def test_valid_ranks():
-    assert bounds.valid_ranks(1) == [0]
-    assert bounds.valid_ranks(2) == [-1, 1]
-    assert bounds.valid_ranks(3) == [-2, 0, 2]
-    r14 = bounds.valid_ranks(14)
+    assert list(bounds.valid_ranks(1)) == [0]
+    assert list(bounds.valid_ranks(2)) == [-1, 1]
+    assert list(bounds.valid_ranks(3)) == [-2, 0, 2]
+    # n is checked at the call, before any rank is asked for
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        bounds.valid_ranks(0)
+    r14 = list(bounds.valid_ranks(14))
     assert -3 in r14 and -4 in r14
     assert 12 not in r14 and -12 not in r14
     assert r14[0] == -13 and r14[-1] == 13
@@ -147,7 +150,7 @@ def test_valid_ranks():
 def test_valid_ranks_match_enumerated_ranks():
     for n in range(1, 21):
         achieved = sorted({p[0] - len(p) for p in partitions_desc(n)})
-        assert achieved == bounds.valid_ranks(n)
+        assert achieved == list(bounds.valid_ranks(n))
 
 
 def test_max_qfi_rank_examples():

@@ -239,8 +239,9 @@ class _CountingSink:
         ["--n", "600", "--class", "wh", "--simple"],
         ["--n", "100000", "--class", "w"],
         ["--n", "100000", "--class", "h"],
+        ["--n", "100000", "--class", "r"],
     ],
-    ids=["wh", "wh-simple", "w", "h"],
+    ids=["wh", "wh-simple", "w", "h", "r"],
 )
 def test_bounds_streams_its_rows(monkeypatch, argv):
     # each row is written as it is made: the peak stays flat while megabytes go out

@@ -1,15 +1,17 @@
 """Tests for the brute-force oracle and the closed-form verification sweep."""
 
+import ast
 import collections
+import inspect
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import brute_max_squares, matches
+from support import brute_max_squares
 
-from metroent import bounds, oracle
+from metroent import bounds, oracle, partitions
 from metroent.oracle import (
     MAX_NMAX,
     EmptyClassError,
@@ -21,26 +23,23 @@ from metroent.tuples import all_tuples
 
 
 def test_brute_force_examples():
-    res = brute_force_max(7, max_width=4, min_height=3)
-    assert res.value == 21
-    assert res.argmax == (4, 2, 1)
+    assert brute_force_max(7, max_width=4, min_height=3) == 21
+    assert brute_max_squares(7, max_width=4, min_height=3) == (21, (4, 2, 1))
 
-    res = brute_force_max(5)
-    assert res.value == 25
-    assert res.argmax == (5,)
+    assert brute_force_max(5) == 25
 
-    # pinned by exhaustive scan: the unique maximizer over rank <= 0 for n=10
-    res = brute_force_max(10, max_rank=0)
-    assert res.value == 34
-    assert res.argmax == (4, 4, 1, 1)
-    assert res.value == bounds.max_qfi_rank(10, 0)
+    # the two-full-row maximizer behind max_qfi_rank's n + r == 10 branch,
+    # pinned by the independent scan: the unique one over rank <= 0 for n=10
+    assert brute_force_max(10, max_rank=0) == 34
+    assert brute_max_squares(10, max_rank=0) == (34, (4, 4, 1, 1))
+    assert bounds.max_qfi_rank(10, 0) == 34
 
 
 def test_unconstrained_max_is_single_row():
     for n in range(1, 21):
-        res = brute_force_max(n)
-        assert res.value == n * n
-        assert res.argmax == (n,)
+        value = brute_force_max(n)
+        assert type(value) is int
+        assert value == n * n
 
 
 def test_empty_class_raises():
@@ -51,7 +50,7 @@ def test_empty_class_raises():
 
 
 def test_matches_independent_filtered_brute():
-    # value and argmax (the largest maximizer) across a constraint grid
+    # the class maximum across a constraint grid
     for n in (1, 2, 3, 4, 5, 8, 9, 12, 14, 16, 20):
         widths = (None, 1, 2, 3, max(1, n // 2), n)
         heights = (None, 1, 2, max(1, n // 2), n)
@@ -63,8 +62,7 @@ def test_matches_independent_filtered_brute():
                 with pytest.raises(EmptyClassError):
                     brute_force_max(n, **limits)
             else:
-                res = brute_force_max(n, **limits)
-                assert (res.value, res.argmax) == expected, (n, mw, mh, mr)
+                assert brute_force_max(n, **limits) == expected[0], (n, mw, mh, mr)
 
 
 @st.composite
@@ -89,8 +87,7 @@ def test_suffix_maxima_match_filtered_brute(case):
         with pytest.raises(EmptyClassError):
             brute_force_max(n, **limits)
     else:
-        res = brute_force_max(n, **limits)
-        assert (res.value, res.argmax) == expected
+        assert brute_force_max(n, **limits) == expected[0]
 
 
 def test_corner_reads_match_filtered_brute_at_every_limit():
@@ -102,19 +99,7 @@ def test_corner_reads_match_filtered_brute_at_every_limit():
                 with pytest.raises(EmptyClassError):
                     brute_force_max(n, max_width=mw, min_height=mh)
             else:
-                res = brute_force_max(n, max_width=mw, min_height=mh)
-                assert (res.value, res.argmax) == expected, (n, mw, mh)
-
-
-def test_argmax_is_first_in_enumeration_order():
-    for n in (8, 12):
-        res = brute_force_max(n, max_width=3, min_height=3)
-        firsts = [
-            rows
-            for rows in iter_partition_rows(n)
-            if matches(rows, max_width=3, min_height=3) and sum(r * r for r in rows) == res.value
-        ]
-        assert res.argmax == firsts[0]
+                assert brute_force_max(n, max_width=mw, min_height=mh) == expected[0], (n, mw, mh)
 
 
 def test_verify_enumerates_each_n_once(monkeypatch):
@@ -141,7 +126,7 @@ def test_verify_enumerates_each_n_once(monkeypatch):
         oracle._shape_maxima.cache_clear()
     assert calls == list(range(1, 13))
     assert queries == {
-        n: len(all_tuples(n)) + 2 * n + len(bounds.valid_ranks(n)) for n in range(1, 13)
+        n: len(all_tuples(n)) + 2 * n + len(list(bounds.valid_ranks(n))) for n in range(1, 13)
     }
 
 
@@ -154,7 +139,7 @@ def test_optimal_diagram_structure_attains_maximum():
             k, u, v = bounds._wh_rows(n, w, h)
             built = (w,) * k + (u,) + (1,) * v
             brute = brute_force_max(n, max_width=w, min_height=h)
-            assert sum(r * r for r in built) == brute.value
+            assert sum(r * r for r in built) == brute
 
 
 def test_box_transfer_never_decreases_square_sum():
@@ -213,6 +198,36 @@ def test_verify_reports_corrupted_bound(monkeypatch):
     monkeypatch.setattr(bounds, "max_qfi_rank", wrong_rank)
     mismatches = verify_closed_forms(4)
     assert mismatches
-    entry = mismatches[0].as_dict()
-    assert set(entry) == {"n", "class", "closed", "brute"}
-    assert entry["closed"] != entry["brute"]
+    # a plain dict; n = 1 has the one rank 0, where the limit really is 1
+    assert mismatches[0] == {"n": 2, "class": "r(-1)", "closed": 1, "brute": 2}
+    assert all(entry["closed"] != entry["brute"] for entry in mismatches)
+
+
+def _global_names(code) -> set[str]:
+    """Every global or attribute name a code object, or one nested in it, looks up."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _global_names(const)
+    return names
+
+
+def test_oracle_shares_no_code_with_the_closed_forms():
+    # the brute-force side of verify never reaches into the module it checks
+    closed_forms = {
+        name
+        for name, obj in vars(bounds).items()
+        if inspect.isfunction(obj) and obj.__module__ == bounds.__name__
+    }
+    assert {"max_qfi_wh", "max_qfi_rank", "_wh_rows", "valid_ranks"} <= closed_forms
+    for fn in (oracle._shape_table, oracle._shape_maxima.__wrapped__, oracle.brute_force_max):
+        names = _global_names(fn.__code__)
+        assert "bounds" not in names, fn.__name__
+        assert not names & closed_forms, (fn.__name__, names & closed_forms)
+    # and the enumeration imports nothing from the package
+    tree = ast.parse(inspect.getsource(partitions))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("metroent")
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("metroent") for alias in node.names)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,18 @@ def test_infer_examples():
     assert witness.infer_depth(m470) == 4
     assert witness.infer_separability(m470) == 435
     assert witness.infer_rank(m470) == -399
+
+
+def test_infer_rank_scans_the_ranks_lazily():
+    # the answer is the second realizable rank, so the scan builds no rank list
+    m = fq(100_000, "100001")
+    tracemalloc.start()
+    try:
+        assert witness.infer_rank(m) == 3 - 100_000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_shot_noise_measurement_excludes_nothing():
