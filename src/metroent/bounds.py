@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from math import isqrt
 from operator import add, mul
 from typing import Iterator
 
@@ -89,6 +90,31 @@ def wh_limit_column(n: int, w: int, *, simple: bool = False) -> range | list[int
     return column
 
 
+def wh_first_height_at_most(n: int, w: int, f_max: int, *, simple: bool = False) -> int:
+    """The first valid height of width w whose (w, h) limit is at most f_max.
+
+    Returns n + 2 - w, one past the largest valid height, when there is none.
+    The inverse of :func:`wh_limit_column`, in O(1): with t = n - h the limit
+    is n + w*t (simple) or n + k*w*(w - 1) + u*(u - 1) for
+    t = (w - 1)*k + u - 1 (tight), which rises with t, so the largest t with
+    limit <= f_max is a floor division, or for the tight limit a division
+    into blocks of w - 1 heights and an integer square root within one.
+    """
+    excess = f_max - n
+    hi = n + 1 - w
+    if excess < 0:
+        return hi + 1
+    if simple:
+        t = excess // w
+    elif w == 1:
+        t = 0  # the one height, n, whose limit n is at most f_max
+    else:
+        k, d = divmod(excess, w * (w - 1))
+        # the largest u with u*(u - 1) <= d; d < w*(w - 1) keeps it below w
+        t = (w - 1) * k + (1 + isqrt(4 * d + 1)) // 2 - 1
+    return min(max(n - t, _ceil_div(n, w)), hi + 1)
+
+
 def max_qfi_wh(n: int, w: int, h: int) -> int:
     """Largest quantum Fisher information of any (w, h)-separable state.
 
@@ -164,12 +190,20 @@ def max_qfi_rank(n: int, r: int) -> int:
     return s * s // 4 + (n - r) // 2 + 2
 
 
+def rank_limit_simple_quarters(n: int, r: int) -> int:
+    """Four times :func:`max_qfi_rank_simple`, without its validity check.
+
+    An integer: (n + r)**2 - 1 + 4*n, or 4*(n + 4) at the corner n + r == 4.
+    It is 0 or 3 modulo 4, so the limit is an integer or ends in .75.
+    """
+    s = n + r
+    return 4 * (n + 4) if s == 4 else s * s - 1 + 4 * n
+
+
 def max_qfi_rank_simple(n: int, r: int) -> Fraction:
     """Non-tight rank limit ((n + r)**2 - 1)/4 + n, with corner n + 4 at n + r == 4.
 
     Always >= :func:`max_qfi_rank`; coincides with it when n + r is odd.
     """
     _require_valid_rank(n, r)
-    if n + r == 4:
-        return Fraction(n + 4)
-    return Fraction((n + r) ** 2 - 1, 4) + n
+    return Fraction(rank_limit_simple_quarters(n, r), 4)

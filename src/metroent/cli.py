@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -24,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import bounds, oracle, tuples, witness
-from .witness import Measurement, TupleGrid, WitnessReport, fraction_to_decimal_text
+from .witness import Measurement, TupleGrid, WitnessReport
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 _BUNDLED_ALIASES = {"bundled", "bundled.csv", "published", "published.csv"}
@@ -124,6 +125,16 @@ def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
     return target
 
 
+def _rank_simple_text(n: int, r: int) -> str:
+    """:func:`bounds.max_qfi_rank_simple` as decimal text, from its integer quarters.
+
+    The other limits of ``bounds`` are ints, whose text is ``str``.
+    """
+    q = bounds.rank_limit_simple_quarters(n, r)
+    # q is 0 or 3 modulo 4
+    return f"{q >> 2}.75" if q & 3 else str(q >> 2)
+
+
 def _cmd_bounds(args) -> int:
     n = args.n
     if n < 1:
@@ -148,11 +159,11 @@ def _cmd_bounds(args) -> int:
     if args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
     elif args.cls == "r":
-        f = bounds.max_qfi_rank_simple if args.simple else bounds.max_qfi_rank
+        f = _rank_simple_text if args.simple else bounds.max_qfi_rank
         xs = bounds.valid_ranks(n)
     write("x,f\n")
     for x in xs:
-        write(f"{x},{fraction_to_decimal_text(f(n, x))}\n")
+        write(f"{x},{f(n, x)}\n")
     return 0
 
 
@@ -245,7 +256,15 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call and reused after.
+
+    Building it costs far more than parsing one command line, and a process
+    that calls :func:`main` many times would otherwise pay that per call.
+    Reuse is safe: ``parse_args`` leaves the parser unchanged, and help and
+    usage text read the terminal width when they are printed.
+    """
     parser = argparse.ArgumentParser(
         prog="metroent",
         description="Exact metrological bounds and witnesses for multipartite entanglement classes.",

@@ -13,6 +13,7 @@ limits are attainable, so exclusion requires strictly exceeding them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -106,65 +107,74 @@ class Measurement:
         return 2 * self.n * (1 - q) / q
 
 
+def _ratio(m: Measurement) -> tuple[int, int]:
+    """The exclusion threshold as (numerator, denominator): f is excluded iff f*den < num."""
+    threshold = m.exclusion_threshold()
+    return threshold.numerator, threshold.denominator
+
+
 def infer_depth(m: Measurement, *, simple: bool = False) -> int:
     """Smallest producibility w compatible with the measurement.
 
-    Returns n + 1 when even the genuine n-partite limit n**2 is exceeded
-    (an unphysical measurement; no separable description remains).
+    The width limit never falls in w, so a bisection finds the first
+    compatible width in O(log n) exact-integer comparisons.  Returns n + 1
+    when even the genuine n-partite limit n**2 is exceeded (an unphysical
+    measurement; no separable description remains).
     """
     f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-    threshold = m.exclusion_threshold()
-    return next((w for w in range(1, m.n + 1) if f(m.n, w) >= threshold), m.n + 1)
+    n = m.n
+    num, den = _ratio(m)
+    return 1 + bisect_left(range(1, n + 1), True, key=lambda w: f(n, w) * den >= num)
 
 
 def infer_separability(m: Measurement) -> int:
     """Largest number of separable groups h compatible with the measurement.
 
-    Returns 0 when no h is compatible.  The height limit has no simpler
-    variant, so the same h serves both bound modes.
+    The height limit never rises in h, so a bisection over the heights from
+    n down finds it in O(log n) exact-integer comparisons.  Returns 0 when
+    no h is compatible.  The height limit has no simpler variant, so the
+    same h serves both bound modes.
     """
-    threshold = m.exclusion_threshold()
-    return next(
-        (h for h in range(m.n, 0, -1) if bounds.max_qfi_height(m.n, h) >= threshold), 0
-    )
+    n = m.n
+    num, den = _ratio(m)
+    heights = range(n, 0, -1)
+    return n - bisect_left(heights, True, key=lambda h: bounds.max_qfi_height(n, h) * den >= num)
 
 
 def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     """Smallest Dyson rank compatible with the measurement.
 
-    Returns n (one past the largest realizable rank) when nothing is
-    compatible.
+    The rank limit never falls in r, so a bisection over -(n - 1)..n - 1
+    finds it in O(log n) exact comparisons.  The unrealizable ranks
+    +-(n - 2) read the limit of the rank one above, so a search that stops
+    on one answers that rank.  Returns n (one past the largest realizable
+    rank) when nothing is compatible.
     """
     f = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
-    threshold = m.exclusion_threshold()
-    return next((r for r in bounds.valid_ranks(m.n) if f(m.n, r) >= threshold), m.n)
+    n = m.n
+    num, den = _ratio(m)
+
+    def key(r):
+        return f(n, r + (abs(r) == n - 2)) * den >= num
+
+    r = 1 - n + bisect_left(range(1 - n, n), True, key=key)
+    return r + (abs(r) == n - 2)
 
 
 def _width_segments(m: Measurement, simple: bool):
     """Yield (w, lo, hi, p) for every width w = 1..n.
 
     Width w's valid heights are lo = ceil(n/w) <= h <= hi = n + 1 - w, and
-    the (w, h) limit excludes exactly the heights p <= h <= hi.  The limit
-    falls in h and rises in w, so p carries over to w + 1 (clamped to
-    hi + 1) while p - 1 is a compatible height of w that w + 1 shares;
-    otherwise it restarts at ceil(n/(w+1)).  Each comparison is exact: the
-    integer limit times the threshold's denominator against its numerator.
+    the (w, h) limit excludes exactly the heights p <= h <= hi.  A limit is
+    an integer, so it is excluded iff it is at most ceil(T) - 1 for the
+    threshold T, and :func:`bounds.wh_first_height_at_most` gives each
+    width's p in O(1), with no limit evaluated.
     """
     n = m.n
-    threshold = m.exclusion_threshold()
-    num, den = threshold.numerator, threshold.denominator
-    f_wh = bounds.wh_limit_simple if simple else bounds.wh_limit
-    p = 0  # first excluded height of the previous width
-    prev_lo = n + 1
+    num, den = _ratio(m)
+    f_max = -(-num // den) - 1
     for w in range(1, n + 1):
-        lo, hi = -(-n // w), n + 1 - w
-        p = min(p, hi + 1)
-        if p - 1 < prev_lo:
-            p = lo
-        while p <= hi and f_wh(n, w, p) * den >= num:
-            p += 1
-        yield w, lo, hi, p
-        prev_lo = lo
+        yield w, -(-n // w), n + 1 - w, bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
 
 
 def exclusion_counts(
@@ -174,9 +184,18 @@ def exclusion_counts(
 
     The class families are nested, so the W, H and R flags cut each width's
     height interval once: w < depth, h > separability and h > w - rank.
+    The walk stops at the first width that excludes nothing (p > hi).  Its
+    largest height hi has the width's smallest limit, n + w*(w - 1), which
+    rises with w, so no wider width excludes a tuple.  Nor has any wider
+    width a W, H or R flag: each would also flag this width's tuple (w, hi),
+    and so exclude it, since in both bound modes the limits of its width,
+    height and rank classes are at least its own (the rank class, with
+    n + rank = 2w - 1 odd, has exactly its limit).
     """
     by_w = by_h = by_r = by_wh = 0
     for w, lo, hi, p in _width_segments(m, simple):
+        if p > hi:
+            break
         if w < depth:
             by_w += hi - lo + 1
         by_h += max(0, hi - max(lo, separability + 1) + 1)
@@ -222,9 +241,10 @@ class WitnessReport:
 def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     """Full inference for one measurement: w, h, r, counts, advantage.
 
-    The counts cost O(n) work; no per-tuple grid is built here.
-    :func:`build_grid` expands the same width segments into ``grid.csv``
-    rows when one is wanted.
+    w, h and r cost O(log n) exact comparisons each and the counts O(1)
+    per width up to the last width with an excluded tuple, at most n; no
+    per-tuple grid is built here.  :func:`build_grid` expands the same width
+    segments into ``grid.csv`` rows when one is wanted.
     """
     depth = infer_depth(m, simple=simple)
     separability = infer_separability(m)

@@ -3,8 +3,9 @@
 Deliberately different algorithms from the package: partitions come from
 Kelleher's ascending-composition generator (the package runs ZS1 over
 descending parts), counts come from the classic bounded-part recurrence,
-and the per-tuple exclusion grid compares every tuple with its own class
-limits instead of walking the (w, h) staircase.
+the inferred w, h and r come from linear scans instead of bisection, and
+the per-tuple exclusion grid compares every tuple with its own class
+limits instead of solving the (w, h) staircase per width.
 """
 
 from __future__ import annotations
@@ -78,6 +79,27 @@ def brute_max_squares(n, max_width=None, min_height=None, max_rank=None):
         ),
         default=None,
     )
+
+
+def scan_depth(m, simple: bool) -> int:
+    """The first compatible width by a linear scan, n + 1 when there is none."""
+    f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
+    threshold = m.exclusion_threshold()
+    return next((w for w in range(1, m.n + 1) if f(m.n, w) >= threshold), m.n + 1)
+
+
+def scan_separability(m) -> int:
+    """The last compatible height by a linear scan down from n, 0 when there is none."""
+    threshold = m.exclusion_threshold()
+    heights = range(m.n, 0, -1)
+    return next((h for h in heights if bounds.max_qfi_height(m.n, h) >= threshold), 0)
+
+
+def scan_rank(m, simple: bool) -> int:
+    """The first compatible realizable rank by a linear scan, n when there is none."""
+    f = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    threshold = m.exclusion_threshold()
+    return next((r for r in bounds.valid_ranks(m.n) if f(m.n, r) >= threshold), m.n)
 
 
 class ReferenceCell(NamedTuple):

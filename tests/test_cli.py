@@ -257,6 +257,43 @@ def test_bounds_streams_its_rows(monkeypatch, argv):
     assert peak < 1_000_000
 
 
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    # main reuses one parser, and each call prints what it prints in a fresh
+    # process: parsing leaves the parser as it was, and help text reads the
+    # terminal width when it is printed
+    src = Path(cli.__file__).resolve().parents[1]
+    calls = [
+        ("80", ["analyze", "--n", "14", "--fq", "40.4"]),
+        ("80", ["bounds", "--n", "6", "--class", "r", "--simple"]),
+        ("80", ["analyze", "--n", "five", "--fq", "6"]),
+        ("80", ["--help"]),
+        ("80", ["analyze", "--help"]),
+        ("120", ["analyze", "--help"]),
+        ("120", ["--help"]),
+        ("80", ["analyze", "--n", "14", "--fq", "40.4", "--simple"]),
+    ]
+    parser = cli._build_parser()
+    results = []
+    for columns, argv in calls:
+        monkeypatch.setenv("COLUMNS", columns)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "metroent.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is parser
+        results.append((code, out, err))
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert results[4] != results[5]  # the usage line is wrapped to each width
+
+
 def test_analyze_single_measurement(capsys):
     assert main(["analyze", "--n", "14", "--fq", "40.4"]) == 0
     out = capsys.readouterr().out

@@ -6,9 +6,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from support import cell_flags, grid_counts, reference_grid_rows
+from support import (
+    cell_flags,
+    grid_counts,
+    reference_grid_rows,
+    scan_depth,
+    scan_rank,
+    scan_separability,
+)
 
 from metroent import bounds, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width, wh_limit_simple
@@ -121,7 +128,7 @@ def test_infer_examples():
 
 
 def test_infer_rank_scans_the_ranks_lazily():
-    # the answer is the second realizable rank, so the scan builds no rank list
+    # the answer is the second realizable rank; the search builds no rank list
     m = fq(100_000, "100001")
     tracemalloc.start()
     try:
@@ -316,6 +323,108 @@ def test_counts_match_the_grid(monkeypatch):
     monkeypatch.setattr(witness, "build_grid", no_grid)
     for (m, simple), counts in expected.items():
         assert witness.analyze(m, simple=simple).counts == counts, (m, simple)
+
+
+FAMILIES = ("w", "h", "r", "wh")
+# on a limit, 1 below it and 0.5 above it
+OFFSETS = (Fraction(0), Fraction(-1), Fraction(1, 2))
+
+
+def _family_limit(n, family, simple, pick):
+    """One limit of a class family at n, chosen by ``pick``, in either bound mode."""
+    if family == "w":
+        f = bounds.max_qfi_width_simple if simple else max_qfi_width
+        return f(n, 1 + pick % n)
+    if family == "h":
+        return bounds.max_qfi_height(n, 1 + pick % n)
+    if family == "r":
+        ranks = list(bounds.valid_ranks(n))
+        f = bounds.max_qfi_rank_simple if simple else max_qfi_rank
+        return f(n, ranks[pick % len(ranks)])
+    column = list(bounds.wh_limit_column(n, 1 + pick % n, simple=simple))
+    return column[pick // n % len(column)]
+
+
+def _fq_near_limit(n, family, simple, pick, offset):
+    value = _family_limit(n, family, simple, pick) + offset
+    assume(value > 0)
+    return fq(n, fraction_to_decimal_text(value))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(1, 500),
+    simple=st.booleans(),
+    family=st.sampled_from(FAMILIES),
+    pick=st.integers(0, 10**6),
+    offset=st.sampled_from(OFFSETS),
+)
+# the rank hole +-(n - 2) at its edges: n = 2 has the hole 0 between -1 and
+# 1, n = 3 the holes -1 and 1 beside 0, n = 4 the holes next to -3 and 3
+@example(n=1, simple=False, family="r", pick=0, offset=Fraction(0))
+@example(n=1, simple=True, family="r", pick=0, offset=Fraction(1, 2))
+@example(n=2, simple=False, family="r", pick=0, offset=Fraction(1, 2))
+@example(n=2, simple=True, family="r", pick=0, offset=Fraction(0))
+@example(n=3, simple=False, family="r", pick=0, offset=Fraction(1, 2))
+@example(n=3, simple=True, family="r", pick=1, offset=Fraction(1, 2))
+@example(n=4, simple=False, family="r", pick=0, offset=Fraction(1, 2))
+@example(n=4, simple=True, family="r", pick=3, offset=Fraction(1, 2))
+@example(n=4, simple=False, family="r", pick=4, offset=Fraction(1, 2))
+def test_inference_matches_a_linear_scan(n, simple, family, pick, offset):
+    m = _fq_near_limit(n, family, simple, pick, offset)
+    assert witness.infer_depth(m, simple=simple) == scan_depth(m, simple)
+    assert witness.infer_separability(m) == scan_separability(m)
+    assert witness.infer_rank(m, simple=simple) == scan_rank(m, simple)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    n=st.integers(1, 150),
+    simple=st.booleans(),
+    family=st.sampled_from(FAMILIES),
+    pick=st.integers(0, 10**6),
+    offset=st.sampled_from(OFFSETS),
+)
+@example(n=150, simple=False, family="wh", pick=149, offset=Fraction(0))
+@example(n=150, simple=True, family="wh", pick=10**6, offset=Fraction(-1))
+def test_width_segments_solve_each_width(n, simple, family, pick, offset):
+    # each width's first excluded height is the first h in lo..hi whose (w, h)
+    # limit is below the threshold
+    m = _fq_near_limit(n, family, simple, pick, offset)
+    threshold = m.exclusion_threshold()
+    num, den = threshold.numerator, threshold.denominator
+    f_wh = wh_limit_simple if simple else bounds.wh_limit
+    segments = list(witness._width_segments(m, simple))
+    assert [w for w, *_ in segments] == list(range(1, n + 1))
+    for w, lo, hi, p in segments:
+        assert (lo, hi) == (-(-n // w), n + 1 - w)
+        first = next((h for h in range(lo, hi + 1) if f_wh(n, w, h) * den < num), hi + 1)
+        assert p == first, (m, simple, w)
+
+
+def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
+    # ROADMAP item 2's guard row at n = 10**6: no per-height limit is
+    # evaluated, and the walk stops soon after the last width with a flag
+    def refuse(n, w, h):
+        raise AssertionError("per-height limit evaluated")
+
+    monkeypatch.setattr(bounds, "wh_limit", refuse)
+    monkeypatch.setattr(bounds, "wh_limit_simple", refuse)
+    widths = []
+    segments = witness._width_segments
+
+    def counting(m, simple):
+        for segment in segments(m, simple):
+            widths.append(segment[0])
+            yield segment
+
+    monkeypatch.setattr(witness, "_width_segments", counting)
+    rep = witness.analyze(fq(10**6, "30000000"))
+    assert (rep.depth, rep.separability, rep.rank) == (31, 994615, -989229)
+    assert rep.counts == {
+        "by_w": 26004595, "by_h": 14496421, "by_r": 28992841, "by_wh": 164147146,
+    }
+    assert len(widths) < 6000
 
 
 def test_rank_plus_n_stays_in_range():
