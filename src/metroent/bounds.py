@@ -11,23 +11,13 @@ exclusion decisions built on these values are bit-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, cycle, islice
 from math import isqrt
-from operator import add, mul
 from typing import Iterator
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _require_valid_tuple(n: int, w: int, h: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (1 <= w <= n and 1 <= h <= n and _ceil_div(n, w) <= h <= n + 1 - w):
-        raise ValueError(
-            f"(w={w}, h={h}) is not a realizable width/height pair for n={n}"
-        )
 
 
 def _wh_rows(n: int, w: int, h: int) -> tuple[int, int, int]:
@@ -46,47 +36,27 @@ def _wh_rows(n: int, w: int, h: int) -> tuple[int, int, int]:
     return k, n - h + 1 - (w - 1) * k, h - k - 1
 
 
-def wh_limit(n: int, w: int, h: int) -> int:
-    """:func:`max_qfi_wh` without its validity check, for loops over valid tuples.
-
-    Since n = k*w + u + v, the value k*w**2 + u**2 + v equals
-    n + k*w*(w - 1) + u*(u - 1); :func:`wh_limit_column` builds on that form.
-    """
-    k, u, v = _wh_rows(n, w, h)
-    return k * w * w + u * u + v
-
-
 def wh_limit_simple(n: int, w: int, h: int) -> int:
-    """Non-tight limit w*(n - h) + n of a valid (w, h); dominates :func:`wh_limit`."""
+    """Non-tight limit w*(n - h) + n of a valid (w, h); dominates :func:`max_qfi_wh`."""
     return w * (n - h) + n
 
 
 def wh_limit_column(n: int, w: int, *, simple: bool = False) -> range | list[int]:
-    """:func:`wh_limit` (or :func:`wh_limit_simple`) at every valid height of width w.
+    """:func:`max_qfi_wh` (or :func:`wh_limit_simple`) at every valid height of width w.
 
-    The heights ascend from ceil(n/w) to n + 1 - w.  For w >= 2 write
-    n - h = (w - 1)*k + u - 1 with 1 <= u <= w - 1, so the limit is
-    n + k*w*(w - 1) + u*(u - 1).  This k is the quotient of :func:`_wh_rows`
-    without its cap: at n == w*h it gives k = h and u = 1 where the cap gives
-    k = h - 1 and u = w, and both equal n*w there.  k is constant on blocks
-    of w - 1 heights, within which u falls by one per height, so each block
-    is a constant plus the pronic numbers u*(u - 1) in reverse: one ``map``
-    per block, none per height.
+    The heights ascend from ceil(n/w) to n + 1 - w.  With t = n - h and
+    k, j = divmod(t, w - 1) the tight limit is n + k*w*(w - 1) + j*(j + 1),
+    so going from t to t + 1 adds 2*(j + 1), also across a block end.  The
+    column is therefore n + w*(w - 1), the limit at the largest height, plus
+    a running sum of the steps 2, 4, ..., 2*(w - 1) repeated, read backwards.
+    For w == 1 there are no steps and the column is [n].
     """
     lo = _ceil_div(n, w)
     if simple:
         return range(w * (n - lo) + n, n + w * (w - 1) - 1, -w)
-    if w == 1:
-        return [n]
-    # blocks k_first, ..., 1; the first one starts at u = r_first + 1
-    k_first, r_first = divmod(n - lo, w - 1)
-    u_max = w - 1 if k_first > 1 else r_first + 1
-    # u*(u - 1) for u = u_max, ..., 1
-    pronic = list(map(mul, range(u_max, 0, -1), range(u_max - 1, -1, -1)))
-    step = w * (w - 1)
-    column = list(map(add, repeat(n + k_first * step), pronic[u_max - 1 - r_first :]))
-    for k in range(k_first - 1, 0, -1):
-        column += map(add, repeat(n + k * step), pronic)
+    steps = islice(cycle(range(2, 2 * w, 2)), n + 1 - w - lo)
+    column = list(accumulate(steps, initial=n + w * (w - 1)))
+    column.reverse()
     return column
 
 
@@ -94,11 +64,11 @@ def wh_first_height_at_most(n: int, w: int, f_max: int, *, simple: bool = False)
     """The first valid height of width w whose (w, h) limit is at most f_max.
 
     Returns n + 2 - w, one past the largest valid height, when there is none.
-    The inverse of :func:`wh_limit_column`, in O(1): with t = n - h the limit
-    is n + w*t (simple) or n + k*w*(w - 1) + u*(u - 1) for
-    t = (w - 1)*k + u - 1 (tight), which rises with t, so the largest t with
-    limit <= f_max is a floor division, or for the tight limit a division
-    into blocks of w - 1 heights and an integer square root within one.
+    The inverse of :func:`wh_limit_column`'s running sum, in O(1): with
+    t = n - h the limit is n + w*t (simple) or n + k*w*(w - 1) + j*(j + 1)
+    for k, j = divmod(t, w - 1) (tight), which rises with t, so the largest
+    t with limit <= f_max is a floor division, or for the tight limit a
+    division into blocks of w - 1 heights and an integer square root within one.
     """
     excess = f_max - n
     hi = n + 1 - w
@@ -110,20 +80,27 @@ def wh_first_height_at_most(n: int, w: int, f_max: int, *, simple: bool = False)
         t = 0  # the one height, n, whose limit n is at most f_max
     else:
         k, d = divmod(excess, w * (w - 1))
-        # the largest u with u*(u - 1) <= d; d < w*(w - 1) keeps it below w
-        t = (w - 1) * k + (1 + isqrt(4 * d + 1)) // 2 - 1
+        # the largest j with j*(j + 1) <= d; d < w*(w - 1) keeps it below w - 1
+        t = (w - 1) * k + (isqrt(4 * d + 1) - 1) // 2
     return min(max(n - t, _ceil_div(n, w)), hi + 1)
 
 
 def max_qfi_wh(n: int, w: int, h: int) -> int:
     """Largest quantum Fisher information of any (w, h)-separable state.
 
-    Exact integer; equals the true maximum of the squared-row sum over
-    partitions of n with width <= w and height >= h, attained at width
-    exactly w and height exactly h.
+    The closed form k*w**2 + u**2 + v from the maximizing rows of
+    :func:`_wh_rows`.  Exact integer; equals the true maximum of the
+    squared-row sum over partitions of n with width <= w and height >= h,
+    attained at width exactly w and height exactly h.
     """
-    _require_valid_tuple(n, w, h)
-    return wh_limit(n, w, h)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (1 <= w <= n and 1 <= h <= n and _ceil_div(n, w) <= h <= n + 1 - w):
+        raise ValueError(
+            f"(w={w}, h={h}) is not a realizable width/height pair for n={n}"
+        )
+    k, u, v = _wh_rows(n, w, h)
+    return k * w * w + u * u + v
 
 
 def max_qfi_width(n: int, w: int) -> int:

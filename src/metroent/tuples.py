@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 
 from . import bounds
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+from .bounds import _ceil_div
 
 
 def heights(n: int, w: int) -> range:

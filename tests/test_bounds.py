@@ -1,12 +1,13 @@
 """Tests for the closed-form class sensitivity limits."""
 
+import random
 from fractions import Fraction
 from itertools import accumulate, repeat
 
 import pytest
 from support import partitions_desc
 
-from metroent import bounds, tuples
+from metroent import bounds, cli, tuples
 
 
 def test_max_qfi_wh_examples():
@@ -61,7 +62,7 @@ def test_rectangle_tuples():
 
 def _check_limit_column(n, w):
     hs = tuples.heights(n, w)
-    assert list(bounds.wh_limit_column(n, w)) == [bounds.wh_limit(n, w, h) for h in hs]
+    assert list(bounds.wh_limit_column(n, w)) == [bounds.max_qfi_wh(n, w, h) for h in hs]
     simple = list(bounds.wh_limit_column(n, w, simple=True))
     assert simple == [bounds.wh_limit_simple(n, w, h) for h in hs]
 
@@ -77,6 +78,14 @@ def test_limit_column_matches_the_per_tuple_limits():
                 _check_limit_column(n, w)
     for n in (401, 1000, 2000):
         _check_limit_column(n, 1)
+    # n = cli.MAX_WH_TABLE_N, the largest n a column serves: every rectangle
+    # width (the running sum ends exactly on a block), both ends, and a sample
+    n = cli.MAX_WH_TABLE_N
+    rng = random.Random(2000)
+    widths = {w for w in range(1, n + 1) if n % w == 0}
+    widths |= {2, 3, n - 1, n, *rng.sample(range(4, n - 1), 20)}
+    for w in sorted(widths):
+        _check_limit_column(n, w)
 
 
 def test_max_qfi_wh_simple_examples():

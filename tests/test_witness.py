@@ -387,13 +387,16 @@ def test_inference_matches_a_linear_scan(n, simple, family, pick, offset):
 )
 @example(n=150, simple=False, family="wh", pick=149, offset=Fraction(0))
 @example(n=150, simple=True, family="wh", pick=10**6, offset=Fraction(-1))
+# n = 2000, the largest n a column serves, on the rectangle widths 16 and 50
+@example(n=2000, simple=False, family="wh", pick=15, offset=Fraction(0))
+@example(n=2000, simple=True, family="wh", pick=2049, offset=Fraction(-1))
 def test_width_segments_solve_each_width(n, simple, family, pick, offset):
     # each width's first excluded height is the first h in lo..hi whose (w, h)
     # limit is below the threshold
     m = _fq_near_limit(n, family, simple, pick, offset)
     threshold = m.exclusion_threshold()
     num, den = threshold.numerator, threshold.denominator
-    f_wh = wh_limit_simple if simple else bounds.wh_limit
+    f_wh = wh_limit_simple if simple else max_qfi_wh
     segments = list(witness._width_segments(m, simple))
     assert [w for w, *_ in segments] == list(range(1, n + 1))
     for w, lo, hi, p in segments:
@@ -408,7 +411,8 @@ def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
     def refuse(n, w, h):
         raise AssertionError("per-height limit evaluated")
 
-    monkeypatch.setattr(bounds, "wh_limit", refuse)
+    monkeypatch.setattr(bounds, "max_qfi_wh", refuse)
+    monkeypatch.setattr(bounds, "_wh_rows", refuse)
     monkeypatch.setattr(bounds, "wh_limit_simple", refuse)
     widths = []
     segments = witness._width_segments
