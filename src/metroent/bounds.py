@@ -4,13 +4,14 @@ For each class of partitions -- bounded width w (producibility), minimum
 height h (separability), bounded Dyson rank r, or a (w, h) pair -- these
 closed forms give the exact maximum of the quantum Fisher information over
 the class, together with simpler non-tight variants.  Everything is integer
-or exact-rational arithmetic; no floats enter any computation here, so
-exclusion decisions built on these values are bit-reproducible.
+arithmetic: each limit is an int, and the one non-integer limit, the simple
+rank limit, is given as an integer number of quarters.  No floats and no
+rationals enter any computation here, so exclusion decisions built on these
+values are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, cycle, islice
 from math import isqrt
 from typing import Iterator
@@ -154,7 +155,7 @@ def max_qfi_rank(n: int, r: int) -> int:
     against brute force by :func:`metroent.oracle.verify_closed_forms`.
     ``tests/test_bounds.py::test_marginals_consistent_with_grid_maxima``,
     which checks that this limit is the largest (w, h) limit over w - h <= r,
-    finds no special case beyond n + r = 10 and 16 for n <= 250 and n = 1000.
+    finds no special case beyond n + r = 10 and 16 for n <= 250 and n = 1000, 2000.
     """
     _require_valid_rank(n, r)
     s = n + r
@@ -168,19 +169,12 @@ def max_qfi_rank(n: int, r: int) -> int:
 
 
 def rank_limit_simple_quarters(n: int, r: int) -> int:
-    """Four times :func:`max_qfi_rank_simple`, without its validity check.
+    """Four times the non-tight rank limit ((n + r)**2 - 1)/4 + n, at a valid rank r.
 
     An integer: (n + r)**2 - 1 + 4*n, or 4*(n + 4) at the corner n + r == 4.
-    It is 0 or 3 modulo 4, so the limit is an integer or ends in .75.
+    It is 0 or 3 modulo 4, so the limit is an integer or ends in .75.  It is
+    at least 4 * :func:`max_qfi_rank`, with equality when n + r is odd.  The
+    rank is not checked.
     """
     s = n + r
     return 4 * (n + 4) if s == 4 else s * s - 1 + 4 * n
-
-
-def max_qfi_rank_simple(n: int, r: int) -> Fraction:
-    """Non-tight rank limit ((n + r)**2 - 1)/4 + n, with corner n + 4 at n + r == 4.
-
-    Always >= :func:`max_qfi_rank`; coincides with it when n + r is odd.
-    """
-    _require_valid_rank(n, r)
-    return Fraction(rank_limit_simple_quarters(n, r), 4)

@@ -126,7 +126,7 @@ def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
 
 
 def _rank_simple_text(n: int, r: int) -> str:
-    """:func:`bounds.max_qfi_rank_simple` as decimal text, from its integer quarters.
+    """The simple rank limit as decimal text, from its integer quarters.
 
     The other limits of ``bounds`` are ints, whose text is ``str``.
     """

@@ -52,6 +52,7 @@ class Measurement:
     unit: str = "none"
     reference: str = ""
     _quantity: Fraction = field(init=False, repr=False, compare=False)
+    _threshold: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the label names the record's directory under --out
@@ -89,6 +90,7 @@ class Measurement:
         if self.kind == KIND_SQUEEZING and q <= 0:
             raise ValueError(f"linear xi**2 must be positive, got {self.value}")
         object.__setattr__(self, "_quantity", q)
+        object.__setattr__(self, "_threshold", self.exclusion_threshold())
 
     def quantity(self) -> Fraction:
         """The measured quantity on linear scale, as an exact rational."""
@@ -99,7 +101,7 @@ class Measurement:
 
         For a QFI lower bound F this is F itself.  A squeezing upper bound
         xi**2 excludes a class when xi**2 < 2n/(f + 2n), which rearranges to
-        f < 2n(1 - xi**2)/xi**2.
+        f < 2n(1 - xi**2)/xi**2.  Worked out once, by :meth:`__post_init__`.
         """
         q = self._quantity
         if self.kind == KIND_QFI:
@@ -107,10 +109,10 @@ class Measurement:
         return 2 * self.n * (1 - q) / q
 
 
-def _ratio(m: Measurement) -> tuple[int, int]:
-    """The exclusion threshold as (numerator, denominator): f is excluded iff f*den < num."""
-    threshold = m.exclusion_threshold()
-    return threshold.numerator, threshold.denominator
+def _cut(m: Measurement, scale: int = 1) -> int:
+    """ceil(scale*T) for the threshold T: an integer scale*f is excluded iff it is below this."""
+    t = m._threshold
+    return -(-scale * t.numerator // t.denominator)
 
 
 def infer_depth(m: Measurement, *, simple: bool = False) -> int:
@@ -123,8 +125,8 @@ def infer_depth(m: Measurement, *, simple: bool = False) -> int:
     """
     f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
     n = m.n
-    num, den = _ratio(m)
-    return 1 + bisect_left(range(1, n + 1), True, key=lambda w: f(n, w) * den >= num)
+    cut = _cut(m)
+    return 1 + bisect_left(range(1, n + 1), True, key=lambda w: f(n, w) >= cut)
 
 
 def infer_separability(m: Measurement) -> int:
@@ -136,9 +138,9 @@ def infer_separability(m: Measurement) -> int:
     same h serves both bound modes.
     """
     n = m.n
-    num, den = _ratio(m)
+    cut = _cut(m)
     heights = range(n, 0, -1)
-    return n - bisect_left(heights, True, key=lambda h: bounds.max_qfi_height(n, h) * den >= num)
+    return n - bisect_left(heights, True, key=lambda h: bounds.max_qfi_height(n, h) >= cut)
 
 
 def infer_rank(m: Measurement, *, simple: bool = False) -> int:
@@ -148,14 +150,14 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     finds it in O(log n) exact comparisons.  The unrealizable ranks
     +-(n - 2) read the limit of the rank one above, so a search that stops
     on one answers that rank.  Returns n (one past the largest realizable
-    rank) when nothing is compatible.
+    rank) when nothing is compatible.  The simple limit is read in quarters.
     """
-    f = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    f = bounds.rank_limit_simple_quarters if simple else bounds.max_qfi_rank
     n = m.n
-    num, den = _ratio(m)
+    cut = _cut(m, 4 if simple else 1)
 
     def key(r):
-        return f(n, r + (abs(r) == n - 2)) * den >= num
+        return f(n, r + (abs(r) == n - 2)) >= cut
 
     r = 1 - n + bisect_left(range(1 - n, n), True, key=key)
     return r + (abs(r) == n - 2)
@@ -166,13 +168,12 @@ def _width_segments(m: Measurement, simple: bool):
 
     Width w's valid heights are lo = ceil(n/w) <= h <= hi = n + 1 - w, and
     the (w, h) limit excludes exactly the heights p <= h <= hi.  A limit is
-    an integer, so it is excluded iff it is at most ceil(T) - 1 for the
-    threshold T, and :func:`bounds.wh_first_height_at_most` gives each
-    width's p in O(1), with no limit evaluated.
+    an integer, so it is excluded iff it is at most :func:`_cut` - 1, and
+    :func:`bounds.wh_first_height_at_most` gives each width's p in O(1),
+    with no limit evaluated.
     """
     n = m.n
-    num, den = _ratio(m)
-    f_max = -(-num // den) - 1
+    f_max = _cut(m) - 1
     for w in range(1, n + 1):
         yield w, -(-n // w), n + 1 - w, bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
 

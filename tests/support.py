@@ -10,6 +10,7 @@ limits instead of solving the (w, h) staircase per width.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from metroent import bounds, tuples
@@ -81,6 +82,11 @@ def brute_max_squares(n, max_width=None, min_height=None, max_rank=None):
     )
 
 
+def rank_limit_simple(n, r) -> Fraction:
+    """The simple rank limit as an exact rational, from its integer quarters."""
+    return Fraction(bounds.rank_limit_simple_quarters(n, r), 4)
+
+
 def scan_depth(m, simple: bool) -> int:
     """The first compatible width by a linear scan, n + 1 when there is none."""
     f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
@@ -97,7 +103,7 @@ def scan_separability(m) -> int:
 
 def scan_rank(m, simple: bool) -> int:
     """The first compatible realizable rank by a linear scan, n when there is none."""
-    f = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    f = rank_limit_simple if simple else bounds.max_qfi_rank
     threshold = m.exclusion_threshold()
     return next((r for r in bounds.valid_ranks(m.n) if f(m.n, r) >= threshold), m.n)
 
@@ -128,7 +134,7 @@ def reference_grid_rows(m, simple: bool) -> list[ReferenceCell]:
     n, threshold = m.n, m.exclusion_threshold()
     f_wh = bounds.wh_limit_simple if simple else bounds.max_qfi_wh
     f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-    f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    f_r = rank_limit_simple if simple else bounds.max_qfi_rank
     out_w = {w: f_w(n, w) < threshold for w in range(1, n + 1)}
     out_h = {h: bounds.max_qfi_height(n, h) < threshold for h in range(1, n + 1)}
     out_r = {r: f_r(n, r) < threshold for r in bounds.valid_ranks(n)}

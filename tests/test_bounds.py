@@ -1,7 +1,8 @@
 """Tests for the closed-form class sensitivity limits."""
 
+import ast
+import inspect
 import random
-from fractions import Fraction
 from itertools import accumulate, repeat
 
 import pytest
@@ -195,12 +196,13 @@ def test_max_qfi_rank_rejects_invalid_ranks():
 
 
 def test_max_qfi_rank_simple():
-    assert bounds.max_qfi_rank_simple(14, -3) == Fraction(44)
-    assert bounds.max_qfi_rank_simple(8, -4) == 12  # corner n + r == 4
-    assert bounds.max_qfi_rank_simple(14, -4) == Fraction(99, 4) + 14
+    # in quarters: 44, the corner n + r == 4 at 12, and 99/4 + 14
+    assert bounds.rank_limit_simple_quarters(14, -3) == 176
+    assert bounds.rank_limit_simple_quarters(8, -4) == 48
+    assert bounds.rank_limit_simple_quarters(14, -4) == 155
     for n in range(1, 61):
         for r in bounds.valid_ranks(n):
-            assert bounds.max_qfi_rank_simple(n, r) >= bounds.max_qfi_rank(n, r)
+            assert bounds.rank_limit_simple_quarters(n, r) >= 4 * bounds.max_qfi_rank(n, r)
 
 
 def _lattice_maxima(n):
@@ -229,7 +231,7 @@ def _lattice_maxima(n):
 
 def test_marginals_consistent_with_grid_maxima():
     # each marginal closed form is the maximum of the (w, h) limit over its class
-    for n in [*range(1, 251), 1000]:
+    for n in [*range(1, 251), 1000, cli.MAX_WH_TABLE_N]:
         by_w, by_h, by_r = _lattice_maxima(n)
         assert by_w == [bounds.max_qfi_width(n, w) for w in range(1, n + 1)], n
         assert by_h == [bounds.max_qfi_height(n, h) for h in range(1, n + 1)], n
@@ -246,3 +248,18 @@ def test_all_bounds_are_exact_integers():
             assert isinstance(bounds.max_qfi_height(n, w), int)
         for r in bounds.valid_ranks(n):
             assert isinstance(bounds.max_qfi_rank(n, r), int)
+            q = bounds.rank_limit_simple_quarters(n, r)
+            assert isinstance(q, int) and q % 4 in (0, 3), (n, r)
+
+
+def test_bounds_names_no_fraction():
+    # bounds is integer arithmetic only: no rational enters a class limit
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(bounds))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+    assert not names & {"Fraction", "fractions"}

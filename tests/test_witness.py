@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from support import (
     cell_flags,
     grid_counts,
+    rank_limit_simple,
     reference_grid_rows,
     scan_depth,
     scan_rank,
@@ -280,7 +281,7 @@ def test_class_limits_are_monotone(n, simple):
     # the nesting build_grid and exclusion_counts rely on: width and rank limits never fall,
     # height limits never rise
     f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-    f_r = bounds.max_qfi_rank_simple if simple else bounds.max_qfi_rank
+    f_r = rank_limit_simple if simple else bounds.max_qfi_rank
     widths = [f_w(n, w) for w in range(1, n + 1)]
     heights = [bounds.max_qfi_height(n, h) for h in range(1, n + 1)]
     ranks = [f_r(n, r) for r in bounds.valid_ranks(n)]
@@ -326,8 +327,9 @@ def test_counts_match_the_grid(monkeypatch):
 
 
 FAMILIES = ("w", "h", "r", "wh")
-# on a limit, 1 below it and 0.5 above it
-OFFSETS = (Fraction(0), Fraction(-1), Fraction(1, 2))
+# on a limit, 1 below it, 0.5 above it and a quarter either side, where an
+# integer cut for the simple rank limit must be taken in quarters
+OFFSETS = (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-1, 4), Fraction(1, 4))
 
 
 def _family_limit(n, family, simple, pick):
@@ -339,7 +341,7 @@ def _family_limit(n, family, simple, pick):
         return bounds.max_qfi_height(n, 1 + pick % n)
     if family == "r":
         ranks = list(bounds.valid_ranks(n))
-        f = bounds.max_qfi_rank_simple if simple else max_qfi_rank
+        f = rank_limit_simple if simple else max_qfi_rank
         return f(n, ranks[pick % len(ranks)])
     column = list(bounds.wh_limit_column(n, 1 + pick % n, simple=simple))
     return column[pick // n % len(column)]
@@ -370,6 +372,9 @@ def _fq_near_limit(n, family, simple, pick, offset):
 @example(n=4, simple=False, family="r", pick=0, offset=Fraction(1, 2))
 @example(n=4, simple=True, family="r", pick=3, offset=Fraction(1, 2))
 @example(n=4, simple=False, family="r", pick=4, offset=Fraction(1, 2))
+# T = 38.5, a quarter below the simple limit 38.75 of rank -4: a cut of
+# ceil(T) = 39 against the limit would answer -3
+@example(n=14, simple=True, family="r", pick=8, offset=Fraction(-1, 4))
 def test_inference_matches_a_linear_scan(n, simple, family, pick, offset):
     m = _fq_near_limit(n, family, simple, pick, offset)
     assert witness.infer_depth(m, simple=simple) == scan_depth(m, simple)
@@ -429,6 +434,22 @@ def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
         "by_w": 26004595, "by_h": 14496421, "by_r": 28992841, "by_wh": 164147146,
     }
     assert len(widths) < 6000
+
+
+@pytest.mark.parametrize("simple", [False, True])
+def test_threshold_is_worked_out_once(monkeypatch, simple):
+    # inference, counts and grid all read the threshold the measurement stored
+    calls = []
+    threshold = witness.Measurement.exclusion_threshold
+
+    def counting(self):
+        calls.append(self.label)
+        return threshold(self)
+
+    monkeypatch.setattr(witness.Measurement, "exclusion_threshold", counting)
+    m = xi2_db(470, "-4.5")
+    witness.build_grid(witness.analyze(m, simple=simple))
+    assert calls == ["m"]
 
 
 def test_rank_plus_n_stays_in_range():
