@@ -158,6 +158,11 @@ def max_qfi_rank(n: int, r: int) -> int:
     finds no special case beyond n + r = 10 and 16 for n <= 250 and n = 1000, 2000.
     """
     _require_valid_rank(n, r)
+    return rank_limit(n, r)
+
+
+def rank_limit(n: int, r: int) -> int:
+    """:func:`max_qfi_rank` at a valid rank r; the rank is not checked."""
     s = n + r
     if s % 2 == 1:
         return (s + 1) ** 2 // 4 + (n - r - 1) // 2

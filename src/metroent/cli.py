@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import sys
 from importlib import resources
 from pathlib import Path
@@ -105,10 +106,28 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
     raise ValueError(f"dataset file not found: {path_or_alias}")
 
 
+def _csv_rows(w: int, heights: list[str], limits, tail: str) -> str:
+    """The CSV rows ``w,h,f<tail>`` of one width, as one string.
+
+    ``heights`` are ``"h,"`` strings and ``limits`` the matching ``f``
+    strings.  One ``str.join`` makes every row, with nothing formatted
+    per row: ``map`` stops at the first argument that runs out, the
+    heights, before it reads ``limits``, so a shared iterator over a
+    width's limits is read only as far as the heights given.
+    """
+    lead = f"{w},"
+    return lead + f"{tail}\n{lead}".join(map(operator.add, heights, limits)) + tail + "\n"
+
+
 def grid_csv_text(grid: TupleGrid) -> str:
-    lines = ["w,h,f_wh,status"]
-    lines.extend(f"{w},{h},{f},{status}" for w, h, f, status in grid.cells)
-    return "\n".join(lines) + "\n"
+    """The ``grid.csv`` text of ``grid``, written a run of equal status at a time."""
+    heights = [f"{h}," for h in range(grid.n + 1)]
+    parts = ["w,h,f_wh,status\n"]
+    for w, runs in grid.runs:
+        limits = map(str, bounds.wh_limit_column(grid.n, w, simple=grid.simple))
+        for first, stop, status in runs:
+            parts.append(_csv_rows(w, heights[first:stop], limits, f",{status}"))
+    return "".join(parts)
 
 
 def report_json_text(report: WitnessReport) -> str:
@@ -149,17 +168,19 @@ def _cmd_bounds(args) -> int:
     write = sys.stdout.write
     if args.cls == "wh":
         write("w,h,f\n")
+        heights = [f"{h}," for h in range(n + 1)]
         for w in range(1, n + 1):
-            limits = bounds.wh_limit_column(n, w, simple=args.simple)
-            for h, f in zip(tuples.heights(n, w), limits):
-                write(f"{w},{h},{f}\n")
+            hs = tuples.heights(n, w)
+            limits = map(str, bounds.wh_limit_column(n, w, simple=args.simple))
+            write(_csv_rows(w, heights[hs.start:hs.stop], limits, ""))
         return 0
     # the height limit has no simpler variant; --simple emits the same table
     f, xs = bounds.max_qfi_height, range(1, n + 1)
     if args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
     elif args.cls == "r":
-        f = _rank_simple_text if args.simple else bounds.max_qfi_rank
+        # valid_ranks yields only realizable ranks, so no row re-checks its rank
+        f = _rank_simple_text if args.simple else bounds.rank_limit
         xs = bounds.valid_ranks(n)
     write("x,f\n")
     for x in xs:

@@ -244,8 +244,8 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
 
     w, h and r cost O(log n) exact comparisons each and the counts O(1)
     per width up to the last width with an excluded tuple, at most n; no
-    per-tuple grid is built here.  :func:`build_grid` expands the same width
-    segments into ``grid.csv`` rows when one is wanted.
+    per-tuple grid is built here.  :func:`build_grid` cuts the same width
+    segments into the runs ``grid.csv`` is written from when one is wanted.
     """
     depth = infer_depth(m, simple=simple)
     separability = infer_separability(m)
@@ -265,48 +265,80 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
 
 @dataclass(frozen=True)
 class TupleGrid:
-    """Per-tuple exclusion map for one measurement, ordered by (w, h).
+    """Per-tuple exclusion map for one measurement, in run-length form.
 
-    Each cell is a plain ``(w, h, f, status)`` tuple.  ``f`` is the (w, h)
-    limit the decision used: the tight one by default, the simplified one
-    under ``simple``.  ``status`` concatenates the violated projections in
-    the order W, H, R; a tuple caught only by the full (w, h) information
-    reads WH, and a compatible tuple reads OK.  (W and H together force R,
-    so the two-letter value WH is unambiguous.)  :func:`build_grid` makes
-    the cells a width at a time, from a limit column and runs of equal
-    status.
+    ``runs`` holds, for each width w = 1..n in turn, ``(w, ((first, stop,
+    status), ...))``: the heights ``first <= h < stop`` of that width share
+    ``status``, and the runs of a width cover its valid heights in
+    ascending order.  Each tuple's ``f`` is the (w, h) limit the decision
+    used, read from :func:`bounds.wh_limit_column`: the tight one by
+    default, the simplified one under ``simple``.  ``status`` concatenates
+    the violated projections in the order W, H, R; a tuple caught only by
+    the full (w, h) information reads WH, and a compatible tuple reads OK.
+    (W and H together force R, so the two-letter value WH is unambiguous.)
+    So the grid holds O(n) data; :attr:`cells` expands it when read.
     """
 
-    cells: tuple[tuple[int, int, int, str], ...]
+    n: int
+    simple: bool
+    runs: tuple[tuple[int, tuple[tuple[int, int, str], ...]], ...]
+
+    @property
+    def cells(self) -> "GridCells":
+        """The ``(w, h, f, status)`` cells, ordered by (w, h), as a lazy view."""
+        return GridCells(self)
+
+
+class GridCells:
+    """A view of a :class:`TupleGrid`'s cells: ``len()`` and iteration, no storage.
+
+    ``len()`` sums the run lengths; iteration makes each ``(w, h, f,
+    status)`` tuple as it is read.
+    """
+
+    __slots__ = ("_grid",)
+
+    def __init__(self, grid: TupleGrid):
+        self._grid = grid
+
+    def __len__(self) -> int:
+        return sum(runs[-1][1] - runs[0][0] for _, runs in self._grid.runs)
+
+    def __iter__(self):
+        n, simple = self._grid.n, self._grid.simple
+        for w, runs in self._grid.runs:
+            limits = iter(bounds.wh_limit_column(n, w, simple=simple))
+            for first, stop, status in runs:
+                # zip stops at the exhausted range before it reads limits,
+                # so the next run resumes at its own first limit
+                yield from zip(repeat(w), range(first, stop), limits, repeat(status))
 
 
 def build_grid(report: WitnessReport) -> TupleGrid:
-    """Expand the width segments of ``report`` into one cell per valid tuple.
+    """The runs of equal status of every width of ``report``, from its width segments.
 
-    Each width's limits come whole from :func:`bounds.wh_limit_column`.  Its
-    status is constant between at most four cut points: the first height
-    above the inferred h (H), the first height whose rank w - h falls below
-    the inferred r (R), the segment's first (w, h)-excluded height and
-    hi + 1; the W flag holds for the whole width when w is below the
-    inferred w.  So the status column is at most four runs, and the cells
-    are zipped from the heights, the limits and the runs.
+    A width's status is constant between at most five cut points: its
+    first valid height, the first height above the inferred h (H), the
+    first height whose rank w - h falls below the inferred r (R), the
+    segment's first (w, h)-excluded height and hi + 1; the W flag holds for
+    the whole width when w is below the inferred w.  So each width has at
+    most four runs, and the grid O(n) of them; no limit is evaluated.
     """
     m = report.measurement
-    n, depth, separability, rank = m.n, report.depth, report.separability, report.rank
-    cells = []
+    depth, separability, rank = report.depth, report.separability, report.rank
+    runs = []
     for w, lo, hi, p in _width_segments(m, report.simple):
         flag_w = "W" if w < depth else ""
         cuts = {lo, p, hi + 1, separability + 1, w - rank + 1}
         cuts = sorted(c for c in cuts if lo <= c <= hi + 1)
-        statuses = []
+        width_runs = []
         for first, stop in zip(cuts, cuts[1:]):
             flags = (
                 flag_w + ("H" if first > separability else "") + ("R" if w - first < rank else "")
             )
-            statuses += [flags or ("WH" if first >= p else "OK")] * (stop - first)
-        limits = bounds.wh_limit_column(n, w, simple=report.simple)
-        cells += zip(repeat(w), range(lo, hi + 1), limits, statuses)
-    return TupleGrid(cells=tuple(cells))
+            width_runs.append((first, stop, flags or ("WH" if first >= p else "OK")))
+        runs.append((w, tuple(width_runs)))
+    return TupleGrid(n=m.n, simple=report.simple, runs=tuple(runs))
 
 
 def fraction_to_decimal_text(value: Fraction) -> str:

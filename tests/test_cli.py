@@ -373,6 +373,39 @@ def test_analyze_bundled_dataset(capsys, tmp_path):
     assert len(grid_lines) == 1 + 68
 
 
+@pytest.mark.parametrize("simple", [[], ["--simple"]])
+def test_grid_csv_is_written_without_cells(monkeypatch, tmp_path, simple):
+    # grid.csv is written from the grid's runs: with its cell view refusing to
+    # be read, analyze --out writes the same bytes
+    argv = ["analyze", "--dataset", "bundled.csv", *simple, "--out"]
+    assert main([*argv, str(tmp_path / "a")]) == 0
+
+    def refuse(self):
+        raise AssertionError("grid cells read")
+
+    monkeypatch.setattr(witness.GridCells, "__iter__", refuse)
+    monkeypatch.setattr(witness.GridCells, "__len__", refuse)
+    assert main([*argv, str(tmp_path / "b")]) == 0
+    files = [p for p in sorted((tmp_path / "a").rglob("*")) if p.is_file()]
+    assert len(files) == 2 * 5
+    for path in files:
+        assert (tmp_path / "b" / path.relative_to(tmp_path / "a")).read_bytes() == path.read_bytes()
+
+
+def test_write_report_peak_stays_near_the_grid_size(tmp_path):
+    # the text is joined from one string per run: no cell tuples, no list of
+    # lines, so the peak is the text and its encoded bytes
+    for value in ("40000", "90000.5"):
+        report = witness.analyze(Measurement(label=f"v{value}", n=600, kind="fq", value=value))
+        tracemalloc.start()
+        try:
+            target = cli.write_report(report, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (target / "grid.csv").stat().st_size, value
+
+
 def test_analyze_reports_are_deterministic(tmp_path):
     dirs = []
     for name in ("a", "b"):

@@ -12,6 +12,7 @@ from support import (
     cell_flags,
     grid_counts,
     rank_limit_simple,
+    reference_csv_text,
     reference_grid_rows,
     scan_depth,
     scan_rank,
@@ -20,6 +21,7 @@ from support import (
 
 from metroent import bounds, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width, wh_limit_simple
+from metroent.cli import grid_csv_text
 from metroent.witness import Measurement, fraction_to_decimal_text
 
 
@@ -408,6 +410,36 @@ def test_width_segments_solve_each_width(n, simple, family, pick, offset):
         assert (lo, hi) == (-(-n // w), n + 1 - w)
         first = next((h for h in range(lo, hi + 1) if f_wh(n, w, h) * den < num), hi + 1)
         assert p == first, (m, simple, w)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    n=st.integers(1, 120),
+    simple=st.booleans(),
+    family=st.sampled_from(FAMILIES),
+    pick=st.integers(0, 10**6),
+    offset=st.sampled_from((Fraction(-1), Fraction(0), Fraction(1))),
+)
+@example(n=120, simple=False, family="wh", pick=10**6, offset=Fraction(1))
+@example(n=120, simple=True, family="r", pick=7, offset=Fraction(-1))
+def test_grid_csv_matches_the_reference_at_run_cuts(n, simple, family, pick, offset):
+    # a crossed width, height or rank limit moves a run's W, H or R cut, and
+    # a crossed (w, h) limit its width's first excluded height: on each such
+    # limit and 1 either side, the text written from the runs equals the
+    # per-tuple reference in both bound modes
+    m = _fq_near_limit(n, family, simple, pick, offset)
+    for mode in (False, True):
+        text = grid_csv_text(witness.build_grid(witness.analyze(m, simple=mode)))
+        assert text == reference_csv_text(reference_grid_rows(m, mode)), (m, mode)
+
+
+@pytest.mark.parametrize("simple", [False, True])
+def test_grid_cells_view_counts_every_tuple(simple):
+    # perfbench counts len(grid.cells) as the tuples of a grid
+    ms = [fq(1, "1"), fq(2, "3"), fq(14, "40.4"), fq(60, "3601"), xi2_db(470, "-4.5")]
+    for m in ms:
+        cells = witness.build_grid(witness.analyze(m, simple=simple)).cells
+        assert len(cells) == tuples.count_width_leq(m.n, m.n) == len(list(cells)), m
 
 
 def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
