@@ -20,9 +20,9 @@ import csv
 import functools
 import io
 import json
-import operator
 import sys
 from importlib import resources
+from itertools import islice, repeat
 from pathlib import Path
 
 from . import bounds, oracle, tuples, witness
@@ -106,27 +106,26 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
     raise ValueError(f"dataset file not found: {path_or_alias}")
 
 
-def _csv_rows(w: int, heights: list[str], limits, tail: str) -> str:
-    """The CSV rows ``w,h,f<tail>`` of one width, as one string.
+def _csv_block(fmt: str, keys, values) -> str:
+    """``fmt % (keys[0], values[0], keys[1], values[1], ...)``: a block of CSV rows.
 
-    ``heights`` are ``"h,"`` strings and ``limits`` the matching ``f``
-    strings.  One ``str.join`` makes every row, with nothing formatted
-    per row: ``map`` stops at the first argument that runs out, the
-    heights, before it reads ``limits``, so a shared iterator over a
-    width's limits is read only as far as the heights given.
+    One ``%`` converts every value inside the format, with no ``str`` per
+    row.  ``fmt`` is built from ints and fixed text only, never user text.
     """
-    lead = f"{w},"
-    return lead + f"{tail}\n{lead}".join(map(operator.add, heights, limits)) + tail + "\n"
+    fields = [None] * (2 * len(keys))
+    fields[0::2] = keys
+    fields[1::2] = values
+    return fmt % tuple(fields)
 
 
 def grid_csv_text(grid: TupleGrid) -> str:
-    """The ``grid.csv`` text of ``grid``, written a run of equal status at a time."""
+    """The ``grid.csv`` text of ``grid``: one ``%`` per width, a row pattern per status run."""
     heights = [f"{h}," for h in range(grid.n + 1)]
     parts = ["w,h,f_wh,status\n"]
     for w, runs in grid.runs:
-        limits = map(str, bounds.wh_limit_column(grid.n, w, simple=grid.simple))
-        for first, stop, status in runs:
-            parts.append(_csv_rows(w, heights[first:stop], limits, f",{status}"))
+        fmt = "".join(f"{w},%s%d,{status}\n" * (stop - first) for first, stop, status in runs)
+        column = bounds.wh_limit_column(grid.n, w, simple=grid.simple)
+        parts.append(_csv_block(fmt, heights[runs[0][0]:runs[-1][1]], column))
     return "".join(parts)
 
 
@@ -171,20 +170,22 @@ def _cmd_bounds(args) -> int:
         heights = [f"{h}," for h in range(n + 1)]
         for w in range(1, n + 1):
             hs = tuples.heights(n, w)
-            limits = map(str, bounds.wh_limit_column(n, w, simple=args.simple))
-            write(_csv_rows(w, heights[hs.start:hs.stop], limits, ""))
+            column = bounds.wh_limit_column(n, w, simple=args.simple)
+            write(_csv_block(f"{w},%s%d\n" * len(hs), heights[hs.start:hs.stop], column))
         return 0
     # the height limit has no simpler variant; --simple emits the same table
-    f, xs = bounds.max_qfi_height, range(1, n + 1)
+    f, xs, row = bounds.max_qfi_height, iter(range(1, n + 1)), "%d,%d\n"
     if args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
     elif args.cls == "r":
         # valid_ranks yields only realizable ranks, so no row re-checks its rank
-        f = _rank_simple_text if args.simple else bounds.rank_limit
-        xs = bounds.valid_ranks(n)
+        f, xs = bounds.rank_limit, bounds.valid_ranks(n)
+        if args.simple:
+            f, row = _rank_simple_text, "%d,%s\n"
     write("x,f\n")
-    for x in xs:
-        write(f"{x},{f(n, x)}\n")
+    # 4096 rows per write: memory stays flat
+    while block := list(islice(xs, 4096)):
+        write(_csv_block(row * len(block), block, map(f, repeat(n), block)))
     return 0
 
 

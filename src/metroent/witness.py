@@ -344,8 +344,6 @@ def build_grid(report: WitnessReport) -> TupleGrid:
 def fraction_to_decimal_text(value: Fraction) -> str:
     """Exact decimal text of a rational whose denominator divides a power of ten."""
     den = value.denominator
-    if den == 1:  # integers, most of a bounds table, skip the scaling below
-        return str(value)
     twos = fives = 0
     while den % 2 == 0:
         den //= 2

@@ -6,10 +6,11 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from support import reference_csv_text, reference_grid_rows
+from support import rank_limit_simple, reference_csv_text, reference_grid_rows
 
 from metroent import bounds, cli, oracle, tuples, witness
 from metroent.cli import (
@@ -59,6 +60,39 @@ def test_bounds_r_simple_quarters(capsys):
     assert "-4,38.75" in lines
     assert "-10,18" in lines  # n + r = 4 corner overrides the quarter formula
     assert "-12,16.75" not in lines  # rank gap -(n - 2) emits no row
+
+
+def _quarter_text(q):
+    """Decimal text of a limit with denominator 1 or 4, through ``decimal``."""
+    assert q.denominator in (1, 4)
+    return str(Decimal(q.numerator) / q.denominator)
+
+
+def _reference_bounds_table(n, cls, simple):
+    """A ``bounds`` table written a row at a time from the checked closed forms."""
+    if cls == "wh":
+        f_wh = bounds.wh_limit_simple if simple else bounds.max_qfi_wh
+        return "w,h,f\n" + "".join(f"{w},{h},{f_wh(n, w, h)}\n" for w, h in tuples.all_tuples(n))
+    if cls == "w":
+        f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
+        rows = [(w, f_w(n, w)) for w in range(1, n + 1)]
+    elif cls == "h":
+        rows = [(h, bounds.max_qfi_height(n, h)) for h in range(1, n + 1)]
+    elif simple:
+        rows = [(r, _quarter_text(rank_limit_simple(n, r))) for r in bounds.valid_ranks(n)]
+    else:
+        rows = [(r, bounds.max_qfi_rank(n, r)) for r in bounds.valid_ranks(n)]
+    return "x,f\n" + "".join(f"{x},{f}\n" for x, f in rows)
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["tight", "simple"])
+@pytest.mark.parametrize("cls", ["wh", "w", "h", "r"])
+def test_bounds_tables_match_a_per_row_reference(capsys, cls, simple):
+    # every byte of every table, including the block and width boundaries
+    for n in [*range(1, 41), 600 if cls == "wh" else 5000]:
+        argv = ["bounds", "--n", str(n), "--class", cls] + ["--simple"] * simple
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _reference_bounds_table(n, cls, simple), n
 
 
 def test_bounds_rejects_bad_n(capsys):
@@ -244,7 +278,7 @@ class _CountingSink:
     ids=["wh", "wh-simple", "w", "h", "r"],
 )
 def test_bounds_streams_its_rows(monkeypatch, argv):
-    # each row is written as it is made: the peak stays flat while megabytes go out
+    # rows go out a width or a block at a time: the peak stays flat while megabytes go out
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -393,7 +427,7 @@ def test_grid_csv_is_written_without_cells(monkeypatch, tmp_path, simple):
 
 
 def test_write_report_peak_stays_near_the_grid_size(tmp_path):
-    # the text is joined from one string per run: no cell tuples, no list of
+    # the text is joined from one string per width: no cell tuples, no list of
     # lines, so the peak is the text and its encoded bytes
     for value in ("40000", "90000.5"):
         report = witness.analyze(Measurement(label=f"v{value}", n=600, kind="fq", value=value))
@@ -454,6 +488,30 @@ def test_grid_csv_matches_the_reference():
         for simple in (False, True):
             text = grid_csv_text(witness.build_grid(witness.analyze(m, simple=simple)))
             assert text == reference_csv_text(reference_grid_rows(m, simple)), (m, simple)
+
+
+def test_percent_signs_in_records_reach_no_format_string(capsys, tmp_path):
+    # grid.csv rows are made by % formatting; labels and references are user
+    # text, and only ints and the fixed statuses may go into a format string
+    dataset = tmp_path / "percent.csv"
+    dataset.write_text(
+        "label,n,kind,value,unit,reference\n"
+        "p%s%d,14,fq,40.4,none,ref %s%d\n"
+        "%d%%,36,xi2,-5.5,db,50% of %(x)s\n"
+        "q%,8,xi2,0.5,linear,%\n"
+    )
+    records = load_dataset(str(dataset))
+    for simple in (False, True):
+        out_dir = tmp_path / f"out-{simple}"
+        argv = ["analyze", "--dataset", str(dataset), "--out", str(out_dir)]
+        assert main(argv + ["--simple"] * simple) == 0
+        assert "p%s%d" in capsys.readouterr().out
+        for m in records:
+            text = (out_dir / m.label / "grid.csv").read_text()
+            assert text == reference_csv_text(reference_grid_rows(m, simple)), (m, simple)
+            grid = witness.build_grid(witness.analyze(m, simple=simple))
+            statuses = {status for _, runs in grid.runs for *_, status in runs}
+            assert statuses <= {"OK", "WH", "W", "H", "R", "WR", "HR", "WHR"}
 
 
 def test_dataset_round_trip(tmp_path):
