@@ -155,10 +155,7 @@ def _rank_simple_text(n: int, r: int) -> str:
 
 def _cmd_bounds(args) -> int:
     n = args.n
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > witness.MAX_N:
-        raise ValueError(f"n must be <= {witness.MAX_N}, got {n}")
+    witness.check_n(n)
     if args.cls == "wh" and n > MAX_WH_TABLE_N:
         raise ValueError(
             f"n must be <= {MAX_WH_TABLE_N} for --class wh, got {n}: "

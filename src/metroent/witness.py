@@ -36,6 +36,14 @@ MAX_EXPONENT = 100
 MAX_N = 10**6
 
 
+def check_n(n: int) -> None:
+    """Refuse a particle count outside 1..MAX_N with a ValueError."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N}, got {n}")
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One published sensitivity value for an n-particle state.
@@ -52,7 +60,9 @@ class Measurement:
     unit: str = "none"
     reference: str = ""
     _quantity: Fraction = field(init=False, repr=False, compare=False)
-    _threshold: Fraction = field(init=False, repr=False, compare=False)
+    # ceil(T) and ceil(4T): a limit f, or 4f read in quarters, is excluded iff below its cut
+    _cut1: int = field(init=False, repr=False, compare=False)
+    _cut4: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the label names the record's directory under --out
@@ -61,10 +71,7 @@ class Measurement:
                 f"bad label {self.label!r}: a label must not be empty, '.' or '..',"
                 " nor contain '/', '\\' or NUL"
             )
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.n > MAX_N:
-            raise ValueError(f"n must be <= {MAX_N}, got {self.n}")
+        check_n(self.n)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.unit not in UNITS:
@@ -90,7 +97,9 @@ class Measurement:
         if self.kind == KIND_SQUEEZING and q <= 0:
             raise ValueError(f"linear xi**2 must be positive, got {self.value}")
         object.__setattr__(self, "_quantity", q)
-        object.__setattr__(self, "_threshold", self.exclusion_threshold())
+        t = self.exclusion_threshold()
+        object.__setattr__(self, "_cut1", -(-t.numerator // t.denominator))
+        object.__setattr__(self, "_cut4", -(-4 * t.numerator // t.denominator))
 
     def quantity(self) -> Fraction:
         """The measured quantity on linear scale, as an exact rational."""
@@ -109,12 +118,6 @@ class Measurement:
         return 2 * self.n * (1 - q) / q
 
 
-def _cut(m: Measurement, scale: int = 1) -> int:
-    """ceil(scale*T) for the threshold T: an integer scale*f is excluded iff it is below this."""
-    t = m._threshold
-    return -(-scale * t.numerator // t.denominator)
-
-
 def infer_depth(m: Measurement, *, simple: bool = False) -> int:
     """Smallest producibility w compatible with the measurement.
 
@@ -124,8 +127,7 @@ def infer_depth(m: Measurement, *, simple: bool = False) -> int:
     measurement; no separable description remains).
     """
     f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-    n = m.n
-    cut = _cut(m)
+    n, cut = m.n, m._cut1
     return 1 + bisect_left(range(1, n + 1), True, key=lambda w: f(n, w) >= cut)
 
 
@@ -137,8 +139,7 @@ def infer_separability(m: Measurement) -> int:
     no h is compatible.  The height limit has no simpler variant, so the
     same h serves both bound modes.
     """
-    n = m.n
-    cut = _cut(m)
+    n, cut = m.n, m._cut1
     heights = range(n, 0, -1)
     return n - bisect_left(heights, True, key=lambda h: bounds.max_qfi_height(n, h) >= cut)
 
@@ -154,7 +155,7 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     """
     f = bounds.rank_limit_simple_quarters if simple else bounds.max_qfi_rank
     n = m.n
-    cut = _cut(m, 4 if simple else 1)
+    cut = m._cut4 if simple else m._cut1
 
     def key(r):
         return f(n, r + (abs(r) == n - 2)) >= cut
@@ -163,18 +164,18 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     return r + (abs(r) == n - 2)
 
 
-def _width_segments(m: Measurement, simple: bool):
-    """Yield (w, lo, hi, p) for every width w = 1..n.
+def _width_segments(m: Measurement, simple: bool, stop: int):
+    """Yield (w, lo, hi, p) for every width w = 1..stop.
 
     Width w's valid heights are lo = ceil(n/w) <= h <= hi = n + 1 - w, and
     the (w, h) limit excludes exactly the heights p <= h <= hi.  A limit is
-    an integer, so it is excluded iff it is at most :func:`_cut` - 1, and
-    :func:`bounds.wh_first_height_at_most` gives each width's p in O(1),
-    with no limit evaluated.
+    an integer, so it is excluded iff it is below the measurement's cut
+    ceil(T), and :func:`bounds.wh_first_height_at_most` gives each width's
+    p in O(1), with no limit evaluated.
     """
     n = m.n
-    f_max = _cut(m) - 1
-    for w in range(1, n + 1):
+    f_max = m._cut1 - 1
+    for w in range(1, stop + 1):
         yield w, -(-n // w), n + 1 - w, bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
 
 
@@ -183,23 +184,22 @@ def exclusion_counts(
 ) -> dict[str, int]:
     """The four excluded-tuple counts, tallied over :func:`_width_segments`.
 
-    The class families are nested, so the W, H and R flags cut each width's
-    height interval once: w < depth, h > separability and h > w - rank.
-    The walk stops at the first width that excludes nothing (p > hi).  Its
-    largest height hi has the width's smallest limit, n + w*(w - 1), which
-    rises with w, so no wider width excludes a tuple.  Nor has any wider
-    width a W, H or R flag: each would also flag this width's tuple (w, hi),
-    and so exclude it, since in both bound modes the limits of its width,
-    height and rank classes are at least its own (the rank class, with
-    n + rank = 2w - 1 odd, has exactly its limit).
+    Each family's limits are monotone, so the W, H and R flags cut each
+    width's height interval once: w < depth, h > separability and
+    h > w - rank.  (Under simple bounds an R flag need not mean (w, h)
+    exclusion: the simple rank limit can sit a quarter below a tuple's.)
+    The walk ends at width n - separability.  A width's top tuple
+    (w, n + 1 - w) is the hook, with the width's smallest limit
+    n + w*(w - 1): in both bound modes the limit of the height class
+    n + 1 - w too, and at most the limits of width class w and rank
+    class 2w - 1 - n.  So exactly the widths up to n - separability hold
+    an excluded tuple, and no wider width has a W, H or R flag.
     """
     by_w = by_h = by_r = by_wh = 0
-    for w, lo, hi, p in _width_segments(m, simple):
-        if p > hi:
-            break
+    for w, lo, hi, p in _width_segments(m, simple, m.n - separability):
         if w < depth:
             by_w += hi - lo + 1
-        by_h += max(0, hi - max(lo, separability + 1) + 1)
+        by_h += hi - max(lo, separability + 1) + 1
         by_r += max(0, hi - max(lo, w - rank + 1) + 1)
         by_wh += hi + 1 - p
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
@@ -243,9 +243,9 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     """Full inference for one measurement: w, h, r, counts, advantage.
 
     w, h and r cost O(log n) exact comparisons each and the counts O(1)
-    per width up to the last width with an excluded tuple, at most n; no
-    per-tuple grid is built here.  :func:`build_grid` cuts the same width
-    segments into the runs ``grid.csv`` is written from when one is wanted.
+    per width for the widths 1..n - h; no per-tuple grid is built here.
+    :func:`build_grid` cuts the same width segments into the runs
+    ``grid.csv`` is written from when one is wanted.
     """
     depth = infer_depth(m, simple=simple)
     separability = infer_separability(m)
@@ -274,9 +274,11 @@ class TupleGrid:
     used, read from :func:`bounds.wh_limit_column`: the tight one by
     default, the simplified one under ``simple``.  ``status`` concatenates
     the violated projections in the order W, H, R; a tuple caught only by
-    the full (w, h) information reads WH, and a compatible tuple reads OK.
-    (W and H together force R, so the two-letter value WH is unambiguous.)
-    So the grid holds O(n) data; :attr:`cells` expands it when read.
+    the full (w, h) information reads WH, and a tuple nothing excludes reads
+    OK.  (W and H together force R, so the two-letter value WH is
+    unambiguous.)  Under ``simple`` a (w, h)-compatible tuple can still
+    read R, so more tuples can carry a flag than ``by_wh`` counts.
+    The grid holds O(n) data; :attr:`cells` expands it when read.
     """
 
     n: int
@@ -327,7 +329,7 @@ def build_grid(report: WitnessReport) -> TupleGrid:
     m = report.measurement
     depth, separability, rank = report.depth, report.separability, report.rank
     runs = []
-    for w, lo, hi, p in _width_segments(m, report.simple):
+    for w, lo, hi, p in _width_segments(m, report.simple, m.n):
         flag_w = "W" if w < depth else ""
         cuts = {lo, p, hi + 1, separability + 1, w - rank + 1}
         cuts = sorted(c for c in cuts if lo <= c <= hi + 1)

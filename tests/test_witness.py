@@ -234,6 +234,27 @@ def test_projection_dominance_and_flag_soundness_random():
                 assert c.excluded_r, (m, c)
 
 
+def test_flag_soundness_random_simple():
+    # under simple bounds the W and H flags stay sound and W and H still
+    # force R, but an R flag can sit on a (w, h)-compatible tuple
+    rng = random.Random(424242)
+    for _ in range(60):
+        m = _random_measurement(rng)
+        for c in reference_grid_rows(m, True):
+            if c.excluded_w or c.excluded_h:
+                assert c.excluded_wh, (m, c)
+            if c.excluded_w and c.excluded_h:
+                assert c.excluded_r, (m, c)
+    # the simple rank limit ((n + r)**2 - 1)/4 + n of r = 0 is 34.75, a
+    # quarter below the simple (5, 5) limit 35: the tuple reads R unexcluded,
+    # and grid.csv has one more non-OK row than by_wh
+    rep = witness.analyze(fq(10, "35"), simple=True)
+    text = grid_csv_text(witness.build_grid(rep))
+    assert "\n5,5,35,R\n" in text
+    assert rep.counts["by_wh"] == 16
+    assert sum(not line.endswith(",OK") for line in text.splitlines()[1:]) == 17
+
+
 def test_monotonicity_in_measurement():
     rng = random.Random(31337)
     for _ in range(25):
@@ -404,7 +425,7 @@ def test_width_segments_solve_each_width(n, simple, family, pick, offset):
     threshold = m.exclusion_threshold()
     num, den = threshold.numerator, threshold.denominator
     f_wh = wh_limit_simple if simple else max_qfi_wh
-    segments = list(witness._width_segments(m, simple))
+    segments = list(witness._width_segments(m, simple, n))
     assert [w for w, *_ in segments] == list(range(1, n + 1))
     for w, lo, hi, p in segments:
         assert (lo, hi) == (-(-n // w), n + 1 - w)
@@ -444,7 +465,7 @@ def test_grid_cells_view_counts_every_tuple(simple):
 
 def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
     # ROADMAP item 2's guard row at n = 10**6: no per-height limit is
-    # evaluated, and the walk stops soon after the last width with a flag
+    # evaluated, and the walk ends at width n - h
     def refuse(n, w, h):
         raise AssertionError("per-height limit evaluated")
 
@@ -454,8 +475,8 @@ def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
     widths = []
     segments = witness._width_segments
 
-    def counting(m, simple):
-        for segment in segments(m, simple):
+    def counting(m, simple, stop):
+        for segment in segments(m, simple, stop):
             widths.append(segment[0])
             yield segment
 
@@ -465,7 +486,30 @@ def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
     assert rep.counts == {
         "by_w": 26004595, "by_h": 14496421, "by_r": 28992841, "by_wh": 164147146,
     }
-    assert len(widths) < 6000
+    assert widths == list(range(1, 10**6 - 994615 + 1))  # 5385 widths
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_walk_ends_where_the_first_width_excludes_nothing(n):
+    # the widths that hold an excluded tuple are exactly 1..n - h, so the
+    # count walk may end at n - h: checked on every limit of every family,
+    # in both bound modes, and at OFFSETS from it
+    limits = {bounds.max_qfi_height(n, h) for h in range(1, n + 1)}
+    for simple in (False, True):
+        f_w = bounds.max_qfi_width_simple if simple else max_qfi_width
+        f_r = rank_limit_simple if simple else max_qfi_rank
+        limits |= {f_w(n, w) for w in range(1, n + 1)}
+        limits |= {f_r(n, r) for r in bounds.valid_ranks(n)}
+        for w in range(1, n + 1):
+            limits |= set(bounds.wh_limit_column(n, w, simple=simple))
+    values = {limit + offset for limit in limits for offset in OFFSETS}
+    for value in sorted(v for v in values if v > 0):
+        m = fq(n, fraction_to_decimal_text(value))
+        separability = witness.infer_separability(m)
+        for simple in (False, True):
+            segments = witness._width_segments(m, simple, n)
+            first = next((w for w, _, hi, p in segments if p > hi), n + 1)
+            assert first == n + 1 - separability, (m, simple)
 
 
 @pytest.mark.parametrize("simple", [False, True])
