@@ -17,7 +17,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
 
 from . import bounds
 from .squeezing import db_text_to_linear
@@ -84,9 +83,13 @@ class Measurement:
             # bound the text before Fraction or Decimal expands its exponent
             if len(self.value) > MAX_VALUE_CHARS:
                 raise ValueError
-            if abs(Decimal(self.value).adjusted()) > MAX_EXPONENT:
+            x = Decimal(self.value)
+            if abs(x.adjusted()) > MAX_EXPONENT:
                 raise ValueError
-            if self.kind == KIND_SQUEEZING and self.unit == "db":
+            if self.unit == "db":
+                # 10**(x/10) keeps its exponent within +-MAX_EXPONENT too
+                if abs(x) > 10 * MAX_EXPONENT:
+                    raise ValueError
                 q = db_text_to_linear(self.value)
             else:
                 q = Fraction(self.value)
@@ -164,25 +167,16 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     return r + (abs(r) == n - 2)
 
 
-def _width_segments(m: Measurement, simple: bool, stop: int):
-    """Yield (w, lo, hi, p) for every width w = 1..stop.
+def exclusion_counts(
+    m: Measurement, depth: int, separability: int, rank: int, *, simple: bool = False
+) -> dict[str, int]:
+    """The four excluded-tuple counts, tallied width by width.
 
     Width w's valid heights are lo = ceil(n/w) <= h <= hi = n + 1 - w, and
     the (w, h) limit excludes exactly the heights p <= h <= hi.  A limit is
     an integer, so it is excluded iff it is below the measurement's cut
     ceil(T), and :func:`bounds.wh_first_height_at_most` gives each width's
     p in O(1), with no limit evaluated.
-    """
-    n = m.n
-    f_max = m._cut1 - 1
-    for w in range(1, stop + 1):
-        yield w, -(-n // w), n + 1 - w, bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
-
-
-def exclusion_counts(
-    m: Measurement, depth: int, separability: int, rank: int, *, simple: bool = False
-) -> dict[str, int]:
-    """The four excluded-tuple counts, tallied over :func:`_width_segments`.
 
     Each family's limits are monotone, so the W, H and R flags cut each
     width's height interval once: w < depth, h > separability and
@@ -195,8 +189,11 @@ def exclusion_counts(
     class 2w - 1 - n.  So exactly the widths up to n - separability hold
     an excluded tuple, and no wider width has a W, H or R flag.
     """
+    n, f_max = m.n, m._cut1 - 1
     by_w = by_h = by_r = by_wh = 0
-    for w, lo, hi, p in _width_segments(m, simple, m.n - separability):
+    for w in range(1, n - separability + 1):
+        lo, hi = -(-n // w), n + 1 - w
+        p = bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
         if w < depth:
             by_w += hi - lo + 1
         by_h += hi - max(lo, separability + 1) + 1
@@ -244,7 +241,7 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
 
     w, h and r cost O(log n) exact comparisons each and the counts O(1)
     per width for the widths 1..n - h; no per-tuple grid is built here.
-    :func:`build_grid` cuts the same width segments into the runs
+    :func:`build_grid` cuts every width into the runs
     ``grid.csv`` is written from when one is wanted.
     """
     depth = infer_depth(m, simple=simple)
@@ -278,58 +275,41 @@ class TupleGrid:
     OK.  (W and H together force R, so the two-letter value WH is
     unambiguous.)  Under ``simple`` a (w, h)-compatible tuple can still
     read R, so more tuples can carry a flag than ``by_wh`` counts.
-    The grid holds O(n) data; :attr:`cells` expands it when read.
+    The grid holds O(n) data; only ``cli.grid_csv_text`` expands it into rows.
     """
 
     n: int
     simple: bool
     runs: tuple[tuple[int, tuple[tuple[int, int, str], ...]], ...]
 
-    @property
-    def cells(self) -> "GridCells":
-        """The ``(w, h, f, status)`` cells, ordered by (w, h), as a lazy view."""
-        return GridCells(self)
-
-
-class GridCells:
-    """A view of a :class:`TupleGrid`'s cells: ``len()`` and iteration, no storage.
-
-    ``len()`` sums the run lengths; iteration makes each ``(w, h, f,
-    status)`` tuple as it is read.
-    """
-
-    __slots__ = ("_grid",)
-
-    def __init__(self, grid: TupleGrid):
-        self._grid = grid
-
     def __len__(self) -> int:
-        return sum(runs[-1][1] - runs[0][0] for _, runs in self._grid.runs)
+        """The number of tuples, the sum of the run lengths."""
+        return sum(runs[-1][1] - runs[0][0] for _, runs in self.runs)
 
-    def __iter__(self):
-        n, simple = self._grid.n, self._grid.simple
-        for w, runs in self._grid.runs:
-            limits = iter(bounds.wh_limit_column(n, w, simple=simple))
-            for first, stop, status in runs:
-                # zip stops at the exhausted range before it reads limits,
-                # so the next run resumes at its own first limit
-                yield from zip(repeat(w), range(first, stop), limits, repeat(status))
+    @property
+    def cells(self) -> "TupleGrid":
+        """The grid itself, kept because perfbench records ``len(grid.cells)``."""
+        return self
 
 
 def build_grid(report: WitnessReport) -> TupleGrid:
-    """The runs of equal status of every width of ``report``, from its width segments.
+    """The runs of equal status of every width w = 1..n of ``report``.
 
-    A width's status is constant between at most five cut points: its
-    first valid height, the first height above the inferred h (H), the
-    first height whose rank w - h falls below the inferred r (R), the
-    segment's first (w, h)-excluded height and hi + 1; the W flag holds for
-    the whole width when w is below the inferred w.  So each width has at
-    most four runs, and the grid O(n) of them; no limit is evaluated.
+    Each width's heights lo..hi and first (w, h)-excluded height p are
+    found as in :func:`exclusion_counts`.  A width's status is constant
+    between at most five cut points: lo, the first height above the
+    inferred h (H), the first height whose rank w - h falls below the
+    inferred r (R), p and hi + 1; the W flag holds for the whole width when
+    w is below the inferred w.  So each width has at most four runs, and
+    the grid O(n) of them; no limit is evaluated.
     """
     m = report.measurement
+    n, f_max = m.n, m._cut1 - 1
     depth, separability, rank = report.depth, report.separability, report.rank
     runs = []
-    for w, lo, hi, p in _width_segments(m, report.simple, m.n):
+    for w in range(1, n + 1):
+        lo, hi = -(-n // w), n + 1 - w
+        p = bounds.wh_first_height_at_most(n, w, f_max, simple=report.simple)
         flag_w = "W" if w < depth else ""
         cuts = {lo, p, hi + 1, separability + 1, w - rank + 1}
         cuts = sorted(c for c in cuts if lo <= c <= hi + 1)

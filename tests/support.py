@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from metroent import bounds, tuples
+from metroent import bounds, cli, tuples
 
 
 def accel_asc(n):
@@ -158,6 +158,17 @@ def grid_counts(rows) -> dict[str, int]:
         "by_r": sum(c.excluded_r for c in rows),
         "by_wh": sum(c.excluded_wh for c in rows),
     }
+
+
+def grid_cells(grid) -> list[tuple[int, int, int, str]]:
+    """The ``(w, h, f, status)`` rows of ``grid`` as ``grid.csv`` writes them."""
+    lines = cli.grid_csv_text(grid).splitlines()
+    assert lines[0] == "w,h,f_wh,status"
+    rows = []
+    for line in lines[1:]:
+        w, h, f, status = line.split(",")
+        rows.append((int(w), int(h), int(f), status))
+    return rows
 
 
 def cell_flags(cell, threshold) -> tuple[bool, bool, bool, bool]:

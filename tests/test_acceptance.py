@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import ghz
-from support import cell_flags, partitions_desc
+from support import cell_flags, grid_cells, partitions_desc
 
 from metroent import bounds, oracle, tuples, witness
 from metroent.witness import Measurement
@@ -117,9 +117,9 @@ def test_criterion_5_property_suites():
     cases = [_random_measurement(rng) for _ in range(1000)]
     for i, m in enumerate(cases):
         threshold = m.exclusion_threshold()
-        grid = witness.build_grid(witness.analyze(m))
-        flags = [cell_flags(c, threshold) for c in grid.cells]
-        for c, (out_w, out_h, out_r, out_wh) in zip(grid.cells, flags):
+        cells = grid_cells(witness.build_grid(witness.analyze(m)))
+        flags = [cell_flags(c, threshold) for c in cells]
+        for c, (out_w, out_h, out_r, out_wh) in zip(cells, flags):
             if out_w or out_h or out_r:
                 assert out_wh, (m, c)
         r = witness.infer_rank(m)
@@ -127,9 +127,9 @@ def test_criterion_5_property_suites():
         # strengthening the measurement never shrinks any excluded set
         if i % 5 == 0:
             stronger = _strengthened(m)
-            g2 = witness.build_grid(witness.analyze(stronger))
+            cells2 = grid_cells(witness.build_grid(witness.analyze(stronger)))
             t2 = stronger.exclusion_threshold()
-            for c1, c2, flags1 in zip(grid.cells, g2.cells, flags):
+            for c1, c2, flags1 in zip(cells, cells2, flags):
                 assert all(b >= a for a, b in zip(flags1, cell_flags(c2, t2))), (m, c1, c2)
     for n in range(1, 201):
         assert bounds.max_qfi_wh(n, 1, n) == n

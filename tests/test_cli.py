@@ -105,7 +105,7 @@ def test_large_n_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(tuples, "all_tuples", refuse)
     monkeypatch.setattr(tuples, "heights", refuse)
-    monkeypatch.setattr(witness, "_width_segments", refuse)
+    monkeypatch.setattr(bounds, "wh_first_height_at_most", refuse)
     too_big = str(witness.MAX_N + 1)
     dataset = tmp_path / "big.csv"
     dataset.write_text(f"label,n,kind,value,unit,reference\nbig,{too_big},fq,5,none,\n")
@@ -197,6 +197,23 @@ def test_dataset_record_count_is_bounded(capsys, tmp_path):
     dataset.write_text(header + "".join(rows[:-1]))
     assert main(["rank-summary", "--dataset", str(dataset)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + cli.MAX_DATASET_RECORDS
+
+
+def test_dataset_db_values_are_bounded(capsys, monkeypatch, tmp_path):
+    # each text below would convert to a linear value of millions of digits
+    def refuse(text):
+        raise AssertionError(f"converted {text}")
+
+    monkeypatch.setattr(witness, "db_text_to_linear", refuse)
+    rows = [f"d{i},5,xi2,-9.9{i:02d}e6,db,\n" for i in range(20)]
+    dataset = tmp_path / "deep.csv"
+    dataset.write_text("label,n,kind,value,unit,reference\n" + "".join(rows))
+    out_dir = tmp_path / "out"
+    assert _run_dataset_commands(dataset, out_dir) == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: bad decimal value '-9.900e6'"] * 2
+    assert not out_dir.exists()
 
 
 def test_dataset_total_n_is_bounded(capsys, monkeypatch, tmp_path):
@@ -409,16 +426,16 @@ def test_analyze_bundled_dataset(capsys, tmp_path):
 
 @pytest.mark.parametrize("simple", [[], ["--simple"]])
 def test_grid_csv_is_written_without_cells(monkeypatch, tmp_path, simple):
-    # grid.csv is written from the grid's runs: with its cell view refusing to
-    # be read, analyze --out writes the same bytes
+    # grid.csv is written from the grid's runs: with its cells and length
+    # refusing to be read, analyze --out writes the same bytes
     argv = ["analyze", "--dataset", "bundled.csv", *simple, "--out"]
     assert main([*argv, str(tmp_path / "a")]) == 0
 
     def refuse(self):
         raise AssertionError("grid cells read")
 
-    monkeypatch.setattr(witness.GridCells, "__iter__", refuse)
-    monkeypatch.setattr(witness.GridCells, "__len__", refuse)
+    monkeypatch.setattr(witness.TupleGrid, "cells", property(refuse))
+    monkeypatch.setattr(witness.TupleGrid, "__len__", refuse)
     assert main([*argv, str(tmp_path / "b")]) == 0
     files = [p for p in sorted((tmp_path / "a").rglob("*")) if p.is_file()]
     assert len(files) == 2 * 5

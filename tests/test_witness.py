@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from support import (
     cell_flags,
+    grid_cells,
     grid_counts,
     rank_limit_simple,
     reference_csv_text,
@@ -61,6 +62,20 @@ def test_measurement_validation():
     assert fq(witness.MAX_N, "5").n == 10**6
     with pytest.raises(ValueError, match=r"n must be <= 1000000, got 1000001"):
         fq(witness.MAX_N + 1, "abc")
+
+
+def test_db_values_are_bounded_before_conversion(monkeypatch):
+    # 10**(x/10) keeps its exponent within +-MAX_EXPONENT exactly when |x| <= 1000
+    assert xi2_db(5, "1000").quantity() == 10**100
+    assert xi2_db(5, "-1000").quantity() == Fraction(1, 10**100)
+
+    def refuse(text):
+        raise AssertionError(f"converted {text}")
+
+    monkeypatch.setattr(witness, "db_text_to_linear", refuse)
+    for value in ("-1000.0001", "1000.0001", "-9.99e6", "-1e100", "-Infinity"):
+        with pytest.raises(ValueError, match="bad decimal value"):
+            xi2_db(5, value)
 
 
 @pytest.mark.parametrize("label", ["", ".", "..", "../outside", "a/b", "/abs", "a\\b", "a\0b"])
@@ -147,7 +162,8 @@ def test_shot_noise_measurement_excludes_nothing():
     assert witness.infer_depth(m) == 1
     assert witness.infer_separability(m) == 10
     assert witness.infer_rank(m) == -9
-    assert all(status == "OK" for *_, status in witness.build_grid(witness.analyze(m)).cells)
+    grid = witness.build_grid(witness.analyze(m))
+    assert all(status == "OK" for *_, status in grid_cells(grid))
 
 
 def test_beyond_heisenberg_sentinels():
@@ -156,13 +172,13 @@ def test_beyond_heisenberg_sentinels():
     assert witness.infer_separability(m) == 0
     assert witness.infer_rank(m) == 4
     grid = witness.build_grid(witness.analyze(m))
-    assert all(f < 17 and status != "OK" for _, _, f, status in grid.cells)
+    assert all(f < 17 and status != "OK" for _, _, f, status in grid_cells(grid))
 
 
 def test_grid_cells_n14():
     m = fq(14, "40.4")
     grid = witness.build_grid(witness.analyze(m))
-    cells = {(w, h): (f, status) for w, h, f, status in grid.cells}
+    cells = {(w, h): (f, status) for w, h, f, status in grid_cells(grid)}
     # the shot-noise tuple is excluded by every criterion
     assert cells[(1, 14)] == (14, "WHR")
     assert cells[(14, 1)] == (196, "OK")
@@ -265,7 +281,7 @@ def test_monotonicity_in_measurement():
         t1, t2 = m1.exclusion_threshold(), m2.exclusion_threshold()
         g1 = witness.build_grid(witness.analyze(m1))
         g2 = witness.build_grid(witness.analyze(m2))
-        for c1, c2 in zip(g1.cells, g2.cells):
+        for c1, c2 in zip(grid_cells(g1), grid_cells(g2)):
             flags1, flags2 = cell_flags(c1, t1), cell_flags(c2, t2)
             assert all(b >= a for a, b in zip(flags1, flags2)), (n, c1, c2)
 
@@ -292,8 +308,8 @@ def test_boundary_consistency():
     for m in ms:
         for simple in (False, True):
             expected = [(c.w, c.h, c.f, c.status()) for c in reference_grid_rows(m, simple)]
-            cells = witness.build_grid(witness.analyze(m, simple=simple)).cells
-            assert list(cells) == expected, (m, simple)
+            grid = witness.build_grid(witness.analyze(m, simple=simple))
+            assert grid_cells(grid) == expected, (m, simple)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -418,17 +434,16 @@ def test_inference_matches_a_linear_scan(n, simple, family, pick, offset):
 # n = 2000, the largest n a column serves, on the rectangle widths 16 and 50
 @example(n=2000, simple=False, family="wh", pick=15, offset=Fraction(0))
 @example(n=2000, simple=True, family="wh", pick=2049, offset=Fraction(-1))
-def test_width_segments_solve_each_width(n, simple, family, pick, offset):
+def test_first_excluded_height_solves_each_width(n, simple, family, pick, offset):
     # each width's first excluded height is the first h in lo..hi whose (w, h)
-    # limit is below the threshold
+    # limit is below the threshold, and the solver reads the limit ceil(T) - 1
     m = _fq_near_limit(n, family, simple, pick, offset)
     threshold = m.exclusion_threshold()
     num, den = threshold.numerator, threshold.denominator
     f_wh = wh_limit_simple if simple else max_qfi_wh
-    segments = list(witness._width_segments(m, simple, n))
-    assert [w for w, *_ in segments] == list(range(1, n + 1))
-    for w, lo, hi, p in segments:
-        assert (lo, hi) == (-(-n // w), n + 1 - w)
+    for w in range(1, n + 1):
+        lo, hi = -(-n // w), n + 1 - w
+        p = bounds.wh_first_height_at_most(n, w, math.ceil(threshold) - 1, simple=simple)
         first = next((h for h in range(lo, hi + 1) if f_wh(n, w, h) * den < num), hi + 1)
         assert p == first, (m, simple, w)
 
@@ -459,8 +474,8 @@ def test_grid_cells_view_counts_every_tuple(simple):
     # perfbench counts len(grid.cells) as the tuples of a grid
     ms = [fq(1, "1"), fq(2, "3"), fq(14, "40.4"), fq(60, "3601"), xi2_db(470, "-4.5")]
     for m in ms:
-        cells = witness.build_grid(witness.analyze(m, simple=simple)).cells
-        assert len(cells) == tuples.count_width_leq(m.n, m.n) == len(list(cells)), m
+        grid = witness.build_grid(witness.analyze(m, simple=simple))
+        assert len(grid.cells) == tuples.count_width_leq(m.n, m.n) == len(grid_cells(grid)), m
 
 
 def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
@@ -473,14 +488,13 @@ def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
     monkeypatch.setattr(bounds, "_wh_rows", refuse)
     monkeypatch.setattr(bounds, "wh_limit_simple", refuse)
     widths = []
-    segments = witness._width_segments
+    solve = bounds.wh_first_height_at_most
 
-    def counting(m, simple, stop):
-        for segment in segments(m, simple, stop):
-            widths.append(segment[0])
-            yield segment
+    def counting(n, w, f_max, *, simple=False):
+        widths.append(w)
+        return solve(n, w, f_max, simple=simple)
 
-    monkeypatch.setattr(witness, "_width_segments", counting)
+    monkeypatch.setattr(bounds, "wh_first_height_at_most", counting)
     rep = witness.analyze(fq(10**6, "30000000"))
     assert (rep.depth, rep.separability, rep.rank) == (31, 994615, -989229)
     assert rep.counts == {
@@ -503,12 +517,17 @@ def test_walk_ends_where_the_first_width_excludes_nothing(n):
         for w in range(1, n + 1):
             limits |= set(bounds.wh_limit_column(n, w, simple=simple))
     values = {limit + offset for limit in limits for offset in OFFSETS}
+    solve = bounds.wh_first_height_at_most
     for value in sorted(v for v in values if v > 0):
         m = fq(n, fraction_to_decimal_text(value))
         separability = witness.infer_separability(m)
+        f_max = math.ceil(m.exclusion_threshold()) - 1
         for simple in (False, True):
-            segments = witness._width_segments(m, simple, n)
-            first = next((w for w, _, hi, p in segments if p > hi), n + 1)
+            # the first width whose first excluded height is past its top height
+            first = next(
+                (w for w in range(1, n + 1) if solve(n, w, f_max, simple=simple) > n + 1 - w),
+                n + 1,
+            )
             assert first == n + 1 - separability, (m, simple)
 
 
@@ -545,7 +564,7 @@ def test_simple_bounds_mode():
     threshold = m.exclusion_threshold()
     grid_tight = witness.build_grid(witness.analyze(m))
     grid_simple = witness.build_grid(rep)
-    for ct, cs in zip(grid_tight.cells, grid_simple.cells):
+    for ct, cs in zip(grid_cells(grid_tight), grid_cells(grid_simple)):
         assert all(s <= t for t, s in zip(cell_flags(ct, threshold), cell_flags(cs, threshold)))
 
 
