@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import accumulate, cycle, islice
 from math import isqrt
-from typing import Iterator
+from collections.abc import Iterator
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -16,12 +16,9 @@ pipeline; no binary floats are involved in any exclusion decision.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import sys
-from importlib import resources
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -46,10 +43,14 @@ _VALUE_FLAGS = {"fq": ("fq", "none"), "xi2": ("xi2", "linear"), "xi2_db": ("xi2"
 
 def bundled_dataset_text() -> str:
     """The packaged dataset of published QFI / squeezing measurements."""
+    from importlib import resources
+
     return resources.files("metroent").joinpath("data/published.csv").read_text()
 
 
 def parse_dataset_text(text: str) -> list[Measurement]:
+    import csv
+
     reader = csv.DictReader(io.StringIO(text))
     records = []
     seen = set()
@@ -68,6 +69,8 @@ def parse_dataset_text(text: str) -> list[Measurement]:
                 raise ValueError(f"duplicate label {row['label']!r} in dataset")
             seen.add(row["label"])
             try:
+                if not witness.is_plain_text(row["n"]):
+                    raise ValueError
                 n = int(row["n"])
             except ValueError as exc:
                 raise ValueError(
@@ -130,6 +133,8 @@ def grid_csv_text(grid: TupleGrid) -> str:
 
 
 def report_json_text(report: WitnessReport) -> str:
+    import json
+
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
@@ -253,6 +258,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rank_summary(args) -> int:
+    import csv
+
     measurements = load_dataset(args.dataset)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["label", "n", "r", "r_plus_n"])
@@ -270,6 +277,8 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 0
+    import json
+
     for mm in mismatches:
         print(json.dumps(mm, sort_keys=True))
     return 1

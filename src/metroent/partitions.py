@@ -9,7 +9,7 @@ and tests are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 
 def iter_partition_rows(n: int) -> Iterator[tuple[int, ...]]:

@@ -14,7 +14,6 @@ limits are attainable, so exclusion requires strictly exceeding them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -43,66 +42,100 @@ def check_n(n: int) -> None:
         raise ValueError(f"n must be <= {MAX_N}, got {n}")
 
 
-@dataclass(frozen=True)
+def is_plain_text(text: str) -> bool:
+    """True for ASCII text with no ``_`` and no leading or trailing whitespace.
+
+    ``Decimal``, ``Fraction`` and ``int`` also accept digit-group
+    underscores, surrounding whitespace and non-ASCII digits; a value or
+    particle count is refused unless its text passes this check first.
+    """
+    return text.isascii() and "_" not in text and text == text.strip()
+
+
+def _read_only(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+
+
 class Measurement:
     """One published sensitivity value for an n-particle state.
 
-    ``value`` is kept as the original decimal text and parsed exactly, once,
-    when the measurement is made; squeezing values carry an explicit unit
-    (``linear`` or ``db``), QFI values carry ``none``.
+    ``value`` is kept as the original decimal text: ASCII, with no ``_`` and
+    no surrounding whitespace.  It is parsed exactly, once, when the
+    measurement is made, and the integer cuts every exclusion decision
+    compares against are stored with it.  Squeezing values carry an explicit
+    unit (``linear`` or ``db``), QFI values carry ``none``.  Instances are
+    read-only; equality and hash read the six constructor fields only.
     """
 
-    label: str
-    n: int
-    kind: str
-    value: str
-    unit: str = "none"
-    reference: str = ""
-    _quantity: Fraction = field(init=False, repr=False, compare=False)
-    # ceil(T) and ceil(4T): a limit f, or 4f read in quarters, is excluded iff below its cut
-    _cut1: int = field(init=False, repr=False, compare=False)
-    _cut4: int = field(init=False, repr=False, compare=False)
+    # _quantity is the linear-scale value; _cut1 and _cut4 are ceil(T) and
+    # ceil(4T): a limit f, or 4f read in quarters, is excluded iff below its cut
+    __slots__ = ("label", "n", "kind", "value", "unit", "reference", "_quantity", "_cut1", "_cut4")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
+    def __init__(
+        self, label: str, n: int, kind: str, value: str, unit: str = "none", reference: str = ""
+    ):
         # the label names the record's directory under --out
-        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\\0"):
+        if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
             raise ValueError(
-                f"bad label {self.label!r}: a label must not be empty, '.' or '..',"
+                f"bad label {label!r}: a label must not be empty, '.' or '..',"
                 " nor contain '/', '\\' or NUL"
             )
-        check_n(self.n)
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.unit not in UNITS:
-            raise ValueError(f"unit must be one of {UNITS}, got {self.unit!r}")
-        if self.kind == KIND_QFI and self.unit != "none":
+        check_n(n)
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if unit not in UNITS:
+            raise ValueError(f"unit must be one of {UNITS}, got {unit!r}")
+        if kind == KIND_QFI and unit != "none":
             raise ValueError("QFI measurements take unit 'none'")
-        if self.kind == KIND_SQUEEZING and self.unit == "none":
+        if kind == KIND_SQUEEZING and unit == "none":
             raise ValueError("squeezing measurements need unit 'linear' or 'db'")
         try:
-            # bound the text before Fraction or Decimal expands its exponent
-            if len(self.value) > MAX_VALUE_CHARS:
+            # bound and vet the text before Fraction or Decimal reads it
+            if len(value) > MAX_VALUE_CHARS or not is_plain_text(value):
                 raise ValueError
-            x = Decimal(self.value)
+            x = Decimal(value)
             if abs(x.adjusted()) > MAX_EXPONENT:
                 raise ValueError
-            if self.unit == "db":
+            if unit == "db":
                 # 10**(x/10) keeps its exponent within +-MAX_EXPONENT too
                 if abs(x) > 10 * MAX_EXPONENT:
                     raise ValueError
-                q = db_text_to_linear(self.value)
+                q = db_text_to_linear(value)
             else:
-                q = Fraction(self.value)
+                q = Fraction(value)
         except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"bad decimal value {self.value!r}") from exc
-        if self.kind == KIND_QFI and q <= 0:
-            raise ValueError(f"QFI value must be positive, got {self.value}")
-        if self.kind == KIND_SQUEEZING and q <= 0:
-            raise ValueError(f"linear xi**2 must be positive, got {self.value}")
-        object.__setattr__(self, "_quantity", q)
+            raise ValueError(f"bad decimal value {value!r}") from exc
+        if kind == KIND_QFI and q <= 0:
+            raise ValueError(f"QFI value must be positive, got {value}")
+        if kind == KIND_SQUEEZING and q <= 0:
+            raise ValueError(f"linear xi**2 must be positive, got {value}")
+        init = object.__setattr__
+        init(self, "label", label)
+        init(self, "n", n)
+        init(self, "kind", kind)
+        init(self, "value", value)
+        init(self, "unit", unit)
+        init(self, "reference", reference)
+        init(self, "_quantity", q)
         t = self.exclusion_threshold()
-        object.__setattr__(self, "_cut1", -(-t.numerator // t.denominator))
-        object.__setattr__(self, "_cut4", -(-4 * t.numerator // t.denominator))
+        init(self, "_cut1", -(-t.numerator // t.denominator))
+        init(self, "_cut4", -(-4 * t.numerator // t.denominator))
+
+    def _fields(self) -> tuple:
+        return (self.label, self.n, self.kind, self.value, self.unit, self.reference)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"Measurement({args})"
 
     def quantity(self) -> Fraction:
         """The measured quantity on linear scale, as an exact rational."""
@@ -113,7 +146,8 @@ class Measurement:
 
         For a QFI lower bound F this is F itself.  A squeezing upper bound
         xi**2 excludes a class when xi**2 < 2n/(f + 2n), which rearranges to
-        f < 2n(1 - xi**2)/xi**2.  Worked out once, by :meth:`__post_init__`.
+        f < 2n(1 - xi**2)/xi**2.  Worked out once, when the measurement is
+        made, for the stored cuts ceil(T) and ceil(4T).
         """
         q = self._quantity
         if self.kind == KIND_QFI:
@@ -202,17 +236,30 @@ def exclusion_counts(
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
 
 
-@dataclass(frozen=True)
 class WitnessReport:
-    """Everything inferred from one measurement."""
+    """Everything inferred from one measurement; read-only."""
 
-    measurement: Measurement
-    depth: int
-    separability: int
-    rank: int
-    counts: dict
-    simple: bool
-    q_advantage: "Fraction | None"
+    __slots__ = ("measurement", "depth", "separability", "rank", "counts", "simple", "q_advantage")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        measurement: Measurement,
+        depth: int,
+        separability: int,
+        rank: int,
+        counts: dict,
+        simple: bool,
+        q_advantage: Fraction | None,
+    ):
+        init = object.__setattr__
+        init(self, "measurement", measurement)
+        init(self, "depth", depth)
+        init(self, "separability", separability)
+        init(self, "rank", rank)
+        init(self, "counts", counts)
+        init(self, "simple", simple)
+        init(self, "q_advantage", q_advantage)
 
     @property
     def smallest_excluded_h(self) -> "int | None":
@@ -260,7 +307,6 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     )
 
 
-@dataclass(frozen=True)
 class TupleGrid:
     """Per-tuple exclusion map for one measurement, in run-length form.
 
@@ -275,12 +321,20 @@ class TupleGrid:
     OK.  (W and H together force R, so the two-letter value WH is
     unambiguous.)  Under ``simple`` a (w, h)-compatible tuple can still
     read R, so more tuples can carry a flag than ``by_wh`` counts.
-    The grid holds O(n) data; only ``cli.grid_csv_text`` expands it into rows.
+    The grid holds O(n) data; only ``cli.grid_csv_text`` expands it into
+    rows.  Read-only.
     """
 
-    n: int
-    simple: bool
-    runs: tuple[tuple[int, tuple[tuple[int, int, str], ...]], ...]
+    __slots__ = ("n", "simple", "runs")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self, n: int, simple: bool, runs: tuple[tuple[int, tuple[tuple[int, int, str], ...]], ...]
+    ):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "simple", simple)
+        init(self, "runs", runs)
 
     def __len__(self) -> int:
         """The number of tuples, the sum of the run lengths."""

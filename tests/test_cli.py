@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its file formats."""
 
+import ast
 import json
 import os
 import random
@@ -406,6 +407,31 @@ def test_analyze_input_errors(capsys, tmp_path):
     assert capsys.readouterr().err.count("bad decimal value") == 3
 
 
+@pytest.mark.parametrize("value", ["4_0", " 40", "40 ", " 40 ", "٤٠", "40\u2009"])
+def test_analyze_refuses_loose_decimal_text(capsys, value):
+    # Decimal reads each as 40; the text would be echoed into the table
+    for flag in ("--fq", "--xi2", "--xi2-db"):
+        assert main(["analyze", "--n", "14", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad decimal value {value!r}\n"
+
+
+@pytest.mark.parametrize("n_text", ["1_4", " 14", "14 ", " 1_4 ", "١٤", "14\u00a0"])
+def test_dataset_refuses_loose_particle_counts(capsys, tmp_path, n_text):
+    # int() reads each as 14
+    dataset = tmp_path / "in.csv"
+    dataset.write_text(f"label,n,kind,value,unit,reference\na,{n_text},fq,40.4,none,\n")
+    assert main(["analyze", "--dataset", str(dataset)]) == 2
+    assert main(["rank-summary", "--dataset", str(dataset)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad particle count {n_text!r} for 'a'\n" * 2
+    dataset.write_text(f"label,n,kind,value,unit,reference\na,14,fq,{n_text}.4,none,\n")
+    assert main(["analyze", "--dataset", str(dataset)]) == 2
+    assert capsys.readouterr().err == f"error: bad decimal value {n_text + '.4'!r}\n"
+
+
 def test_analyze_bundled_dataset(capsys, tmp_path):
     out_dir = tmp_path / "reports"
     assert main(["analyze", "--dataset", "bundled.csv", "--out", str(out_dir)]) == 0
@@ -651,6 +677,61 @@ def test_verify_detects_corrupted_bound(capsys, monkeypatch):
 def test_bundled_alias_requires_known_name():
     with pytest.raises(ValueError):
         load_dataset("unknown-alias")
+
+
+_FRESH_RUN = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from metroent import cli
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+results = [loaded("dataclasses", "inspect", "json", "csv", "importlib.resources", "typing")]
+for argv in ARGVS:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append((code, out.getvalue(), loaded("json", "csv")))
+print(repr(results))
+"""
+
+
+def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
+    # json, csv and the rest are imported where they are used; this process
+    # has them loaded already, so only a fresh interpreter shows a missing import
+    src = Path(cli.__file__).resolve().parents[1]
+
+    def argvs(out_dir):
+        return [
+            ["analyze", "--n", "14", "--fq", "40.4"],
+            ["analyze", "--dataset", "bundled.csv", "--out", str(out_dir)],
+            ["rank-summary", "--dataset", "bundled.csv"],
+            ["verify", "--nmax", "8"],
+        ]
+
+    script = _FRESH_RUN.replace("ARGVS", repr(argvs(tmp_path / "fresh")))
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    first, *runs = ast.literal_eval(result.stdout)
+    assert first == []
+    assert runs[0][2] == []
+    expected = []
+    for argv in argvs(tmp_path / "here"):
+        code = main(argv)
+        expected.append((code, capsys.readouterr().out))
+    assert [run[:2] for run in runs] == expected
+    assert [code for code, _ in expected] == [0] * 4
+
+    def written(out_dir):
+        return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.*")}
+
+    assert len(written(tmp_path / "here")) == 10
+    assert written(tmp_path / "fresh") == written(tmp_path / "here")
 
 
 def test_cli_import_leaves_numpy_out():

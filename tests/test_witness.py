@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from support import (
 
 from metroent import bounds, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width, wh_limit_simple
-from metroent.cli import grid_csv_text
+from metroent.cli import grid_csv_text, parse_dataset_text
 from metroent.witness import Measurement, fraction_to_decimal_text
 
 
@@ -76,6 +77,51 @@ def test_db_values_are_bounded_before_conversion(monkeypatch):
     for value in ("-1000.0001", "1000.0001", "-9.99e6", "-1e100", "-Infinity"):
         with pytest.raises(ValueError, match="bad decimal value"):
             xi2_db(5, value)
+
+
+@pytest.mark.parametrize(
+    "value", ["4_0", "1_0.5", " 40", "40 ", "40\n", "\t-4.5", "٤٠", "４０", "40\u00a0"]
+)
+@pytest.mark.parametrize("kind, unit", [("fq", "none"), ("xi2", "linear"), ("xi2", "db")])
+def test_measurement_refuses_loose_decimal_text(monkeypatch, value, kind, unit):
+    # Decimal and Fraction read each of these as a number; none reaches them
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(witness, "Decimal", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"bad decimal value {value!r}")):
+        Measurement(label="x", n=14, kind=kind, value=value, unit=unit)
+
+
+def test_measurements_compare_by_their_six_fields():
+    text = "label,n,kind,value,unit,reference\nions-n14,14,fq,40.4,none,Monz 2011\n"
+    (a,), (b,) = parse_dataset_text(text), parse_dataset_text(text)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == Measurement("ions-n14", 14, "fq", "40.4", "none", "Monz 2011")
+    # the parsed value and its cuts play no part, only the text does
+    for name, hidden in (("_quantity", Fraction(1)), ("_cut1", 0), ("_cut4", 0)):
+        object.__setattr__(b, name, hidden)
+    assert a == b and hash(a) == hash(b)
+    assert a != Measurement("ions-n14", 14, "fq", "40.40", "none", "Monz 2011")
+    assert a != Measurement("ions-n14", 14, "fq", "40.4")
+    assert a != ("ions-n14", 14, "fq", "40.4", "none", "Monz 2011")
+    assert repr(fq(14, "40.4", label="ions-n14")) == (
+        "Measurement(label='ions-n14', n=14, kind='fq', value='40.4', unit='none', reference='')"
+    )
+
+
+def test_records_are_read_only():
+    m = fq(14, "40.4")
+    report = witness.analyze(m)
+    grid = witness.build_grid(report)
+    for record in (m, report, grid):
+        for name in (*type(record).__slots__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert (m.value, m._quantity, m._cut1, m._cut4) == ("40.4", Fraction("40.4"), 41, 162)
+    assert (report.depth, grid.n) == (4, 14)
 
 
 @pytest.mark.parametrize("label", ["", ".", "..", "../outside", "a/b", "/abs", "a\\b", "a\0b"])
