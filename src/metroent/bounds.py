@@ -50,7 +50,10 @@ def wh_limit_column(n: int, w: int, *, simple: bool = False) -> range | list[int
     so going from t to t + 1 adds 2*(j + 1), also across a block end.  The
     column is therefore n + w*(w - 1), the limit at the largest height, plus
     a running sum of the steps 2, 4, ..., 2*(w - 1) repeated, read backwards.
-    For w == 1 there are no steps and the column is [n].
+    For w == 1 there are no steps and the column is [n].  The tight column is
+    what ``grid.csv`` and ``bounds --class wh`` print, and what
+    :func:`metroent.oracle.verify_closed_forms` compares with brute force,
+    one column per width.
     """
     lo = _ceil_div(n, w)
     if simple:
@@ -92,7 +95,8 @@ def max_qfi_wh(n: int, w: int, h: int) -> int:
     The closed form k*w**2 + u**2 + v from the maximizing rows of
     :func:`_wh_rows`.  Exact integer; equals the true maximum of the
     squared-row sum over partitions of n with width <= w and height >= h,
-    attained at width exactly w and height exactly h.
+    attained at width exactly w and height exactly h.  ``verify`` checks
+    :func:`wh_limit_column`, which the tests tie to this function.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

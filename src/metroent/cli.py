@@ -20,7 +20,6 @@ import functools
 import io
 import sys
 from itertools import islice, repeat
-from pathlib import Path
 
 from . import bounds, oracle, tuples, witness
 from .witness import Measurement, TupleGrid, WitnessReport
@@ -96,6 +95,8 @@ def parse_dataset_text(text: str) -> list[Measurement]:
 
 def load_dataset(path_or_alias: str) -> list[Measurement]:
     """Read a dataset file; the name ``bundled.csv`` falls back to the packaged data."""
+    from pathlib import Path
+
     path = Path(path_or_alias)
     if path.exists():
         with path.open("rb") as f:
@@ -140,6 +141,8 @@ def report_json_text(report: WitnessReport) -> str:
 
 def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
     """Write ``<label>/report.json`` and ``<label>/grid.csv`` under ``out_dir``."""
+    from pathlib import Path
+
     target = Path(out_dir) / report.measurement.label
     target.mkdir(parents=True, exist_ok=True)
     (target / "report.json").write_text(report_json_text(report))

@@ -4,7 +4,9 @@ The oracle enumerates the partitions of each n once and keeps, as a plain
 int, the largest squared-row sum of every (width, height) shape.  It folds
 those into per-width suffix maxima over height, and those in turn into
 prefix maxima over width, so a width, height or (width, height) class
-maximum is one table entry and a Dyson-rank class one entry per width.  It
+maximum is one table entry and a Dyson-rank class one entry per width; the
+(width, height) maxima of one width, read as a slice of the prefix table,
+are checked against that width's closed-form column in one comparison.  It
 returns values only: the diagram attaining a limit comes from the closed
 form (:func:`metroent.bounds._wh_rows`), which the values check.  It never
 shares code with the closed forms it checks.
@@ -13,15 +15,14 @@ shares code with the closed forms it checks.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, zip_longest
 
 from . import bounds, tuples
 from .partitions import iter_partition_rows
 
 # Largest n_max verify_closed_forms accepts.  The sweep enumerates all p(n)
 # partitions of each n, and p(n) grows like exp(pi * sqrt(2n/3)): n_max = 60
-# (p(60) = 966467) takes about 9 s (6.3 to 10.9 s over four runs) on a
+# (p(60) = 966467) takes about 11 s (10.7 to 11.9 s over four runs) on a
 # 2-vCPU x86 machine with Python 3.11, while n_max = 200 would walk p(200),
 # about 4e12 partitions.
 MAX_NMAX = 60
@@ -39,8 +40,9 @@ def _shape_table(n: int) -> list[list[int]]:
     when there is no such shape; every real entry is at least n >= 1.
     """
     best = [[0] * (n + 2) for _ in range(n + 1)]
+    square = [k * k for k in range(n + 1)].__getitem__
     for rows in iter_partition_rows(n):
-        s = sum(map(mul, rows, rows))
+        s = sum(map(square, rows))
         by_height = best[rows[0]]
         h = len(rows)
         if s > by_height[h]:
@@ -118,16 +120,20 @@ def brute_force_max(
 def verify_closed_forms(n_max: int) -> list[dict]:
     """Compare every closed form against brute force for all n <= n_max.
 
-    Sweeps every valid (w, h) tuple, every realizable Dyson rank, and every
-    marginal width/height class, one ``brute_force_max`` call per class; all
-    classes of one n share one enumeration and one fold, after which a
-    (w, h), width or height class costs O(1) and a rank class O(n).  Returns
-    the (possibly empty) list of mismatches, each a dict with keys "n",
-    "class", "closed" and "brute"; mismatches are data, not errors, and a
-    class label is formatted only for a mismatch.  n_max >= 18 covers both
-    two-full-row rank special cases (n + r = 10 and 16) and the n + r = 4
-    corner.  n_max must lie in 2..MAX_NMAX, checked before any enumeration
-    starts.
+    Sweeps every marginal width/height class and every realizable Dyson
+    rank, one ``brute_force_max`` call per class, and the valid (w, h)
+    tuples one width at a time: the ``corner`` entries at width w's heights
+    are compared as one list with :func:`metroent.bounds.wh_limit_column`,
+    the limits ``grid.csv`` and ``bounds --class wh`` print, and only a
+    width whose lists differ is walked tuple by tuple.  All classes of one n
+    share one enumeration and one fold, after which a width or height class
+    costs O(1), and a rank class or a width's column O(n).  Returns the
+    (possibly empty) list of mismatches, each a dict with keys "n", "class",
+    "closed" and "brute"; within one n the (w, h) tuples come first, by w
+    then h.  Mismatches are data, not errors, and a class label is formatted
+    only for a mismatch.  n_max >= 18 covers both two-full-row rank special
+    cases (n + r = 10 and 16) and the n + r = 4 corner.  n_max must lie in
+    2..MAX_NMAX, checked before any enumeration starts.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -143,9 +149,14 @@ def verify_closed_forms(n_max: int) -> list[dict]:
             found.append({"n": n, "class": label.format(*args), "closed": closed, "brute": brute})
 
     for n in range(1, n_max + 1):
-        for w, h in tuples.all_tuples(n):
-            brute = brute_force_max(n, max_width=w, min_height=h)
-            check(brute, bounds.max_qfi_wh(n, w, h), "wh({},{})", w, h)
+        corner = _shape_maxima(n)[1]
+        for w in range(1, n + 1):
+            hs = tuples.heights(n, w)
+            column = bounds.wh_limit_column(n, w)
+            brute = corner[w][hs.start : hs.stop]
+            if column != brute:
+                for h, closed, value in zip_longest(hs, column, brute):
+                    check(value, closed, "wh({},{})", w, h)
         for w in range(1, n + 1):
             check(brute_force_max(n, max_width=w), bounds.max_qfi_width(n, w), "w({})", w)
         for h in range(1, n + 1):

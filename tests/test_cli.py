@@ -687,7 +687,8 @@ from metroent import cli
 def loaded(*names):
     return [name for name in names if name in sys.modules]
 
-results = [loaded("dataclasses", "inspect", "json", "csv", "importlib.resources", "typing")]
+results = [loaded("dataclasses", "inspect", "json", "csv", "importlib.resources", "typing",
+                  "pathlib")]
 for argv in ARGVS:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -698,7 +699,7 @@ print(repr(results))
 
 
 def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
-    # json, csv and the rest are imported where they are used; this process
+    # json, csv, pathlib and the rest are imported where they are used; this process
     # has them loaded already, so only a fresh interpreter shows a missing import
     src = Path(cli.__file__).resolve().parents[1]
 
@@ -732,6 +733,22 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
 
     assert len(written(tmp_path / "here")) == 10
     assert written(tmp_path / "fresh") == written(tmp_path / "here")
+
+
+def test_identity_digest_is_pinned():
+    # byte-identity in small: every call of the n <= 8 sweep hashes to the
+    # recorded digest; a subprocess, as the tool changes the working directory
+    tool = Path(__file__).resolve().parents[1] / "tools" / "identity_digest.py"
+    result = subprocess.run(
+        [sys.executable, str(tool), "--nmax", "8"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == (
+        "cases: 847\n"
+        "sha256: 50855997da68eba21ecddb6e0038462fddd6d6d0f49d7850aeb62276e10a0d69\n"
+    )
 
 
 def test_cli_import_leaves_numpy_out():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from support import brute_max_squares
 
 from metroent import bounds, oracle, partitions
+from metroent.cli import main
 from metroent.oracle import (
     MAX_NMAX,
     EmptyClassError,
@@ -103,7 +104,9 @@ def test_corner_reads_match_filtered_brute_at_every_limit():
 
 
 def test_verify_enumerates_each_n_once(monkeypatch):
-    # and queries each class once, so per-call and per-row counts stay comparable
+    # and queries each width, height and rank class once, so per-call and
+    # per-row counts stay comparable; the (w, h) family reads whole columns
+    # of the fold, with no brute_force_max call
     calls = []
     queries = collections.Counter()
     original = oracle.iter_partition_rows
@@ -125,9 +128,7 @@ def test_verify_enumerates_each_n_once(monkeypatch):
     finally:
         oracle._shape_maxima.cache_clear()
     assert calls == list(range(1, 13))
-    assert queries == {
-        n: len(all_tuples(n)) + 2 * n + len(list(bounds.valid_ranks(n))) for n in range(1, 13)
-    }
+    assert queries == {n: 2 * n + len(list(bounds.valid_ranks(n))) for n in range(1, 13)}
 
 
 def test_optimal_diagram_structure_attains_maximum():
@@ -201,6 +202,41 @@ def test_verify_reports_corrupted_bound(monkeypatch):
     # a plain dict; n = 1 has the one rank 0, where the limit really is 1
     assert mismatches[0] == {"n": 2, "class": "r(-1)", "closed": 1, "brute": 2}
     assert all(entry["closed"] != entry["brute"] for entry in mismatches)
+
+
+def _corrupt_column(monkeypatch, at, change):
+    """Patch bounds.wh_limit_column so that change(column) is returned at (n, w) == at."""
+    original = bounds.wh_limit_column
+
+    def corrupted(n, w, *, simple=False):
+        column = original(n, w, simple=simple)
+        return change(list(column)) if (n, w) == at else column
+
+    monkeypatch.setattr(bounds, "wh_limit_column", corrupted)
+
+
+def test_verify_reports_corrupted_limit_column(monkeypatch, capsys):
+    # the (w, h) limits verify checks are the column grid.csv and bounds --class wh print;
+    # n = 6, w = 2 has heights 3, 4, 5 and limits 12, 10, 8
+    def off_by_one(column):
+        column[1] += 1
+        return column
+
+    _corrupt_column(monkeypatch, (6, 2), off_by_one)
+    assert bounds.wh_limit_column(6, 2) == [12, 11, 8]
+    expected = {"n": 6, "class": "wh(2,4)", "closed": 11, "brute": 10}
+    assert verify_closed_forms(6) == [expected]
+    assert verify_closed_forms(5) == []
+    assert main(["verify", "--nmax", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == '{"brute": 10, "class": "wh(2,4)", "closed": 11, "n": 6}\n'
+    assert captured.err == ""
+
+
+def test_verify_reports_a_short_limit_column(monkeypatch):
+    # a column missing its last height is a mismatch there, not a shorter sweep
+    _corrupt_column(monkeypatch, (6, 2), lambda column: column[:-1])
+    assert verify_closed_forms(6) == [{"n": 6, "class": "wh(2,5)", "closed": None, "brute": 8}]
 
 
 def _global_names(code) -> set[str]:

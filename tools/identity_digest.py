@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/identity_digest.py [ROOT]
+    python tools/identity_digest.py [--nmax N] [ROOT]
 
 ROOT is a checkout whose ``src/`` holds the ``metroent`` package (default:
 this checkout).  The script runs ``metroent.cli.main`` in process over a
@@ -11,7 +11,7 @@ stdout, stderr and every file it wrote under ``--out``.  It prints the case
 count and the digest; two trees print the same digest exactly when every
 call behaved byte-identically.
 
-The sweep, for every n = 1..NMAX and both bound modes:
+The sweep, for every n = 1..N (default NMAX = 30) and both bound modes:
 
 - ``analyze --fq V --out`` at every width, height, Dyson-rank and (w, h)
   limit V of n, tight and simple, offset by -1, -1/4, 0, 1/8 and +1;
@@ -26,6 +26,7 @@ record's files at a time.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -75,9 +76,9 @@ def _decimal_text(value: Fraction) -> str:
     return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def cases(bounds):
-    """Every argv of the sweep, in a fixed order."""
-    for n in range(1, NMAX + 1):
+def cases(bounds, nmax: int = NMAX):
+    """Every argv of the sweep for n = 1..nmax, in a fixed order."""
+    for n in range(1, nmax + 1):
         for simple in (False, True):
             mode = ["--simple"] if simple else []
             values = {v + d for v in _limits(bounds, n, simple) for d in OFFSETS}
@@ -96,7 +97,12 @@ def cases(bounds):
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    parser = argparse.ArgumentParser(description="Hash the CLI's behaviour over a fixed sweep.")
+    parser.add_argument("root", nargs="?", default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ holds metroent (default: this one)")
+    parser.add_argument("--nmax", type=int, default=NMAX, help="largest n of the sweep")
+    args = parser.parse_args(argv)
+    root = Path(args.root).resolve()
     sys.path.insert(0, str(root / "src"))
     from metroent import bounds, cli
 
@@ -107,7 +113,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         out_dir = Path("out")
-        for case in cases(bounds):
+        for case in cases(bounds, args.nmax):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
