@@ -62,6 +62,12 @@ def parse_dataset_text(text: str) -> list[Measurement]:
         for row in reader:
             if len(records) == MAX_DATASET_RECORDS:
                 raise ValueError(f"dataset has more than {MAX_DATASET_RECORDS} records")
+            if None in row:
+                # csv files the fields past the header under the key None
+                raise ValueError(
+                    f"dataset row {row['label']!r} has more than {len(DATASET_HEADER)} fields;"
+                    " quote a field that holds a comma"
+                )
             if any(row.get(field) is None for field in DATASET_HEADER):
                 raise ValueError(f"dataset row is missing fields: {row}")
             if row["label"] in seen:

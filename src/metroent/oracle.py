@@ -2,13 +2,14 @@
 
 The oracle enumerates the partitions of each n once and keeps, as a plain
 int, the largest squared-row sum of every (width, height) shape.  It folds
-those into per-width suffix maxima over height, and those in turn into
-prefix maxima over width, so a width, height or (width, height) class
-maximum is one table entry and a Dyson-rank class one entry per width; the
-(width, height) maxima of one width, read as a slice of the prefix table,
-are checked against that width's closed-form column in one comparison.  It
-returns values only: the diagram attaining a limit comes from the closed
-form (:func:`metroent.bounds._wh_rows`), which the values check.  It never
+those into one prefix table over width of suffix maxima over height, so a
+width, height or (width, height) class maximum is one table entry.  A
+Dyson-rank class is the union of the (width, height) classes along its
+diagonal, so its maximum is one entry per width; the (width, height) maxima
+of one width, read as a slice of the same table, are checked against that
+width's closed-form column in one comparison.  It returns values only: the
+diagram attaining a limit comes from the closed form
+(:func:`metroent.bounds._wh_rows`), which the values check.  It never
 shares code with the closed forms it checks.
 """
 
@@ -51,25 +52,21 @@ def _shape_table(n: int) -> list[list[int]]:
 
 
 @functools.lru_cache(maxsize=1)
-def _shape_maxima(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Fold the per-shape table of n into ``(column, corner)``, each indexed ``[w][h]``.
+def _shape_maxima(n: int) -> list[list[int]]:
+    """Fold the per-shape table of n into one prefix table ``corner[w][h]``.
 
-    ``column[w][h]`` is the largest entry over the shapes of width w and
-    height >= h, and ``corner[w][h]`` the largest over widths <= w and
-    heights >= h, for 0 <= w <= n and 0 <= h <= n + 1; 0 where there is none.
-    Width w has every height from ceil(n/w) to n + 1 - w, so its column is
-    constant below ceil(n/w).  The fold costs O(n**2).
+    ``corner[w][h]`` is the largest squared-row sum over the partitions of n
+    with width <= w and height >= h, for 0 <= w <= n and 0 <= h <= n + 1; 0
+    where there is none.  Row w is the element-wise max of row w - 1 and the
+    suffix maxima of width w's whole row of shapes, where a missing shape is
+    0.  The fold costs O(n**2), and the table answers every class.
     """
-    best = _shape_table(n)
-    column = [[0] * (n + 2)]
-    corner = [column[0]]
-    for w in range(1, n + 1):
-        lo, hi = -(-n // w), n + 1 - w
-        run = list(accumulate(best[w][hi : lo - 1 : -1], max))
-        run.reverse()
-        column.append([run[0]] * lo + run + [0] * (n + 1 - hi))
-        corner.append(list(map(max, corner[-1], column[-1])))
-    return column, corner
+    corner = [[0] * (n + 2)]
+    for row in _shape_table(n)[1:]:
+        suffix = list(accumulate(reversed(row), max))
+        suffix.reverse()
+        corner.append(list(map(max, corner[-1], suffix)))
+    return corner
 
 
 def brute_force_max(
@@ -83,12 +80,14 @@ def brute_force_max(
 
     The class holds the partitions of n with width <= max_width, height >=
     min_height and Dyson rank <= max_rank; a limit left at None cuts
-    nothing.  Without max_rank the answer is one entry of the ``corner``
-    table of ``_shape_maxima(n)``, so a call costs O(1).  With max_rank,
-    each admitted width w keeps the heights from max(min_height, w -
-    max_rank) up, one entry of its ``column``, and a call costs O(n).
+    nothing.  One prefix table, ``_shape_maxima(n)``, answers every class.
+    Without max_rank the answer is one entry, and a call costs O(1).  With
+    max_rank the class is the union, over the admitted widths w, of the
+    entries at (w, max(min_height, w - max_rank)), and a call costs O(n):
+    every partition those entries count has rank <= max_rank, and a
+    partition of width w' in the class lies in the entry of w'.
     """
-    column, corner = _shape_maxima(n)
+    corner = _shape_maxima(n)
     widths = n if max_width is None else max_width
     least_h = 0 if min_height is None else min_height
     # heights start at 1 and end at n, so 0 and n + 1 stand for any lower or higher limit
@@ -106,7 +105,7 @@ def brute_force_max(
             if h < least_h:
                 h = least_h
             if h <= n:
-                entry = column[w][h]
+                entry = corner[w][h]
                 if entry > found:
                     found = entry
     if not found:
@@ -149,7 +148,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
             found.append({"n": n, "class": label.format(*args), "closed": closed, "brute": brute})
 
     for n in range(1, n_max + 1):
-        corner = _shape_maxima(n)[1]
+        corner = _shape_maxima(n)
         for w in range(1, n + 1):
             hs = tuples.heights(n, w)
             column = bounds.wh_limit_column(n, w)

@@ -14,7 +14,7 @@ limits are attainable, so exclusion requires strictly exceeding them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from decimal import Decimal
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from . import bounds
@@ -250,7 +250,7 @@ class WitnessReport:
         rank: int,
         counts: dict,
         simple: bool,
-        q_advantage: Fraction | None,
+        q_advantage: Decimal | None,
     ):
         init = object.__setattr__
         init(self, "measurement", measurement)
@@ -276,9 +276,7 @@ class WitnessReport:
             "value": m.value,
             "inferred": {"w": self.depth, "h": self.separability, "r": self.rank},
             "counts": dict(self.counts),
-            "q_advantage": None
-            if self.q_advantage is None
-            else fraction_to_decimal_text(self.q_advantage),
+            "q_advantage": None if self.q_advantage is None else format(self.q_advantage, "f"),
             "grid_ref": "grid.csv",
         }
 
@@ -294,8 +292,15 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     depth = infer_depth(m, simple=simple)
     separability = infer_separability(m)
     rank = infer_rank(m, simple=simple)
-    # the sensitivity gain over the shot-noise limit n
-    q = m.quantity() - m.n if m.kind == KIND_QFI else None
+    q = None
+    if m.kind == KIND_QFI:
+        # the sensitivity gain F - n over the shot-noise limit n, exact: the
+        # digits of F and of n <= MAX_N lie between 10**MAX_EXPONENT and
+        # 10**(1 - MAX_EXPONENT - MAX_VALUE_CHARS)
+        with localcontext() as ctx:
+            ctx.prec = MAX_VALUE_CHARS + 2 * MAX_EXPONENT
+            ctx.traps[Inexact] = True
+            q = (Decimal(m.value) - m.n).normalize()
     return WitnessReport(
         measurement=m,
         depth=depth,
@@ -376,21 +381,3 @@ def build_grid(report: WitnessReport) -> TupleGrid:
         runs.append((w, tuple(width_runs)))
     return TupleGrid(n=m.n, simple=report.simple, runs=tuple(runs))
 
-
-def fraction_to_decimal_text(value: Fraction) -> str:
-    """Exact decimal text of a rational whose denominator divides a power of ten."""
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        raise ValueError(f"{value} has no terminating decimal form")
-    scale = max(twos, fives)
-    scaled = abs(value.numerator) * 10**scale // value.denominator
-    digits = str(scaled).rjust(scale + 1, "0")
-    text = digits if scale == 0 else f"{digits[:-scale]}.{digits[-scale:]}"
-    return f"-{text}" if value < 0 else text

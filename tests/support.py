@@ -82,6 +82,25 @@ def brute_max_squares(n, max_width=None, min_height=None, max_rank=None):
     )
 
 
+def fraction_to_decimal_text(value: Fraction) -> str:
+    """Exact decimal text of a rational whose denominator divides a power of ten."""
+    den = value.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        raise ValueError(f"{value} has no terminating decimal form")
+    scale = max(twos, fives)
+    scaled = abs(value.numerator) * 10**scale // value.denominator
+    digits = str(scaled).rjust(scale + 1, "0")
+    text = digits if scale == 0 else f"{digits[:-scale]}.{digits[-scale:]}"
+    return f"-{text}" if value < 0 else text
+
+
 def rank_limit_simple(n, r) -> Fraction:
     """The simple rank limit as an exact rational, from its integer quarters."""
     return Fraction(bounds.rank_limit_simple_quarters(n, r), 4)

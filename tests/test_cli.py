@@ -581,6 +581,29 @@ def test_dataset_rejects_bad_input():
         parse_dataset_text("label,n,kind,value,unit,reference\na,5,fq\n")
 
 
+def test_dataset_row_with_extra_fields_exits_2(capsys, tmp_path):
+    # an unquoted comma splits a field: refused, not analysed with the rest dropped
+    dataset = tmp_path / "unquoted.csv"
+    dataset.write_text(
+        "label,n,kind,value,unit,reference\nions-n8,8,fq,39.6,none,Monz et al., PRL 106\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
+    assert main(["rank-summary", "--dataset", str(dataset)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: dataset row 'ions-n8' has more than 6 fields; quote a field that holds a comma"
+    ] * 2
+    assert not out_dir.exists()
+    # quoted, the same reference is one field
+    dataset.write_text(
+        'label,n,kind,value,unit,reference\nions-n8,8,fq,39.6,none,"Monz et al., PRL 106"\n'
+    )
+    (record,) = load_dataset(str(dataset))
+    assert record.reference == "Monz et al., PRL 106"
+
+
 def test_dataset_csv_error_exits_2(capsys, tmp_path):
     # a field over the csv module's size limit is bad input, not a crash
     dataset = tmp_path / "huge.csv"

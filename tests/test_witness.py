@@ -1,9 +1,11 @@
 """Tests for measurement parsing, exclusion logic and grid construction."""
 
+import json
 import math
 import random
 import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from support import (
     cell_flags,
+    fraction_to_decimal_text,
     grid_cells,
     grid_counts,
     rank_limit_simple,
@@ -23,8 +26,8 @@ from support import (
 
 from metroent import bounds, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width, wh_limit_simple
-from metroent.cli import grid_csv_text, parse_dataset_text
-from metroent.witness import Measurement, fraction_to_decimal_text
+from metroent.cli import grid_csv_text, parse_dataset_text, report_json_text
+from metroent.witness import Measurement
 
 
 def fq(n, value, label="m"):
@@ -252,6 +255,9 @@ def test_quantum_advantage():
     for n in (2, 9, 50):
         assert witness.analyze(fq(n, str(n * n))).q_advantage == n * (n - 1)
     assert witness.analyze(xi2_db(470, "-4.5")).q_advantage is None
+    # printed without an exponent or trailing zeros
+    assert witness.analyze(fq(5, "1E+2")).to_json_dict()["q_advantage"] == "95"
+    assert witness.analyze(fq(8, "8.000")).to_json_dict()["q_advantage"] == "0"
 
 
 def test_report_json_schema():
@@ -614,11 +620,50 @@ def test_simple_bounds_mode():
         assert all(s <= t for t, s in zip(cell_flags(ct, threshold), cell_flags(cs, threshold)))
 
 
-def test_fraction_to_decimal_text():
-    assert fraction_to_decimal_text(Fraction(132, 5)) == "26.4"
-    assert fraction_to_decimal_text(Fraction(44)) == "44"
-    assert fraction_to_decimal_text(Fraction(191, 4)) == "47.75"
-    assert fraction_to_decimal_text(Fraction(-9, 8)) == "-1.125"
-    assert fraction_to_decimal_text(Fraction(0)) == "0"
-    with pytest.raises(ValueError):
-        fraction_to_decimal_text(Fraction(1, 3))
+DIGITS = "0123456789"
+
+
+@st.composite
+def qfi_value_texts(draw):
+    """Decimal texts a QFI Measurement accepts: a leading '+', exponents and trailing zeros."""
+    sign = draw(st.sampled_from(["", "+"]))
+    whole = draw(st.text(DIGITS, max_size=40))
+    if whole:
+        frac = draw(st.none() | st.text(DIGITS, max_size=40))
+    else:
+        frac = draw(st.text(DIGITS, min_size=1, max_size=40))
+    zeros = "0" * draw(st.integers(0, 20))
+    mantissa = f"{whole}.{frac}{zeros}" if frac is not None else f"{whole}{zeros}"
+    assume(mantissa.strip("0.") != "")
+    # the exponent keeps the value's leading digit within 10**+-MAX_EXPONENT
+    adjusted = Decimal(mantissa).adjusted()
+    limit = witness.MAX_EXPONENT
+    exponent = draw(st.none() | st.integers(-limit - adjusted, limit - adjusted))
+    if exponent is not None:
+        marker = draw(st.sampled_from(["E", "e"]))
+        mantissa += f"{marker}{exponent:+d}" if draw(st.booleans()) else f"{marker}{exponent}"
+    text = sign + mantissa
+    assume(len(text) <= witness.MAX_VALUE_CHARS and abs(Decimal(text).adjusted()) <= limit)
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=qfi_value_texts(), n=st.integers(1, 200))
+# the cases of the Fraction printer the report used before
+@example(text="40.4", n=14)
+@example(text="58", n=14)
+@example(text="57.75", n=10)
+@example(text="6.875", n=8)
+@example(text="14", n=14)
+@example(text="1E+2", n=5)
+@example(text="8.000", n=8)
+@example(text="1E-100", n=3)
+# the widest difference: 199 digits, from 10**5 down to 10**-193
+@example(text="1." + "1" * 93 + "E-100", n=10**6)
+@example(text="+7.50", n=7)
+@example(text="9" * 100, n=200)
+def test_q_advantage_is_the_exact_decimal_difference(text, n):
+    # report.json's q_advantage is F - n, printed as the Fraction printer prints it
+    report = json.loads(report_json_text(witness.analyze(fq(n, text))))
+    assert report["q_advantage"] == fraction_to_decimal_text(Fraction(text) - n)
+
