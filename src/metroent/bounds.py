@@ -12,7 +12,7 @@ values are bit-reproducible.
 
 from __future__ import annotations
 
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import isqrt
 from collections.abc import Iterator
 
@@ -139,7 +139,17 @@ def valid_ranks(n: int) -> Iterator[int]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return (r for r in range(1 - n, n) if abs(r) != n - 2)
+    return compress(range(1 - n, n), _rank_flags(n))
+
+
+def _rank_flags(n: int) -> Iterator[int]:
+    """abs(r) != n - 2 for each r from -(n - 1) to n - 1, lazily, as 1 or 0.
+
+    Only the second and the second-to-last r fail, one and the same r at n == 2.
+    """
+    if n < 3:
+        return iter((1, 0, 1)[: 2 * n - 1])
+    return chain((1, 0), repeat(1, 2 * n - 5), (0, 1))
 
 
 def _require_valid_rank(n: int, r: int) -> None:
@@ -162,11 +172,6 @@ def max_qfi_rank(n: int, r: int) -> int:
     finds no special case beyond n + r = 10 and 16 for n <= 250 and n = 1000, 2000.
     """
     _require_valid_rank(n, r)
-    return rank_limit(n, r)
-
-
-def rank_limit(n: int, r: int) -> int:
-    """:func:`max_qfi_rank` at a valid rank r; the rank is not checked."""
     s = n + r
     if s % 2 == 1:
         return (s + 1) ** 2 // 4 + (n - r - 1) // 2
@@ -175,6 +180,26 @@ def rank_limit(n: int, r: int) -> int:
     if s == 16 and n >= 12:
         return 76 - r
     return s * s // 4 + (n - r) // 2 + 2
+
+
+def rank_limit_column(n: int) -> Iterator[int]:
+    """:func:`max_qfi_rank` at every rank of :func:`valid_ranks`, lazily, in the same order.
+
+    With s = n + r the limit is n + k*(k - 1) at odd s = 2k - 1 and 2 more
+    at even s = 2k, so along each parity of s it steps by s + 1 (odd s) or
+    s (even s) as s rises by 2: each parity is a running sum, and the two
+    interleave.  The two-full-row values at n + r == 10 and 16 overwrite
+    their entries and do not enter either sum.  n is not checked.
+    """
+    steps = range(2, 2 * n, 2)
+    # s = 1, 2, ..., 2*n; _rank_flags ends it at s = 2*n - 1, r = n - 1
+    column = chain.from_iterable(zip(accumulate(steps, initial=n), accumulate(steps, initial=n + 2)))
+    head = list(islice(column, 16))
+    if n >= 8:
+        head[9] = n + 24  # 34 - r at s = 10
+    if n >= 12:
+        head[15] = n + 60  # 76 - r at s = 16
+    return compress(chain(head, column), _rank_flags(n))
 
 
 def rank_limit_simple_quarters(n: int, r: int) -> int:

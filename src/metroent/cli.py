@@ -116,26 +116,18 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
     raise ValueError(f"dataset file not found: {path_or_alias}")
 
 
-def _csv_block(fmt: str, keys, values) -> str:
-    """``fmt % (keys[0], values[0], keys[1], values[1], ...)``: a block of CSV rows.
-
-    One ``%`` converts every value inside the format, with no ``str`` per
-    row.  ``fmt`` is built from ints and fixed text only, never user text.
-    """
-    fields = [None] * (2 * len(keys))
-    fields[0::2] = keys
-    fields[1::2] = values
-    return fmt % tuple(fields)
-
-
 def grid_csv_text(grid: TupleGrid) -> str:
-    """The ``grid.csv`` text of ``grid``: one ``%`` per width, a row pattern per status run."""
-    heights = [f"{h}," for h in range(grid.n + 1)]
+    """The ``grid.csv`` text of ``grid``: one ``%`` per width over its limit column.
+
+    A width's format pre-joins its row text, ``w,h,`` before each ``%d`` and
+    the run's status after it; only ints and the fixed statuses go in.
+    """
+    rows = [f"{h},%d," for h in range(grid.n + 1)]
     parts = ["w,h,f_wh,status\n"]
     for w, runs in grid.runs:
-        fmt = "".join(f"{w},%s%d,{status}\n" * (stop - first) for first, stop, status in runs)
-        column = bounds.wh_limit_column(grid.n, w, simple=grid.simple)
-        parts.append(_csv_block(fmt, heights[runs[0][0]:runs[-1][1]], column))
+        fmt = "".join(f"{w}," + f"{status}\n{w},".join(rows[first:stop]) + f"{status}\n"
+                      for first, stop, status in runs)
+        parts.append(fmt % tuple(bounds.wh_limit_column(grid.n, w, simple=grid.simple)))
     return "".join(parts)
 
 
@@ -178,25 +170,33 @@ def _cmd_bounds(args) -> int:
     write = sys.stdout.write
     if args.cls == "wh":
         write("w,h,f\n")
-        heights = [f"{h}," for h in range(n + 1)]
+        rows = [f"{h},%d" for h in range(n + 1)]
         for w in range(1, n + 1):
             hs = tuples.heights(n, w)
             column = bounds.wh_limit_column(n, w, simple=args.simple)
-            write(_csv_block(f"{w},%s%d\n" * len(hs), heights[hs.start:hs.stop], column))
+            write((f"{w}," + f"\n{w},".join(rows[hs.start:hs.stop]) + "\n") % tuple(column))
         return 0
     # the height limit has no simpler variant; --simple emits the same table
-    f, xs, row = bounds.max_qfi_height, iter(range(1, n + 1)), "%d,%d\n"
+    xs, row = range(1, n + 1), "%d,%d\n"
+    column = map(bounds.max_qfi_height, repeat(n), xs)
     if args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
-    elif args.cls == "r":
+        column = map(f, repeat(n), xs)
+    elif args.cls == "r" and args.simple:
         # valid_ranks yields only realizable ranks, so no row re-checks its rank
-        f, xs = bounds.rank_limit, bounds.valid_ranks(n)
-        if args.simple:
-            f, row = _rank_simple_text, "%d,%s\n"
+        xs, row = bounds.valid_ranks(n), "%d,%s\n"
+        column = map(_rank_simple_text, repeat(n), bounds.valid_ranks(n))
+    elif args.cls == "r":
+        xs, column = bounds.valid_ranks(n), bounds.rank_limit_column(n)
+    xs = iter(xs)
     write("x,f\n")
-    # 4096 rows per write: memory stays flat
+    # 4096 rows per write: memory stays flat.  Each x is new text, so one %
+    # over x and f interleaved beats joining str(x) into the pattern
     while block := list(islice(xs, 4096)):
-        write(_csv_block(row * len(block), block, map(f, repeat(n), block)))
+        fields = [None] * (2 * len(block))
+        fields[0::2] = block
+        fields[1::2] = islice(column, len(block))
+        write(row * len(block) % tuple(fields))
     return 0
 
 
@@ -293,6 +293,20 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _int_option(text: str) -> int:
+    """``int`` for ``--n`` and ``--nmax``, under the plain-text rule of dataset ``n``.
+
+    ``int`` alone takes ``1_0``, `` 10`` and non-ASCII digits.  The message
+    is the one ``type=int`` gives.
+    """
+    if witness.is_plain_text(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first :func:`main` call and reused after.
@@ -309,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="print a class sensitivity-limit table as CSV")
-    p_bounds.add_argument("--n", type=int, required=True, help="particle count")
+    p_bounds.add_argument("--n", type=_int_option, required=True, help="particle count")
     p_bounds.add_argument(
         "--class", dest="cls", choices=("w", "h", "r", "wh"), required=True,
         help="class family: producibility, separability, Dyson rank, or full tuples",
@@ -320,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze", help="infer w, h, r and excluded tuples from measurements"
     )
-    p_analyze.add_argument("--n", type=int, help="particle count (with --fq/--xi2/--xi2-db)")
+    p_analyze.add_argument("--n", type=_int_option, help="particle count (with --fq/--xi2/--xi2-db)")
     p_analyze.add_argument("--fq", help="measured QFI lower bound, decimal text")
     p_analyze.add_argument("--xi2", help="measured squeezing upper bound, linear decimal text")
     p_analyze.add_argument("--xi2-db", dest="xi2_db", help="measured squeezing upper bound in dB")
@@ -336,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=_cmd_rank_summary)
 
     p_verify = sub.add_parser("verify", help="closed forms vs brute force; exit 1 on mismatch")
-    p_verify.add_argument("--nmax", type=int, default=30, help="largest n to sweep")
+    p_verify.add_argument("--nmax", type=_int_option, default=30, help="largest n to sweep")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -186,6 +186,14 @@ def test_max_qfi_rank_n_plus_r_4_corner():
         assert bounds.max_qfi_rank(n, 4 - n) == n + 4
 
 
+def test_rank_limit_column_matches_max_qfi_rank():
+    # the running sums, the two overwritten entries at n + r = 10 and 16 and
+    # the skipped ranks +-(n - 2), across the n where each first applies
+    for n in range(1, 61):
+        expected = [bounds.max_qfi_rank(n, r) for r in bounds.valid_ranks(n)]
+        assert list(bounds.rank_limit_column(n)) == expected, n
+
+
 def test_max_qfi_rank_rejects_invalid_ranks():
     with pytest.raises(ValueError):
         bounds.max_qfi_rank(14, 12)

@@ -292,8 +292,10 @@ class _CountingSink:
         ["--n", "100000", "--class", "w"],
         ["--n", "100000", "--class", "h"],
         ["--n", "100000", "--class", "r"],
+        ["--n", "100000", "--class", "w", "--simple"],
+        ["--n", "100000", "--class", "r", "--simple"],
     ],
-    ids=["wh", "wh-simple", "w", "h", "r"],
+    ids=["wh", "wh-simple", "w", "h", "r", "w-simple", "r-simple"],
 )
 def test_bounds_streams_its_rows(monkeypatch, argv):
     # rows go out a width or a block at a time: the peak stays flat while megabytes go out
@@ -307,6 +309,28 @@ def test_bounds_streams_its_rows(monkeypatch, argv):
         tracemalloc.stop()
     assert sink.size >= 1_600_000
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n=1_0", "--fq=20"],
+        ["analyze", "--n= 10", "--fq=20"],
+        ["bounds", "--n=\u0663", "--class", "w"],
+        ["verify", "--nmax=1_2"],
+    ],
+    ids=["underscore", "space", "arabic-indic-digit", "nmax-underscore"],
+)
+def test_integer_options_refuse_what_dataset_n_refuses(capsys, argv):
+    # int() takes digit-group underscores, surrounding space and non-ASCII
+    # digits; the options follow witness.is_plain_text, as dataset n does
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    option, text = argv[1].split("=", 1)
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith(f"usage: metroent {argv[0]} ")
+    assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):
