@@ -5,7 +5,9 @@ Kelleher's ascending-composition generator (the package runs ZS1 over
 descending parts), counts come from the classic bounded-part recurrence,
 the inferred w, h and r come from linear scans instead of bisection, and
 the per-tuple exclusion grid compares every tuple with its own class
-limits instead of solving the (w, h) staircase per width.
+limits instead of solving the (w, h) staircase per width, and the oracle's
+per-shape tables, which strip 1-rows off one enumeration of n_max, come
+from one pass over each n's own partitions.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from metroent import bounds, cli, tuples
+from metroent.partitions import iter_partition_rows
 
 
 def accel_asc(n):
@@ -80,6 +83,25 @@ def brute_max_squares(n, max_width=None, min_height=None, max_rank=None):
         ),
         default=None,
     )
+
+
+def shape_table(n: int) -> list[list[int]]:
+    """The largest squared-row sum of each (width, height) shape of n, from one pass over n alone.
+
+    Entry ``[w][h]``, for 1 <= w <= n and 0 <= h <= n + 1, is the largest
+    squared-row sum over the partitions of n with width w and height h, or 0
+    when there is no such shape.  The reference for the oracle's tables,
+    which read every n <= n_max off the partitions of n_max.
+    """
+    best = [[0] * (n + 2) for _ in range(n + 1)]
+    square = [k * k for k in range(n + 1)].__getitem__
+    for rows in iter_partition_rows(n):
+        s = sum(map(square, rows))
+        by_height = best[rows[0]]
+        h = len(rows)
+        if s > by_height[h]:
+            by_height[h] = s
+    return best
 
 
 def fraction_to_decimal_text(value: Fraction) -> str:

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import brute_max_squares
+from support import brute_max_squares, shape_table
 
 from metroent import bounds, oracle, partitions
 from metroent.cli import main
@@ -103,10 +103,36 @@ def test_corner_reads_match_filtered_brute_at_every_limit():
                 assert brute_force_max(n, max_width=mw, min_height=mh) == expected[0], (n, mw, mh)
 
 
+def test_sweep_tables_match_the_per_n_reference():
+    # one enumeration of 40, its 1-rows stripped, gives every n <= 40 the table
+    # a pass over n's own partitions gives
+    tables = oracle._shape_tables(40, 1)
+    assert len(tables) == 40
+    for n in range(1, 41):
+        assert tables[40 - n] == shape_table(n), n
+    # a lone n is one enumeration of n and one table
+    assert oracle._shape_tables(9, 9) == [shape_table(9)]
+
+
+def test_stripping_1_rows_derives_each_diagram_once():
+    # stripping j of the c 1-rows of each partition of n_max, j = 0..c, gives
+    # every partition of every n <= n_max exactly once
+    for n_max in range(1, 15):
+        derived = collections.defaultdict(collections.Counter)
+        for rows in iter_partition_rows(n_max):
+            for j in range(rows.count(1) + 1):
+                if j < n_max:
+                    derived[n_max - j][rows[: len(rows) - j]] += 1
+        assert sorted(derived) == list(range(1, n_max + 1))
+        for n, counts in derived.items():
+            assert counts == collections.Counter(iter_partition_rows(n)), (n_max, n)
+            assert set(counts.values()) == {1}
+
+
 def test_verify_enumerates_each_n_once(monkeypatch):
-    # and queries each width, height and rank class once, so per-call and
-    # per-row counts stay comparable; the (w, h) family reads whole columns
-    # of the fold, with no brute_force_max call
+    # one enumeration of n_max per call, none kept for the next call, and one
+    # brute_force_max query per rank class; the width, height and (w, h)
+    # families read the fold directly
     calls = []
     queries = collections.Counter()
     original = oracle.iter_partition_rows
@@ -125,10 +151,12 @@ def test_verify_enumerates_each_n_once(monkeypatch):
     monkeypatch.setattr(oracle, "brute_force_max", counting_max)
     try:
         assert verify_closed_forms(12) == []
+        assert calls == [12]
+        assert queries == {n: len(list(bounds.valid_ranks(n))) for n in range(1, 13)}
+        assert verify_closed_forms(12) == []
     finally:
         oracle._shape_maxima.cache_clear()
-    assert calls == list(range(1, 13))
-    assert queries == {n: 2 * n + len(list(bounds.valid_ranks(n))) for n in range(1, 13)}
+    assert calls == [12, 12]
 
 
 def test_optimal_diagram_structure_attains_maximum():
@@ -204,6 +232,40 @@ def test_verify_reports_corrupted_bound(monkeypatch):
     assert all(entry["closed"] != entry["brute"] for entry in mismatches)
 
 
+def test_verify_reports_corrupted_width_bound(monkeypatch):
+    # width classes of n <= 3: w(1) = n, w(2) = 4 or 5, w(3) = 9
+    original = bounds.max_qfi_width
+    monkeypatch.setattr(bounds, "max_qfi_width", lambda n, w: 1)
+    assert verify_closed_forms(3) == [
+        {"n": 2, "class": "w(1)", "closed": 1, "brute": 2},
+        {"n": 2, "class": "w(2)", "closed": 1, "brute": 4},
+        {"n": 3, "class": "w(1)", "closed": 1, "brute": 3},
+        {"n": 3, "class": "w(2)", "closed": 1, "brute": 5},
+        {"n": 3, "class": "w(3)", "closed": 1, "brute": 9},
+    ]
+    # one class off by one: width <= 2 at n = 6 is (2, 2, 2)
+    monkeypatch.setattr(bounds, "max_qfi_width", lambda n, w: original(n, w) - ((n, w) == (6, 2)))
+    assert verify_closed_forms(5) == []
+    assert verify_closed_forms(7) == [{"n": 6, "class": "w(2)", "closed": 11, "brute": 12}]
+
+
+def test_verify_reports_corrupted_height_bound(monkeypatch):
+    # height classes of n <= 3: h(1) = n**2, h(2) = 2 or 5, h(3) = 3
+    original = bounds.max_qfi_height
+    monkeypatch.setattr(bounds, "max_qfi_height", lambda n, h: 1)
+    assert verify_closed_forms(3) == [
+        {"n": 2, "class": "h(1)", "closed": 1, "brute": 4},
+        {"n": 2, "class": "h(2)", "closed": 1, "brute": 2},
+        {"n": 3, "class": "h(1)", "closed": 1, "brute": 9},
+        {"n": 3, "class": "h(2)", "closed": 1, "brute": 5},
+        {"n": 3, "class": "h(3)", "closed": 1, "brute": 3},
+    ]
+    # one class off by one: height >= 4 at n = 6 is (3, 1, 1, 1)
+    monkeypatch.setattr(bounds, "max_qfi_height", lambda n, h: original(n, h) - ((n, h) == (6, 4)))
+    assert verify_closed_forms(5) == []
+    assert verify_closed_forms(7) == [{"n": 6, "class": "h(4)", "closed": 11, "brute": 12}]
+
+
 def _corrupt_column(monkeypatch, at, change):
     """Patch bounds.wh_limit_column so that change(column) is returned at (n, w) == at."""
     original = bounds.wh_limit_column
@@ -256,7 +318,13 @@ def test_oracle_shares_no_code_with_the_closed_forms():
         if inspect.isfunction(obj) and obj.__module__ == bounds.__name__
     }
     assert {"max_qfi_wh", "max_qfi_rank", "_wh_rows", "valid_ranks"} <= closed_forms
-    for fn in (oracle._shape_table, oracle._shape_maxima.__wrapped__, oracle.brute_force_max):
+    brute_side = (
+        oracle._shape_tables,
+        oracle._fold,
+        oracle._shape_maxima.__wrapped__,
+        oracle.brute_force_max,
+    )
+    for fn in brute_side:
         names = _global_names(fn.__code__)
         assert "bounds" not in names, fn.__name__
         assert not names & closed_forms, (fn.__name__, names & closed_forms)
