@@ -5,9 +5,10 @@ height h (separability), bounded Dyson rank r, or a (w, h) pair -- these
 closed forms give the exact maximum of the quantum Fisher information over
 the class, together with simpler non-tight variants.  Everything is integer
 arithmetic: each limit is an int, and the one non-integer limit, the simple
-rank limit, is given as an integer number of quarters.  No floats and no
-rationals enter any computation here, so exclusion decisions built on these
-values are bit-reproducible.
+rank limit, is an integer number of quarters, or exact ``"%d.75"`` text
+built from an int in the simple rank column.  No floats and no rationals
+enter any computation here, so exclusion decisions built on these values
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from __future__ import annotations
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import isqrt
 from collections.abc import Iterator
+
+# {n + r: (least n, limit - n)} of the rank classes whose maximizer has two full rows
+_TWO_FULL_ROWS = {10: (8, 24), 16: (12, 60)}
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -162,43 +166,51 @@ def _require_valid_rank(n: int, r: int) -> None:
 def max_qfi_rank(n: int, r: int) -> int:
     """Largest QFI of any state with Dyson rank at most r (exact integer).
 
-    The n + r odd and even branches are quadratic in (n + r)/2, except that
-    for n + r == 10 (n >= 8) and n + r == 16 (n >= 12) the maximizer has two
-    full-width rows instead of one and the value is 34 - r or 76 - r.  The
-    even branch self-consistently yields n + 4 at n + r == 4.  Validated
-    against brute force by :func:`metroent.oracle.verify_closed_forms`.
+    The n + r odd and even branches are quadratic in (n + r)/2, except in
+    the classes of ``_TWO_FULL_ROWS``, whose maximizer has two full-width
+    rows instead of one.  The even branch self-consistently yields n + 4 at
+    n + r == 4.  Inference bisects this scalar;
+    :func:`metroent.oracle.verify_closed_forms` checks it, and
+    :func:`rank_limit_column`, against brute force.
     ``tests/test_bounds.py::test_marginals_consistent_with_grid_maxima``,
     which checks that this limit is the largest (w, h) limit over w - h <= r,
-    finds no special case beyond n + r = 10 and 16 for n <= 250 and n = 1000, 2000.
+    finds no special case beyond those two for n <= 250 and n = 1000, 2000.
     """
     _require_valid_rank(n, r)
     s = n + r
     if s % 2 == 1:
         return (s + 1) ** 2 // 4 + (n - r - 1) // 2
-    if s == 10 and n >= 8:
-        return 34 - r
-    if s == 16 and n >= 12:
-        return 76 - r
+    if s in _TWO_FULL_ROWS and n >= _TWO_FULL_ROWS[s][0]:
+        return n + _TWO_FULL_ROWS[s][1]
     return s * s // 4 + (n - r) // 2 + 2
 
 
-def rank_limit_column(n: int) -> Iterator[int]:
-    """:func:`max_qfi_rank` at every rank of :func:`valid_ranks`, lazily, in the same order.
+def rank_limit_column(n: int, *, simple: bool = False) -> Iterator[int | str]:
+    """The rank limit at every rank of :func:`valid_ranks`, lazily, in the same order.
 
-    With s = n + r the limit is n + k*(k - 1) at odd s = 2k - 1 and 2 more
-    at even s = 2k, so along each parity of s it steps by s + 1 (odd s) or
-    s (even s) as s rises by 2: each parity is a running sum, and the two
-    interleave.  The two-full-row values at n + r == 10 and 16 overwrite
-    their entries and do not enter either sum.  n is not checked.
+    Tight it is :func:`max_qfi_rank`; simple, the limit of
+    :func:`rank_limit_simple_quarters`, an int if whole, else ``"%d.75"``
+    text.  ``bounds --class r`` prints it and ``verify`` checks it.  With
+    s = n + r both limits are n + k*(k - 1) at odd s = 2k - 1, a running sum
+    (steps 2, 4, 6, ...) as s rises by 2.  At even s = 2k the tight limit is
+    2 more, and the simple one n + k*k - 1 and 3/4 (steps 3, 5, 7, ...); the
+    two parities interleave.  The tight ``_TWO_FULL_ROWS`` values and the
+    simple corner n + 4 at s == 4 overwrite their entries, outside both
+    sums.  n is not checked.
     """
     steps = range(2, 2 * n, 2)
+    if simple:
+        even = map("%d.75".__mod__, accumulate(range(3, 2 * n + 1, 2), initial=n))
+        fixed = {4: (3, 4)}  # {s: (least n, limit - n)}, as _TWO_FULL_ROWS
+    else:
+        even = accumulate(steps, initial=n + 2)
+        fixed = _TWO_FULL_ROWS
     # s = 1, 2, ..., 2*n; _rank_flags ends it at s = 2*n - 1, r = n - 1
-    column = chain.from_iterable(zip(accumulate(steps, initial=n), accumulate(steps, initial=n + 2)))
+    column = chain.from_iterable(zip(accumulate(steps, initial=n), even))
     head = list(islice(column, 16))
-    if n >= 8:
-        head[9] = n + 24  # 34 - r at s = 10
-    if n >= 12:
-        head[15] = n + 60  # 76 - r at s = 16
+    for s, (least, extra) in fixed.items():
+        if n >= least:
+            head[s - 1] = n + extra
     return compress(chain(head, column), _rank_flags(n))
 
 

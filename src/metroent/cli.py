@@ -149,16 +149,6 @@ def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
     return target
 
 
-def _rank_simple_text(n: int, r: int) -> str:
-    """The simple rank limit as decimal text, from its integer quarters.
-
-    The other limits of ``bounds`` are ints, whose text is ``str``.
-    """
-    q = bounds.rank_limit_simple_quarters(n, r)
-    # q is 0 or 3 modulo 4
-    return f"{q >> 2}.75" if q & 3 else str(q >> 2)
-
-
 def _cmd_bounds(args) -> int:
     n = args.n
     witness.check_n(n)
@@ -182,12 +172,10 @@ def _cmd_bounds(args) -> int:
     if args.cls == "w":
         f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
         column = map(f, repeat(n), xs)
-    elif args.cls == "r" and args.simple:
-        # valid_ranks yields only realizable ranks, so no row re-checks its rank
-        xs, row = bounds.valid_ranks(n), "%d,%s\n"
-        column = map(_rank_simple_text, repeat(n), bounds.valid_ranks(n))
     elif args.cls == "r":
-        xs, column = bounds.valid_ranks(n), bounds.rank_limit_column(n)
+        # %s: the simple column holds "%d.75" text where its limit is not whole
+        xs, row = bounds.valid_ranks(n), "%d,%s\n"
+        column = bounds.rank_limit_column(n, simple=args.simple)
     xs = iter(xs)
     write("x,f\n")
     # 4096 rows per write: memory stays flat.  Each x is new text, so one %

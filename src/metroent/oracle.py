@@ -152,12 +152,15 @@ def verify_closed_forms(n_max: int) -> list[dict]:
     valid (w, h) tuples one width at a time, the ``corner`` entries at width
     w's heights against :func:`metroent.bounds.wh_limit_column` (the limits
     ``grid.csv`` and ``bounds --class wh`` print), and every realizable
-    Dyson rank, one ``brute_force_max`` call per class, against
-    :func:`metroent.bounds.max_qfi_rank`.  After the fold a width or height
-    class costs O(1), and a rank class or a width's column O(n).  Returns
-    the (possibly empty) list of mismatches, each a dict with keys "n",
-    "class", "closed" and "brute"; within one n the (w, h) tuples come
-    first, by w then h, then the width, height and rank classes.
+    Dyson rank, one ``brute_force_max`` call per class, against both
+    :func:`metroent.bounds.max_qfi_rank` (the scalar inference bisects) and
+    :func:`metroent.bounds.rank_limit_column` (the column
+    ``bounds --class r`` prints).  After the fold a width or height class
+    costs O(1), and a rank class or a width's column O(n).  Returns the
+    (possibly empty) list of mismatches, each a dict with keys "n", "class",
+    "closed" and "brute"; within one n the (w, h) tuples come first, by w
+    then h, then the width, height and rank classes, the scalar's rank
+    mismatches before the column's.
     Mismatches are data, not errors, and a class label is formatted only for
     a mismatch.  n_max >= 18 covers both two-full-row rank special cases
     (n + r = 10 and 16) and the n + r = 4 corner.  n_max must lie in
@@ -168,7 +171,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
     if n_max > MAX_NMAX:
         raise ValueError(
             f"n_max must be <= {MAX_NMAX}, got {n_max}: "
-            "the exhaustive sweep enumerates all p(n) partitions of each n"
+            "the exhaustive sweep enumerates all p(n_max) partitions of n_max"
         )
     found: list[dict] = []
 
@@ -193,10 +196,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
         )
         compare([bounds.max_qfi_height(n, h) for h in classes], corner[n][1 : n + 1], "h({})", classes)
         ranks = list(bounds.valid_ranks(n))
-        compare(
-            [bounds.max_qfi_rank(n, r) for r in ranks],
-            [brute_force_max(n, max_rank=r, corner=corner) for r in ranks],
-            "r({})",
-            ranks,
-        )
+        brute = [brute_force_max(n, max_rank=r, corner=corner) for r in ranks]
+        compare([bounds.max_qfi_rank(n, r) for r in ranks], brute, "r({})", ranks)
+        compare(list(bounds.rank_limit_column(n)), brute, "r({})", ranks)
     return found

@@ -186,12 +186,19 @@ def test_max_qfi_rank_n_plus_r_4_corner():
         assert bounds.max_qfi_rank(n, 4 - n) == n + 4
 
 
-def test_rank_limit_column_matches_max_qfi_rank():
-    # the running sums, the two overwritten entries at n + r = 10 and 16 and
-    # the skipped ranks +-(n - 2), across the n where each first applies
+@pytest.mark.parametrize("simple", [False, True], ids=["tight", "simple"])
+def test_rank_limit_column_matches_max_qfi_rank(simple):
+    # the running sums, the overwritten entries (tight: n + r = 10 and 16;
+    # simple: the corner n + r = 4) and the skipped ranks +-(n - 2), across
+    # the n where each first applies; n = 1, 2, 3 stop short of the corner
+    def simple_text(n, r):
+        q = bounds.rank_limit_simple_quarters(n, r)
+        return f"{q >> 2}.75" if q & 3 else q >> 2
+
+    limit = simple_text if simple else bounds.max_qfi_rank
     for n in range(1, 61):
-        expected = [bounds.max_qfi_rank(n, r) for r in bounds.valid_ranks(n)]
-        assert list(bounds.rank_limit_column(n)) == expected, n
+        expected = [limit(n, r) for r in bounds.valid_ranks(n)]
+        assert list(bounds.rank_limit_column(n, simple=simple)) == expected, n
 
 
 def test_max_qfi_rank_rejects_invalid_ranks():

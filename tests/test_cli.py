@@ -707,7 +707,7 @@ def test_verify_rejects_nmax_above_the_cap(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "error: n_max must be <= 60, got 61: "
-        "the exhaustive sweep enumerates all p(n) partitions of each n\n"
+        "the exhaustive sweep enumerates all p(n_max) partitions of n_max\n"
     )
     assert calls == []
 

@@ -232,6 +232,20 @@ def test_verify_reports_corrupted_bound(monkeypatch):
     assert all(entry["closed"] != entry["brute"] for entry in mismatches)
 
 
+def test_verify_reports_corrupted_rank_column(monkeypatch):
+    # the printed column is checked, not only the bisected max_qfi_rank
+    original = bounds.rank_limit_column
+
+    def lowered(n):
+        column = list(original(n))
+        if n == 9:
+            column[3] -= 1  # r = -4, n + r = 5: 9 + 6
+        return iter(column)
+
+    monkeypatch.setattr(bounds, "rank_limit_column", lowered)
+    assert verify_closed_forms(12) == [{"n": 9, "class": "r(-4)", "closed": 14, "brute": 15}]
+
+
 def test_verify_reports_corrupted_width_bound(monkeypatch):
     # width classes of n <= 3: w(1) = n, w(2) = 4 or 5, w(3) = 9
     original = bounds.max_qfi_width
