@@ -19,6 +19,8 @@ from collections.abc import Iterator
 
 # {n + r: (least n, limit - n)} of the rank classes whose maximizer has two full rows
 _TWO_FULL_ROWS = {10: (8, 24), 16: (12, 60)}
+# {n + r: (least n, limit - n)} of the simple rank limit's corner, as _TWO_FULL_ROWS
+_SIMPLE_CORNER = {4: (3, 4)}
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -195,13 +197,13 @@ def rank_limit_column(n: int, *, simple: bool = False) -> Iterator[int | str]:
     (steps 2, 4, 6, ...) as s rises by 2.  At even s = 2k the tight limit is
     2 more, and the simple one n + k*k - 1 and 3/4 (steps 3, 5, 7, ...); the
     two parities interleave.  The tight ``_TWO_FULL_ROWS`` values and the
-    simple corner n + 4 at s == 4 overwrite their entries, outside both
-    sums.  n is not checked.
+    simple ``_SIMPLE_CORNER`` (n + 4 at s == 4) overwrite their entries,
+    outside both sums.  n is not checked.
     """
     steps = range(2, 2 * n, 2)
     if simple:
         even = map("%d.75".__mod__, accumulate(range(3, 2 * n + 1, 2), initial=n))
-        fixed = {4: (3, 4)}  # {s: (least n, limit - n)}, as _TWO_FULL_ROWS
+        fixed = _SIMPLE_CORNER
     else:
         even = accumulate(steps, initial=n + 2)
         fixed = _TWO_FULL_ROWS
@@ -217,10 +219,12 @@ def rank_limit_column(n: int, *, simple: bool = False) -> Iterator[int | str]:
 def rank_limit_simple_quarters(n: int, r: int) -> int:
     """Four times the non-tight rank limit ((n + r)**2 - 1)/4 + n, at a valid rank r.
 
-    An integer: (n + r)**2 - 1 + 4*n, or 4*(n + 4) at the corner n + r == 4.
-    It is 0 or 3 modulo 4, so the limit is an integer or ends in .75.  It is
-    at least 4 * :func:`max_qfi_rank`, with equality when n + r is odd.  The
-    rank is not checked.
+    An integer: (n + r)**2 - 1 + 4*n, or 4*(n + 4) at the corner n + r == 4
+    of ``_SIMPLE_CORNER``.  It is 0 or 3 modulo 4, so the limit is an integer
+    or ends in .75.  It is at least 4 * :func:`max_qfi_rank`, with equality
+    when n + r is odd.  The rank is not checked.
     """
     s = n + r
-    return 4 * (n + 4) if s == 4 else s * s - 1 + 4 * n
+    if s in _SIMPLE_CORNER and n >= _SIMPLE_CORNER[s][0]:
+        return 4 * (n + _SIMPLE_CORNER[s][1])
+    return s * s - 1 + 4 * n

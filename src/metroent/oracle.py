@@ -2,23 +2,24 @@
 
 The oracle keeps, as a plain int, the largest squared-row sum of every
 (width, height) shape of n.  It folds those into one prefix table over
-width of suffix maxima over height, so a width, height or (width, height)
-class maximum is one table entry.  A Dyson-rank class is the union of the
-(width, height) classes along its diagonal, so its maximum is one entry
-per width; the (width, height) maxima of one width, read as a slice of the
-same table, are checked against that width's closed-form column in one
-comparison.  One enumeration of the partitions of n_max gives the shapes
-of every n <= n_max: stripping j of a partition's 1-rows leaves a
-partition of n_max - j of the same width, j fewer rows and a squared-row
-sum j lower, and every partition of n_max - j arises so exactly once.  It
-returns values only: the diagram attaining a limit comes from the closed
-form (:func:`metroent.bounds._wh_rows`), which the values check.  It never
-shares code with the closed forms it checks.
+width of suffix maxima over height, ``corner``, so a width, height or
+(width, height) class maximum is one table entry, and the (width, height)
+maxima of one width, read as a slice of the table, are checked against
+that width's closed-form column in one comparison.  A Dyson-rank class is
+the union of the (width, height) classes along its diagonal, so its
+maximum, :func:`brute_force_max`, is one ``max`` over a diagonal of the
+table.  One enumeration of the partitions of n_max gives the shapes of
+every n <= n_max: stripping j of a partition's 1-rows leaves a partition of
+n_max - j of the same width, j fewer rows and a squared-row sum j lower,
+and every partition of n_max - j arises so exactly once.  It returns values
+only: the diagram attaining a limit comes from the closed form
+(:func:`metroent.bounds._wh_rows`), which the values check.  It never
+shares code with the closed forms it checks, and keeps no state between
+calls.
 """
 
 from __future__ import annotations
 
-import functools
 from itertools import accumulate, zip_longest
 
 from . import bounds, tuples
@@ -27,27 +28,22 @@ from .partitions import iter_partition_rows
 # Largest n_max verify_closed_forms accepts.  The sweep walks the p(n_max)
 # partitions of n_max once and strips their 1-rows for every smaller n, and
 # p(n) grows like exp(pi * sqrt(2n/3)): n_max = 60 (p(60) = 966467) takes
-# about 3.3 s (3.1 to 3.4 s over three runs) on a 2-vCPU x86 machine with
+# about 3.2 s (3.1 to 3.3 s over three runs) on a 2-vCPU x86 machine with
 # Python 3.11, while n_max = 200 would walk p(200), about 4e12 partitions.
 MAX_NMAX = 60
 
 
-class EmptyClassError(ValueError):
-    """Raised when a class admits no partition of the given n."""
-
-
-def _shape_tables(top: int, bottom: int) -> list[list[list[int]]]:
-    """The per-shape tables of every n in bottom..top, from one pass over the partitions of top.
+def _shape_tables(top: int) -> list[list[list[int]]]:
+    """The per-shape tables of every n in 1..top, from one pass over the partitions of top.
 
     ``tables[j]`` is the table of n = top - j: entry ``[w][h]``, for
     1 <= w <= n and 0 <= h <= n + 1, is the largest squared-row sum over the
     partitions of n with width w and height h, or 0 when there is no such
     shape; every real entry is at least n >= 1.  A partition of top with c
     1-rows also stands for the partitions of top - j, for j = 0..c, left by
-    stripping j of them; only the tables of bottom..top are built, so a lone
-    n (bottom == top) costs one table.
+    stripping j of them.
     """
-    tables = [[[0] * (n + 2) for _ in range(n + 1)] for n in range(top, bottom - 1, -1)]
+    tables = [[[0] * (n + 2) for _ in range(n + 1)] for n in range(top, 0, -1)]
     square = [k * k for k in range(top + 1)].__getitem__
     for rows in iter_partition_rows(top):
         s = sum(map(square, rows))
@@ -82,60 +78,26 @@ def _fold(table: list[list[int]]) -> list[list[int]]:
     return corner
 
 
-@functools.lru_cache(maxsize=1)
-def _shape_maxima(n: int) -> list[list[int]]:
-    """The prefix table of n alone: one enumeration of n, one table, one fold."""
-    return _fold(_shape_tables(n, n)[0])
+def brute_force_max(corner: list[list[int]], max_rank: int) -> int:
+    """The largest squared-row sum over the partitions of n with Dyson rank <= max_rank.
 
-
-def brute_force_max(
-    n: int,
-    *,
-    max_width: int | None = None,
-    min_height: int | None = None,
-    max_rank: int | None = None,
-    corner: list[list[int]] | None = None,
-) -> int:
-    """Exhaustively maximize the squared-row sum over one class of partitions.
-
-    The class holds the partitions of n with width <= max_width, height >=
-    min_height and Dyson rank <= max_rank; a limit left at None cuts
-    nothing.  One prefix table answers every class: ``corner`` when given
-    (:func:`verify_closed_forms` passes the fold of its sweep's table of n),
-    else ``_shape_maxima(n)``.  Without max_rank the answer is one entry,
-    and a call costs O(1).  With max_rank the class is the union, over the
-    admitted widths w, of the entries at (w, max(min_height, w - max_rank)),
-    and a call costs O(n): every partition those entries count has rank <=
-    max_rank, and a partition of width w' in the class lies in the entry of
-    w'.
+    ``corner`` is the :func:`_fold` of n's per-shape table, and n is
+    ``len(corner) - 1``.  The class is the union over the widths w of the
+    (w, h) classes with h = max(w - max_rank, 0): every partition such an
+    entry counts has rank <= max_rank, and one of width w in the rank class
+    lies in the entry of w.  ``corner`` grows with w, so the widths up to
+    max_rank, which read height 0, are matched by the next width's entry at
+    height 1 (every partition has a row); their entry stands alone only when
+    no width is wider.  So the answer is one ``max`` over the diagonal, O(n).
+    Raises ValueError when the class is empty (max_rank < 1 - n).
     """
-    if corner is None:
-        corner = _shape_maxima(n)
-    widths = n if max_width is None else max_width
-    least_h = 0 if min_height is None else min_height
-    # heights start at 1 and end at n, so 0 and n + 1 stand for any lower or higher limit
-    if not 0 <= widths <= n:
-        widths = 0 if widths < 0 else n
-    if not 0 <= least_h <= n + 1:
-        least_h = 0 if least_h < 0 else n + 1
-    if max_rank is None:
-        found = corner[widths][least_h]
-    else:
-        # widths up to least_h + max_rank read height least_h, and corner grows
-        # with w, so the last of them stands for all; each wider width w reads
-        # its diagonal entry at height w - max_rank, up to height n
-        flat = min(widths, least_h + max_rank)
-        found = corner[flat][least_h] if flat > 0 else 0
-        first = max(flat, 0) + 1
-        last = min(widths, n + max_rank)
-        if first <= last:
-            diagonal = range(first - max_rank, last - max_rank + 1)
-            found = max(found, max(map(list.__getitem__, corner[first : last + 1], diagonal)))
+    n = len(corner) - 1
+    flat = min(max(max_rank, 0), n)
+    # each wider width w reads height w - max_rank, up to height n
+    diagonal = map(list.__getitem__, corner[flat + 1 :], range(flat + 1 - max_rank, n + 1))
+    found = max(diagonal, default=corner[flat][0])
     if not found:
-        raise EmptyClassError(
-            f"no partition of n={n} satisfies max_width={max_width}, "
-            f"min_height={min_height}, max_rank={max_rank}"
-        )
+        raise ValueError(f"no partition of n={n} has Dyson rank <= {max_rank}")
     return found
 
 
@@ -152,7 +114,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
     valid (w, h) tuples one width at a time, the ``corner`` entries at width
     w's heights against :func:`metroent.bounds.wh_limit_column` (the limits
     ``grid.csv`` and ``bounds --class wh`` print), and every realizable
-    Dyson rank, one ``brute_force_max`` call per class, against both
+    Dyson rank r, one ``brute_force_max(corner, r)`` call, against both
     :func:`metroent.bounds.max_qfi_rank` (the scalar inference bisects) and
     :func:`metroent.bounds.rank_limit_column` (the column
     ``bounds --class r`` prints).  After the fold a width or height class
@@ -181,7 +143,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
                 if c != b:
                     found.append({"n": n, "class": label.format(key), "closed": c, "brute": b})
 
-    tables = _shape_tables(n_max, 1)
+    tables = _shape_tables(n_max)
     for n in range(1, n_max + 1):
         corner = _fold(tables[n_max - n])
         for w in range(1, n + 1):
@@ -196,7 +158,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
         )
         compare([bounds.max_qfi_height(n, h) for h in classes], corner[n][1 : n + 1], "h({})", classes)
         ranks = list(bounds.valid_ranks(n))
-        brute = [brute_force_max(n, max_rank=r, corner=corner) for r in ranks]
+        brute = [brute_force_max(corner, r) for r in ranks]
         compare([bounds.max_qfi_rank(n, r) for r in ranks], brute, "r({})", ranks)
         compare(list(bounds.rank_limit_column(n)), brute, "r({})", ranks)
     return found

@@ -220,6 +220,19 @@ def test_max_qfi_rank_simple():
             assert bounds.rank_limit_simple_quarters(n, r) >= 4 * bounds.max_qfi_rank(n, r)
 
 
+def test_simple_rank_corner_has_one_source(monkeypatch):
+    # the scalar inference reads and the column bounds --class r --simple
+    # prints both take the corner n + r == 4 from _SIMPLE_CORNER
+    def column_at(n, r):
+        return dict(zip(bounds.valid_ranks(n), bounds.rank_limit_column(n, simple=True)))[r]
+
+    assert bounds.rank_limit_simple_quarters(5, -1) == 4 * 9
+    assert column_at(5, -1) == 9
+    monkeypatch.setattr(bounds, "_SIMPLE_CORNER", {4: (3, 5)})
+    assert bounds.rank_limit_simple_quarters(5, -1) == 4 * 10
+    assert column_at(5, -1) == 10
+
+
 def _lattice_maxima(n):
     """Largest (w, h) limit over each width, height and rank class of n, from the columns.
 

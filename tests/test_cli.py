@@ -697,12 +697,8 @@ def test_verify_rejects_nmax_above_the_cap(capsys, monkeypatch):
         calls.append(n)
         raise AssertionError("enumeration started")
 
-    oracle._shape_maxima.cache_clear()
     monkeypatch.setattr(oracle, "iter_partition_rows", refuse)
-    try:
-        assert main(["verify", "--nmax", "61"]) == 2
-    finally:
-        oracle._shape_maxima.cache_clear()
+    assert main(["verify", "--nmax", "61"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

@@ -7,111 +7,84 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from support import brute_max_squares, shape_table
 
 from metroent import bounds, oracle, partitions
 from metroent.cli import main
-from metroent.oracle import (
-    MAX_NMAX,
-    EmptyClassError,
-    brute_force_max,
-    verify_closed_forms,
-)
+from metroent.oracle import MAX_NMAX, brute_force_max, verify_closed_forms
 from metroent.partitions import iter_partition_rows
 from metroent.tuples import all_tuples
 
 
-def test_brute_force_examples():
-    assert brute_force_max(7, max_width=4, min_height=3) == 21
+@pytest.fixture(scope="module")
+def corners():
+    """{n: prefix table of n} for every n <= 20, made as verify makes them."""
+    tables = oracle._shape_tables(20)
+    return {n: oracle._fold(tables[20 - n]) for n in range(1, 21)}
+
+
+def test_brute_force_examples(corners):
+    # width <= 4 and height >= 3 at n = 7 is one corner entry
+    assert corners[7][4][3] == 21
     assert brute_max_squares(7, max_width=4, min_height=3) == (21, (4, 2, 1))
 
-    assert brute_force_max(5) == 25
+    assert corners[5][5][0] == 25
 
     # the two-full-row maximizer behind max_qfi_rank's n + r == 10 branch,
     # pinned by the independent scan: the unique one over rank <= 0 for n=10
-    assert brute_force_max(10, max_rank=0) == 34
+    assert brute_force_max(corners[10], 0) == 34
     assert brute_max_squares(10, max_rank=0) == (34, (4, 4, 1, 1))
     assert bounds.max_qfi_rank(10, 0) == 34
 
 
-def test_unconstrained_max_is_single_row():
-    for n in range(1, 21):
-        value = brute_force_max(n)
+def test_unconstrained_max_is_single_row(corners):
+    # the whole class of n, read as the widest corner entry and as the widest rank
+    for n, corner in corners.items():
+        value = brute_force_max(corner, n - 1)
         assert type(value) is int
-        assert value == n * n
+        assert value == corner[n][0] == n * n
 
 
-def test_empty_class_raises():
-    with pytest.raises(EmptyClassError):
-        brute_force_max(5, min_height=6)
-    with pytest.raises(EmptyClassError):
-        brute_force_max(5, max_width=2, max_rank=-5)
+def test_empty_class_raises(corners):
+    # no partition of 5 has rank below -4; the error is a plain ValueError
+    with pytest.raises(ValueError, match="no partition of n=5 has Dyson rank <= -5"):
+        brute_force_max(corners[5], -5)
+    assert brute_force_max(corners[5], -4) == 5
+    # an empty (w, h) class reads 0: no partition of 5 has 6 rows, or width 0
+    assert corners[5][5][6] == 0
+    assert corners[5][0] == [0] * 7
 
 
-def test_matches_independent_filtered_brute():
-    # the class maximum across a constraint grid
-    for n in (1, 2, 3, 4, 5, 8, 9, 12, 14, 16, 20):
-        widths = (None, 1, 2, 3, max(1, n // 2), n)
-        heights = (None, 1, 2, max(1, n // 2), n)
-        ranks = (None, 1 - n, 0, 2, n - 1)
-        for mw, mh, mr in itertools.product(widths, heights, ranks):
-            expected = brute_max_squares(n, max_width=mw, min_height=mh, max_rank=mr)
-            limits = dict(max_width=mw, min_height=mh, max_rank=mr)
+def test_matches_independent_filtered_brute(corners):
+    # every rank read of n <= 20 equals a filtered scan, valid ranks or not;
+    # ranks below 1 - n have an empty class
+    for n, corner in corners.items():
+        for r in range(-n - 1, n + 2):
+            expected = brute_max_squares(n, max_rank=r)
             if expected is None:
-                with pytest.raises(EmptyClassError):
-                    brute_force_max(n, **limits)
+                with pytest.raises(ValueError):
+                    brute_force_max(corner, r)
             else:
-                assert brute_force_max(n, **limits) == expected[0], (n, mw, mh, mr)
+                assert brute_force_max(corner, r) == expected[0], (n, r)
 
 
-@st.composite
-def classes(draw):
-    """n <= 25 and width, height and rank limits, each None, out of range or in range."""
-    n = draw(st.integers(1, 25))
-    out_of_range = st.sampled_from([0, -n, n + 2])
-    width = st.one_of(st.none(), out_of_range, st.integers(1, n))
-    height = st.one_of(st.none(), out_of_range, st.integers(1, n))
-    rank = st.one_of(st.none(), out_of_range, st.integers(1 - n, n - 1))
-    return n, draw(width), draw(height), draw(rank)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(case=classes())
-def test_suffix_maxima_match_filtered_brute(case):
-    # each class read from the per-width suffix maxima equals a filtered scan
-    n, mw, mh, mr = case
-    expected = brute_max_squares(n, max_width=mw, min_height=mh, max_rank=mr)
-    limits = dict(max_width=mw, min_height=mh, max_rank=mr)
-    if expected is None:
-        with pytest.raises(EmptyClassError):
-            brute_force_max(n, **limits)
-    else:
-        assert brute_force_max(n, **limits) == expected[0]
-
-
-def test_corner_reads_match_filtered_brute_at_every_limit():
-    # width and height limits alone read one corner entry; pin its index bounds
+def test_corner_reads_match_filtered_brute_at_every_limit(corners):
+    # every entry, width <= w and height >= h, equals a filtered scan; 0 where empty
     for n in range(1, 13):
-        for mw, mh in itertools.product(range(-1, n + 2), range(-1, n + 3)):
-            expected = brute_max_squares(n, max_width=mw, min_height=mh)
-            if expected is None:
-                with pytest.raises(EmptyClassError):
-                    brute_force_max(n, max_width=mw, min_height=mh)
-            else:
-                assert brute_force_max(n, max_width=mw, min_height=mh) == expected[0], (n, mw, mh)
+        corner = corners[n]
+        assert len(corner) == n + 1 and {len(row) for row in corner} == {n + 2}
+        for w, h in itertools.product(range(n + 1), range(n + 2)):
+            expected = brute_max_squares(n, max_width=w, min_height=h)
+            assert corner[w][h] == (0 if expected is None else expected[0]), (n, w, h)
 
 
 def test_sweep_tables_match_the_per_n_reference():
     # one enumeration of 40, its 1-rows stripped, gives every n <= 40 the table
     # a pass over n's own partitions gives
-    tables = oracle._shape_tables(40, 1)
+    tables = oracle._shape_tables(40)
     assert len(tables) == 40
     for n in range(1, 41):
         assert tables[40 - n] == shape_table(n), n
-    # a lone n is one enumeration of n and one table
-    assert oracle._shape_tables(9, 9) == [shape_table(9)]
 
 
 def test_stripping_1_rows_derives_each_diagram_once():
@@ -142,24 +115,20 @@ def test_verify_enumerates_each_n_once(monkeypatch):
         calls.append(n)
         return original(n)
 
-    def counting_max(n, **limits):
-        queries[n] += 1
-        return original_max(n, **limits)
+    def counting_max(corner, max_rank):
+        queries[len(corner) - 1] += 1
+        return original_max(corner, max_rank)
 
-    oracle._shape_maxima.cache_clear()
     monkeypatch.setattr(oracle, "iter_partition_rows", counting)
     monkeypatch.setattr(oracle, "brute_force_max", counting_max)
-    try:
-        assert verify_closed_forms(12) == []
-        assert calls == [12]
-        assert queries == {n: len(list(bounds.valid_ranks(n))) for n in range(1, 13)}
-        assert verify_closed_forms(12) == []
-    finally:
-        oracle._shape_maxima.cache_clear()
+    assert verify_closed_forms(12) == []
+    assert calls == [12]
+    assert queries == {n: len(list(bounds.valid_ranks(n))) for n in range(1, 13)}
+    assert verify_closed_forms(12) == []
     assert calls == [12, 12]
 
 
-def test_optimal_diagram_structure_attains_maximum():
+def test_optimal_diagram_structure_attains_maximum(corners):
     # the k-full-rows / partial-row / singletons construction is a maximizer
     for n in range(2, 17):
         for w, h in all_tuples(n):
@@ -167,8 +136,7 @@ def test_optimal_diagram_structure_attains_maximum():
                 continue
             k, u, v = bounds._wh_rows(n, w, h)
             built = (w,) * k + (u,) + (1,) * v
-            brute = brute_force_max(n, max_width=w, min_height=h)
-            assert sum(r * r for r in built) == brute
+            assert sum(r * r for r in built) == corners[n][w][h]
 
 
 def test_box_transfer_never_decreases_square_sum():
@@ -208,16 +176,12 @@ def test_verify_bounds_nmax(monkeypatch):
     def refuse(n):
         raise Enumerated(n)
 
-    oracle._shape_maxima.cache_clear()
     monkeypatch.setattr(oracle, "iter_partition_rows", refuse)
-    try:
-        with pytest.raises(ValueError, match=f"n_max must be <= {MAX_NMAX}"):
-            verify_closed_forms(MAX_NMAX + 1)
-        # MAX_NMAX itself passes validation and reaches the enumeration
-        with pytest.raises(Enumerated):
-            verify_closed_forms(MAX_NMAX)
-    finally:
-        oracle._shape_maxima.cache_clear()
+    with pytest.raises(ValueError, match=f"n_max must be <= {MAX_NMAX}"):
+        verify_closed_forms(MAX_NMAX + 1)
+    # MAX_NMAX itself passes validation and reaches the enumeration
+    with pytest.raises(Enumerated):
+        verify_closed_forms(MAX_NMAX)
 
 
 def test_verify_reports_corrupted_bound(monkeypatch):
@@ -332,12 +296,7 @@ def test_oracle_shares_no_code_with_the_closed_forms():
         if inspect.isfunction(obj) and obj.__module__ == bounds.__name__
     }
     assert {"max_qfi_wh", "max_qfi_rank", "_wh_rows", "valid_ranks"} <= closed_forms
-    brute_side = (
-        oracle._shape_tables,
-        oracle._fold,
-        oracle._shape_maxima.__wrapped__,
-        oracle.brute_force_max,
-    )
+    brute_side = (oracle._shape_tables, oracle._fold, oracle.brute_force_max)
     for fn in brute_side:
         names = _global_names(fn.__code__)
         assert "bounds" not in names, fn.__name__
