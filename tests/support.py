@@ -7,12 +7,15 @@ the inferred w, h and r come from linear scans instead of bisection, and
 the per-tuple exclusion grid compares every tuple with its own class
 limits instead of solving the (w, h) staircase per width, and the oracle's
 per-shape tables, which strip 1-rows off one enumeration of n_max, come
-from one pass over each n's own partitions.
+from one pass over each n's own partitions.  The oracle's band fold is
+checked against a fold of every whole row, and ``analyze``'s whole answer
+against one read off the oracle's tables alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from metroent import bounds, cli, tuples
@@ -102,6 +105,47 @@ def shape_table(n: int) -> list[list[int]]:
         if s > by_height[h]:
             by_height[h] = s
     return best
+
+
+def reference_fold(table: list[list[int]]) -> list[list[int]]:
+    """The oracle's prefix table ``corner[w][h]``, folded over every whole row.
+
+    Row w is the element-wise max of row w - 1 and the suffix maxima of
+    width w's whole row of shapes, where a missing shape is 0; the oracle
+    folds only each width's band of real shapes.
+    """
+    corner = [[0] * len(table[0])]
+    for row in table[1:]:
+        suffix = list(accumulate(reversed(row), max))
+        suffix.reverse()
+        corner.append(list(map(max, corner[-1], suffix)))
+    return corner
+
+
+def brute_answer(table, corner, ranks, threshold):
+    """(w, h, r, counts) at an integer QFI threshold, read off the oracle's tables of n alone.
+
+    ``table``, ``corner`` and ``ranks`` are n's per-shape table, its fold and
+    its rank column (``oracle.brute_force_max``).  w is the first width whose
+    class maximum reaches the threshold (n + 1 if none), h the last height
+    (0 if none) and r the first realizable rank (n if none); each count is the
+    number of shapes of n whose width, height, rank or (width, height) class
+    maximum is below the threshold.  A rank is realizable when a shape lies
+    on its diagonal.
+    """
+    n = len(corner) - 1
+    shapes = [(w, h) for w, row in enumerate(table) for h, s in enumerate(row) if s]
+    realizable = sorted({w - h for w, h in shapes})
+    w = next((w for w in range(1, n + 1) if corner[w][0] >= threshold), n + 1)
+    h = next((h for h in range(n, 0, -1) if corner[n][h] >= threshold), 0)
+    r = next((r for r in realizable if ranks[r + n - 1] >= threshold), n)
+    counts = {
+        "by_w": sum(corner[w][0] < threshold for w, _ in shapes),
+        "by_h": sum(corner[n][h] < threshold for _, h in shapes),
+        "by_r": sum(ranks[w - h + n - 1] < threshold for w, h in shapes),
+        "by_wh": sum(corner[w][h] < threshold for w, h in shapes),
+    }
+    return w, h, r, counts
 
 
 def fraction_to_decimal_text(value: Fraction) -> str:
