@@ -25,7 +25,6 @@ from . import bounds, oracle, tuples, witness
 from .witness import Measurement, TupleGrid, WitnessReport
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
-_BUNDLED_ALIASES = {"bundled", "bundled.csv", "published", "published.csv"}
 # Largest n for the two per-tuple outputs, ``bounds --class wh`` and the
 # grid.csv of ``analyze --out``, which have one row per valid (w, h) tuple,
 # about n**2 / 2: n = 2000 gives about 2 million rows (31 MB), n = MAX_N 5e11.
@@ -111,7 +110,7 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
             raise ValueError(f"dataset file is larger than {MAX_DATASET_BYTES} bytes: {path}")
         # decoded as Path.read_text would: locale encoding, universal newlines
         return parse_dataset_text(io.TextIOWrapper(io.BytesIO(data)).read())
-    if path_or_alias in _BUNDLED_ALIASES:
+    if path_or_alias == "bundled.csv":
         return parse_dataset_text(bundled_dataset_text())
     raise ValueError(f"dataset file not found: {path_or_alias}")
 

@@ -32,6 +32,9 @@ MAX_EXPONENT = 100
 # atomic-ensemble squeezing experiments reach 10**5 to 10**6 atoms, and each
 # record costs O(n) exact-integer work.
 MAX_N = 10**6
+# Longest label, in UTF-8 bytes: it names a directory under --out, and Linux
+# refuses a file name longer than NAME_MAX = 255 bytes.
+MAX_LABEL_BYTES = 255
 
 
 def check_n(n: int) -> None:
@@ -80,6 +83,12 @@ class Measurement:
             raise ValueError(
                 f"bad label {label!r}: a label must not be empty, '.' or '..',"
                 " nor contain '/', '\\' or NUL"
+            )
+        # surrogatepass: a lone surrogate is counted, not refused here
+        if len(label.encode("utf-8", "surrogatepass")) > MAX_LABEL_BYTES:
+            raise ValueError(
+                f"bad label {label!r}: a label must not be longer than"
+                f" {MAX_LABEL_BYTES} bytes in UTF-8"
             )
         check_n(n)
         if kind not in KINDS:

@@ -9,16 +9,18 @@ limits instead of solving the (w, h) staircase per width, and the oracle's
 per-shape tables, which strip 1-rows off one enumeration of n_max, come
 from one pass over each n's own partitions.  The oracle's band fold is
 checked against a fold of every whole row, and ``analyze``'s whole answer
-against one read off the oracle's tables alone.
+against one read off the oracle's tables alone, counted by bisection over
+sorted class maxima where ``analyze`` walks the widths.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
-from metroent import bounds, cli, tuples
+from metroent import bounds, cli, oracle, tuples, witness
 from metroent.partitions import iter_partition_rows
 
 
@@ -122,30 +124,62 @@ def reference_fold(table: list[list[int]]) -> list[list[int]]:
     return corner
 
 
-def brute_answer(table, corner, ranks, threshold):
-    """(w, h, r, counts) at an integer QFI threshold, read off the oracle's tables of n alone.
+def brute_answer(table, corner, ranks):
+    """Integer QFI threshold -> (w, h, r, counts), read off the oracle's tables of n alone.
 
-    ``table``, ``corner`` and ``ranks`` are n's per-shape table, its fold and
-    its rank column (``oracle.brute_force_max``).  w is the first width whose
-    class maximum reaches the threshold (n + 1 if none), h the last height
-    (0 if none) and r the first realizable rank (n if none); each count is the
-    number of shapes of n whose width, height, rank or (width, height) class
-    maximum is below the threshold.  A rank is realizable when a shape lies
-    on its diagonal.
+    ``table`` is n's per-shape table, and ``corner`` and ``ranks`` are its
+    prefix table and rank column (``oracle.brute_force_max``).  At threshold
+    T, w is the first width whose class maximum reaches T (n + 1 if none), h
+    the last height (0 if none) and r the first realizable rank (n if none);
+    each count is the number of shapes of n whose width, height, rank or
+    (width, height) class maximum is below T.  A rank is realizable when a
+    shape lies on its diagonal.  Each family's class maxima over the shapes
+    are sorted once, so a count is one bisection.
     """
     n = len(corner) - 1
     shapes = [(w, h) for w, row in enumerate(table) for h, s in enumerate(row) if s]
     realizable = sorted({w - h for w, h in shapes})
-    w = next((w for w in range(1, n + 1) if corner[w][0] >= threshold), n + 1)
-    h = next((h for h in range(n, 0, -1) if corner[n][h] >= threshold), 0)
-    r = next((r for r in realizable if ranks[r + n - 1] >= threshold), n)
-    counts = {
-        "by_w": sum(corner[w][0] < threshold for w, _ in shapes),
-        "by_h": sum(corner[n][h] < threshold for _, h in shapes),
-        "by_r": sum(ranks[w - h + n - 1] < threshold for w, h in shapes),
-        "by_wh": sum(corner[w][h] < threshold for w, h in shapes),
+    maxima = {
+        "by_w": sorted(corner[w][0] for w, _ in shapes),
+        "by_h": sorted(corner[n][h] for _, h in shapes),
+        "by_r": sorted(ranks[w - h + n - 1] for w, h in shapes),
+        "by_wh": sorted(corner[w][h] for w, h in shapes),
     }
-    return w, h, r, counts
+
+    def answer(threshold):
+        w = next((w for w in range(1, n + 1) if corner[w][0] >= threshold), n + 1)
+        h = next((h for h in range(n, 0, -1) if corner[n][h] >= threshold), 0)
+        r = next((r for r in realizable if ranks[r + n - 1] >= threshold), n)
+        counts = {family: bisect_left(values, threshold) for family, values in maxima.items()}
+        return w, h, r, counts
+
+    return answer
+
+
+def answer_disagreements(n_max: int) -> tuple[int, list[tuple]]:
+    """``analyze``'s tight answer against :func:`brute_answer` for every n <= n_max.
+
+    The thresholds are every distinct (w, h) limit L of n and L + 1: each one
+    where some class turns excluded.  Returns the number of thresholds
+    checked and the disagreements, each ``(n, threshold, analyze's answer,
+    brute force's answer)``.
+    """
+    tables = oracle._shape_tables(n_max)
+    checked = 0
+    disagreements = []
+    for n in range(1, n_max + 1):
+        table = tables[n_max - n]
+        corner, ranks = oracle.brute_force_max(table)
+        answer = brute_answer(table, corner, ranks)
+        limits = {s for w, row in enumerate(corner) for h, s in enumerate(row) if table[w][h]}
+        for threshold in sorted(limits | {limit + 1 for limit in limits}):
+            report = witness.analyze(witness.Measurement("brute", n, "fq", str(threshold)))
+            got = (report.depth, report.separability, report.rank, report.counts)
+            expected = answer(threshold)
+            checked += 1
+            if got != expected:
+                disagreements.append((n, threshold, got, expected))
+    return checked, disagreements
 
 
 def fraction_to_decimal_text(value: Fraction) -> str:

@@ -643,7 +643,22 @@ def test_dataset_csv_error_exits_2(capsys, tmp_path):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"])
+@pytest.mark.parametrize(
+    "label",
+    [
+        "",
+        ".",
+        "..",
+        "../escaped",
+        "a/b",
+        "/abs",
+        "a\\b",
+        "a\0b",
+        # longer than a file name may be
+        pytest.param("x" * 256, id="256-ascii-bytes"),
+        pytest.param("\u00e9" * 128, id="256-utf8-bytes"),
+    ],
+)
 def test_analyze_rejects_unsafe_labels(capsys, tmp_path, label):
     # a label names a directory under --out, so it must not leave it
     dataset = tmp_path / "in.csv"
@@ -657,6 +672,20 @@ def test_analyze_rejects_unsafe_labels(capsys, tmp_path, label):
     assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
     assert "bad label" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_analyze_writes_a_label_of_255_bytes(tmp_path):
+    # the longest file name a label may make, in ASCII and in two-byte UTF-8
+    labels = ["x" * 255, "\u00e9" * 127 + "x"]
+    dataset = tmp_path / "in.csv"
+    dataset.write_text(
+        "label,n,kind,value,unit,reference\n" + "".join(f"{label},5,fq,6,none,\n" for label in labels),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 0
+    for label in labels:
+        assert (out_dir / label / "report.json").is_file()
 
 
 def test_rank_summary_bundled(capsys):
@@ -718,8 +747,10 @@ def test_verify_detects_corrupted_bound(capsys, monkeypatch):
 
 
 def test_bundled_alias_requires_known_name():
-    with pytest.raises(ValueError):
-        load_dataset("unknown-alias")
+    # bundled.csv is the one name for the packaged data
+    for name in ("unknown-alias", "bundled", "published", "published.csv"):
+        with pytest.raises(ValueError, match="dataset file not found"):
+            load_dataset(name)
 
 
 _FRESH_RUN = """

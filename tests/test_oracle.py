@@ -7,14 +7,19 @@ import itertools
 import random
 
 import pytest
-from support import brute_answer, brute_max_squares, reference_fold, shape_table
+from support import (
+    answer_disagreements,
+    brute_answer,
+    brute_max_squares,
+    reference_fold,
+    shape_table,
+)
 
 from metroent import bounds, oracle, partitions
 from metroent.cli import main
 from metroent.oracle import MAX_NMAX, brute_force_max, verify_closed_forms
 from metroent.partitions import iter_partition_rows
 from metroent.tuples import all_tuples
-from metroent.witness import Measurement, analyze
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +32,16 @@ def tables():
 @pytest.fixture(scope="module")
 def corners(tables):
     """{n: prefix table of n} for every n <= 20, made as verify makes them."""
-    return {n: oracle._fold(table) for n, table in tables.items()}
+    return {n: brute_force_max(table)[0] for n, table in tables.items()}
 
 
-def test_brute_force_examples(tables, corners):
+@pytest.fixture(scope="module")
+def ranks(tables):
+    """{n: rank column of n} for every n <= 20, made as verify makes them."""
+    return {n: brute_force_max(table)[1] for n, table in tables.items()}
+
+
+def test_brute_force_examples(ranks, corners):
     # width <= 4 and height >= 3 at n = 7 is one corner entry
     assert corners[7][4][3] == 21
     assert brute_max_squares(7, max_width=4, min_height=3) == (21, (4, 2, 1))
@@ -40,36 +51,34 @@ def test_brute_force_examples(tables, corners):
     # the two-full-row maximizer behind max_qfi_rank's n + r == 10 branch,
     # pinned by the independent scan: the unique one over rank <= 0 for n=10,
     # entry r + n - 1 of the rank column
-    assert brute_force_max(tables[10])[0 + 10 - 1] == 34
+    assert ranks[10][0 + 10 - 1] == 34
     assert brute_max_squares(10, max_rank=0) == (34, (4, 4, 1, 1))
     assert bounds.max_qfi_rank(10, 0) == 34
 
 
-def test_unconstrained_max_is_single_row(tables, corners):
+def test_unconstrained_max_is_single_row(ranks, corners):
     # the whole class of n, read as the widest corner entry and as the widest rank
     for n, corner in corners.items():
-        value = brute_force_max(tables[n])[-1]
+        value = ranks[n][-1]
         assert type(value) is int
         assert value == corner[n][0] == n * n
 
 
-def test_empty_class_raises(tables, corners):
+def test_empty_class_raises(ranks, corners):
     # no partition of n has rank below 1 - n, so the rank column starts there,
     # at the single column (1, ..., 1), and holds the 2n - 1 classes 1 - n..n - 1
-    for n, table in tables.items():
-        column = brute_force_max(table)
+    for n, column in ranks.items():
         assert len(column) == 2 * n - 1 and column[0] == n, n
         assert brute_max_squares(n, max_rank=-n) is None
-    assert brute_force_max(tables[5])[:2] == [5, 5]
+    assert ranks[5][:2] == [5, 5]
     # an empty (w, h) class reads 0: no partition of 5 has 6 rows, or width 0
     assert corners[5][5][6] == 0
     assert corners[5][0] == [0] * 7
 
 
-def test_matches_independent_filtered_brute(tables):
+def test_matches_independent_filtered_brute(ranks):
     # every rank class of n <= 20 equals a filtered scan, valid ranks or not
-    for n, table in tables.items():
-        column = brute_force_max(table)
+    for n, column in ranks.items():
         for r in range(1 - n, n):
             assert column[r + n - 1] == brute_max_squares(n, max_rank=r)[0], (n, r)
 
@@ -94,13 +103,13 @@ def test_sweep_tables_match_the_per_n_reference():
 
 
 def test_band_fold_matches_the_whole_row_fold():
-    # the fold reads only each width's band ceil(n/w)..n + 1 - w: every shape
-    # of width w lies in it, every entry of it is a shape, and skipping the
-    # rest changes no entry of the prefix table
+    # brute_force_max reads only each width's band ceil(n/w)..n + 1 - w: every
+    # shape of width w lies in it, every entry of it is a shape, and skipping
+    # the rest changes no entry of the prefix table
     tables = oracle._shape_tables(40)
     for n in range(1, 41):
         table = tables[40 - n]
-        assert oracle._fold(table) == reference_fold(table), n
+        assert brute_force_max(table)[0] == reference_fold(table), n
         assert not any(table[0])
         for w in range(1, n + 1):
             lo, hi = -(-n // w), n + 1 - w
@@ -108,21 +117,15 @@ def test_band_fold_matches_the_whole_row_fold():
             assert not any(table[w][:lo]) and not any(table[w][hi + 1 :]), (n, w)
 
 
-def test_analyze_matches_the_brute_force_answer(tables, corners):
+def test_analyze_matches_the_brute_force_answer():
     # analyze's w, h, r and four counts, tight, against the same answer read
     # off the oracle's tables alone, at and one above every distinct (w, h)
-    # limit of n <= 20: each threshold where some class turns excluded.
-    # Simple mode has no brute-force counterpart: its limits are the paper's
-    # non-tight bounds, such as w * n for width w, which no diagram need
-    # attain, so no enumeration of diagrams yields them.
-    for n, table in tables.items():
-        corner = corners[n]
-        ranks = brute_force_max(table)
-        limits = {s for w, row in enumerate(corner) for h, s in enumerate(row) if table[w][h]}
-        for threshold in sorted(limits | {limit + 1 for limit in limits}):
-            report = analyze(Measurement("brute", n, "fq", str(threshold)))
-            got = (report.depth, report.separability, report.rank, report.counts)
-            assert got == brute_answer(table, corner, ranks, threshold), (n, threshold)
+    # limit of n <= 30: each threshold where some class turns excluded.  CI
+    # runs the same check up to MAX_NMAX.  Simple mode has no brute-force
+    # counterpart: its limits are the paper's non-tight bounds, such as w * n
+    # for width w, which no diagram need attain, so no enumeration of diagrams
+    # yields them.
+    assert answer_disagreements(30) == (4436, [])
 
 
 def test_stripping_1_rows_derives_each_diagram_once():
@@ -142,8 +145,7 @@ def test_stripping_1_rows_derives_each_diagram_once():
 
 def test_verify_enumerates_each_n_once(monkeypatch):
     # one enumeration of n_max per call, none kept for the next call, and one
-    # brute_force_max query per n for all its rank classes; the width, height
-    # and (w, h) families read the fold directly
+    # brute_force_max query per n for its prefix table and all its rank classes
     calls = []
     queries = collections.Counter()
     original = oracle.iter_partition_rows
@@ -336,7 +338,6 @@ def test_oracle_shares_no_code_with_the_closed_forms():
     assert {"max_qfi_wh", "max_qfi_rank", "_wh_rows", "valid_ranks"} <= closed_forms
     brute_side = (
         oracle._shape_tables,
-        oracle._fold,
         oracle.brute_force_max,
         reference_fold,
         brute_answer,

@@ -127,7 +127,22 @@ def test_records_are_read_only():
     assert (report.depth, grid.n) == (4, 14)
 
 
-@pytest.mark.parametrize("label", ["", ".", "..", "../outside", "a/b", "/abs", "a\\b", "a\0b"])
+@pytest.mark.parametrize(
+    "label",
+    [
+        "",
+        ".",
+        "..",
+        "../outside",
+        "a/b",
+        "/abs",
+        "a\\b",
+        "a\0b",
+        # longer than a file name may be
+        pytest.param("x" * 256, id="256-ascii-bytes"),
+        pytest.param("\u00e9" * 128, id="256-utf8-bytes"),
+    ],
+)
 def test_measurement_rejects_unsafe_labels(label):
     # library callers get the same label rule as dataset files
     with pytest.raises(ValueError, match="bad label"):
