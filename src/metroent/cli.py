@@ -19,6 +19,7 @@ import argparse
 import functools
 import io
 import sys
+from decimal import Decimal, Inexact, localcontext
 from itertools import islice, repeat
 
 from . import bounds, oracle, tuples, witness
@@ -37,6 +38,8 @@ MAX_DATASET_BYTES = 1 << 20
 MAX_DATASET_RECORDS = 1000
 # argparse dest -> (kind, unit) of the single-value analyze flags
 _VALUE_FLAGS = {"fq": ("fq", "none"), "xi2": ("xi2", "linear"), "xi2_db": ("xi2", "db")}
+# each record's per-tuple table under --out, named in its report.json
+GRID_FILE = "grid.csv"
 
 
 def bundled_dataset_text() -> str:
@@ -115,25 +118,54 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
     raise ValueError(f"dataset file not found: {path_or_alias}")
 
 
-def grid_csv_text(grid: TupleGrid) -> str:
-    """The ``grid.csv`` text of ``grid``: one ``%`` per width over its limit column.
+def _wh_table(n: int, simple: bool, runs):
+    """The ``w,h,f<tail>`` rows of each width, one text per width from one ``%``.
 
-    A width's format pre-joins its row text, ``w,h,`` before each ``%d`` and
-    the run's status after it; only ints and the fixed statuses go in.
+    ``runs`` holds ``(w, ((first, stop, tail), ...))``, as ``TupleGrid.runs``
+    does: heights ``first <= h < stop`` end their rows in ``tail``, fixed
+    text with no ``%``.  Only the ints of ``bounds.wh_limit_column`` go in.
     """
-    rows = [f"{h},%d," for h in range(grid.n + 1)]
-    parts = ["w,h,f_wh,status\n"]
-    for w, runs in grid.runs:
-        fmt = "".join(f"{w}," + f"{status}\n{w},".join(rows[first:stop]) + f"{status}\n"
-                      for first, stop, status in runs)
-        parts.append(fmt % tuple(bounds.wh_limit_column(grid.n, w, simple=grid.simple)))
-    return "".join(parts)
+    rows = [f"{h},%d" for h in range(n + 1)]
+    for w, width_runs in runs:
+        fmt = "".join(f"{w}," + f"{tail}\n{w},".join(rows[first:stop]) + f"{tail}\n"
+                      for first, stop, tail in width_runs)
+        yield fmt % tuple(bounds.wh_limit_column(n, w, simple=simple))
+
+
+def grid_csv_text(grid: TupleGrid) -> str:
+    """The ``grid.csv`` text of ``grid``: ``bounds --class wh``'s rows plus a status column."""
+    runs = ((w, [(first, stop, "," + status) for first, stop, status in width_runs])
+            for w, width_runs in grid.runs)
+    return "w,h,f_wh,status\n" + "".join(_wh_table(grid.n, grid.simple, runs))
 
 
 def report_json_text(report: WitnessReport) -> str:
+    """The ``report.json`` text of ``report``: the measurement, its answer, and the grid file.
+
+    ``q_advantage`` is a QFI record's gain F - n over the shot-noise limit n,
+    exact decimal text, and null for a squeezing record.
+    """
     import json
 
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    m = report.measurement
+    q = None
+    if m.kind == witness.KIND_QFI:
+        # exact: the digits of F and of n <= MAX_N lie between
+        # 10**MAX_EXPONENT and 10**(1 - MAX_EXPONENT - MAX_VALUE_CHARS)
+        with localcontext() as ctx:
+            ctx.prec = witness.MAX_VALUE_CHARS + 2 * witness.MAX_EXPONENT
+            ctx.traps[Inexact] = True
+            q = format((Decimal(m.value) - m.n).normalize(), "f")
+    return json.dumps({
+        "label": m.label,
+        "n": m.n,
+        "kind": m.kind,
+        "value": m.value,
+        "inferred": {"w": report.depth, "h": report.separability, "r": report.rank},
+        "counts": dict(report.counts),
+        "q_advantage": q,
+        "grid_ref": GRID_FILE,
+    }, indent=2) + "\n"
 
 
 def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
@@ -144,7 +176,7 @@ def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
     target.mkdir(parents=True, exist_ok=True)
     (target / "report.json").write_text(report_json_text(report))
     grid = witness.build_grid(report)
-    (target / "grid.csv").write_text(grid_csv_text(grid))
+    (target / GRID_FILE).write_text(grid_csv_text(grid))
     return target
 
 
@@ -159,11 +191,10 @@ def _cmd_bounds(args) -> int:
     write = sys.stdout.write
     if args.cls == "wh":
         write("w,h,f\n")
-        rows = [f"{h},%d" for h in range(n + 1)]
-        for w in range(1, n + 1):
-            hs = tuples.heights(n, w)
-            column = bounds.wh_limit_column(n, w, simple=args.simple)
-            write((f"{w}," + f"\n{w},".join(rows[hs.start:hs.stop]) + "\n") % tuple(column))
+        spans = ((w, tuples.heights(n, w)) for w in range(1, n + 1))
+        runs = ((w, [(hs.start, hs.stop, "")]) for w, hs in spans)
+        for text in _wh_table(n, args.simple, runs):
+            write(text)
         return 0
     # the height limit has no simpler variant; --simple emits the same table
     xs, row = range(1, n + 1), "%d,%d\n"
@@ -233,22 +264,11 @@ def _cmd_analyze(args) -> int:
     for rep in reports:
         m = rep.measurement
         value = m.value if m.unit != "db" else f"{m.value} dB"
-        rows.append(
-            [
-                m.label,
-                str(m.n),
-                m.kind,
-                value,
-                str(rep.depth),
-                str(rep.separability),
-                str(rep.rank),
-                str(rep.counts["by_w"]),
-                str(rep.counts["by_h"]),
-                str(rep.counts["by_r"]),
-                str(rep.counts["by_wh"]),
-                "-" if rep.smallest_excluded_h is None else str(rep.smallest_excluded_h),
-            ]
-        )
+        # the smallest excluded group count, one above the compatible maximum
+        h_excl = rep.separability + 1
+        answer = (rep.depth, rep.separability, rep.rank, *rep.counts.values())
+        rows.append([m.label, str(m.n), m.kind, value, *map(str, answer),
+                     str(h_excl) if h_excl <= m.n else "-"])
     _print_table(header, rows)
     return 0
 

@@ -14,7 +14,7 @@ limits are attainable, so exclusion requires strictly exceeding them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds
@@ -35,6 +35,12 @@ MAX_N = 10**6
 # Longest label, in UTF-8 bytes: it names a directory under --out, and Linux
 # refuses a file name longer than NAME_MAX = 255 bytes.
 MAX_LABEL_BYTES = 255
+# Characters no label may hold: the path separators, and the C0 and C1
+# controls and U+2028/U+2029, which hold every character str.splitlines
+# breaks on, so a label prints on one line of the summary.
+_LABEL_REFUSED = frozenset(
+    ["/", "\\", *map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029])]
+)
 
 
 def check_n(n: int) -> None:
@@ -79,10 +85,10 @@ class Measurement:
         self, label: str, n: int, kind: str, value: str, unit: str = "none", reference: str = ""
     ):
         # the label names the record's directory under --out
-        if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+        if label in ("", ".", "..") or not _LABEL_REFUSED.isdisjoint(label):
             raise ValueError(
                 f"bad label {label!r}: a label must not be empty, '.' or '..',"
-                " nor contain '/', '\\' or NUL"
+                " nor contain '/', '\\' or a control or line-separator character"
             )
         # surrogatepass: a lone surrogate is counted, not refused here
         if len(label.encode("utf-8", "surrogatepass")) > MAX_LABEL_BYTES:
@@ -246,9 +252,9 @@ def exclusion_counts(
 
 
 class WitnessReport:
-    """Everything inferred from one measurement; read-only."""
+    """The answer for one measurement: w, h, r and four counts.  Read-only; cli formats it."""
 
-    __slots__ = ("measurement", "depth", "separability", "rank", "counts", "simple", "q_advantage")
+    __slots__ = ("measurement", "depth", "separability", "rank", "counts", "simple")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(
@@ -259,7 +265,6 @@ class WitnessReport:
         rank: int,
         counts: dict,
         simple: bool,
-        q_advantage: Decimal | None,
     ):
         init = object.__setattr__
         init(self, "measurement", measurement)
@@ -268,30 +273,10 @@ class WitnessReport:
         init(self, "rank", rank)
         init(self, "counts", counts)
         init(self, "simple", simple)
-        init(self, "q_advantage", q_advantage)
-
-    @property
-    def smallest_excluded_h(self) -> "int | None":
-        """The smallest excluded group count, one above the compatible maximum."""
-        nxt = self.separability + 1
-        return nxt if nxt <= self.measurement.n else None
-
-    def to_json_dict(self) -> dict:
-        m = self.measurement
-        return {
-            "label": m.label,
-            "n": m.n,
-            "kind": m.kind,
-            "value": m.value,
-            "inferred": {"w": self.depth, "h": self.separability, "r": self.rank},
-            "counts": dict(self.counts),
-            "q_advantage": None if self.q_advantage is None else format(self.q_advantage, "f"),
-            "grid_ref": "grid.csv",
-        }
 
 
 def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
-    """Full inference for one measurement: w, h, r, counts, advantage.
+    """Full inference for one measurement: w, h, r and the four counts.
 
     w, h and r cost O(log n) exact comparisons each and the counts O(1)
     per width for the widths 1..n - h; no per-tuple grid is built here.
@@ -301,15 +286,6 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     depth = infer_depth(m, simple=simple)
     separability = infer_separability(m)
     rank = infer_rank(m, simple=simple)
-    q = None
-    if m.kind == KIND_QFI:
-        # the sensitivity gain F - n over the shot-noise limit n, exact: the
-        # digits of F and of n <= MAX_N lie between 10**MAX_EXPONENT and
-        # 10**(1 - MAX_EXPONENT - MAX_VALUE_CHARS)
-        with localcontext() as ctx:
-            ctx.prec = MAX_VALUE_CHARS + 2 * MAX_EXPONENT
-            ctx.traps[Inexact] = True
-            q = (Decimal(m.value) - m.n).normalize()
     return WitnessReport(
         measurement=m,
         depth=depth,
@@ -317,7 +293,6 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
         rank=rank,
         counts=exclusion_counts(m, depth, separability, rank, simple=simple),
         simple=simple,
-        q_advantage=q,
     )
 
 
@@ -336,7 +311,7 @@ class TupleGrid:
     unambiguous.)  Under ``simple`` a (w, h)-compatible tuple can still
     read R, so more tuples can carry a flag than ``by_wh`` counts.
     The grid holds O(n) data; only ``cli.grid_csv_text`` expands it into
-    rows.  Read-only.
+    rows, through the row writer ``bounds --class wh`` shares.  Read-only.
     """
 
     __slots__ = ("n", "simple", "runs")

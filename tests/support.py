@@ -16,6 +16,7 @@ sorted class maxima where ``analyze`` walks the widths.
 from __future__ import annotations
 
 from bisect import bisect_left
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -156,30 +157,68 @@ def brute_answer(table, corner, ranks):
     return answer
 
 
-def answer_disagreements(n_max: int) -> tuple[int, list[tuple]]:
-    """``analyze``'s tight answer against :func:`brute_answer` for every n <= n_max.
+def _answer_disagreements(ns: range, cases) -> tuple[int, list[tuple]]:
+    """``analyze``'s tight answer against :func:`brute_answer` for every n in ``ns``.
 
-    The thresholds are every distinct (w, h) limit L of n and L + 1: each one
-    where some class turns excluded.  Returns the number of thresholds
-    checked and the disagreements, each ``(n, threshold, analyze's answer,
+    ``cases(n, limits)`` yields, from the sorted distinct (w, h) limits of
+    n, ``(measurement, threshold)`` pairs: what ``analyze`` reads and the
+    integer threshold brute force reads.  Returns the number of cases
+    checked and the disagreements, each ``(n, value text, analyze's answer,
     brute force's answer)``.
     """
+    n_max = ns[-1]
     tables = oracle._shape_tables(n_max)
     checked = 0
     disagreements = []
-    for n in range(1, n_max + 1):
+    for n in ns:
         table = tables[n_max - n]
         corner, ranks = oracle.brute_force_max(table)
         answer = brute_answer(table, corner, ranks)
         limits = {s for w, row in enumerate(corner) for h, s in enumerate(row) if table[w][h]}
-        for threshold in sorted(limits | {limit + 1 for limit in limits}):
-            report = witness.analyze(witness.Measurement("brute", n, "fq", str(threshold)))
+        for m, threshold in cases(n, sorted(limits)):
+            report = witness.analyze(m)
             got = (report.depth, report.separability, report.rank, report.counts)
             expected = answer(threshold)
             checked += 1
             if got != expected:
-                disagreements.append((n, threshold, got, expected))
+                disagreements.append((n, m.value, got, expected))
     return checked, disagreements
+
+
+def answer_disagreements(n_max: int) -> tuple[int, list[tuple]]:
+    """:func:`_answer_disagreements` for every n <= n_max, at QFI thresholds.
+
+    The thresholds are every distinct (w, h) limit L of n and L + 1: each one
+    where some class turns excluded.
+    """
+
+    def cases(n, limits):
+        for threshold in sorted({*limits, *(limit + 1 for limit in limits)}):
+            yield witness.Measurement("brute", n, "fq", str(threshold)), threshold
+
+    return _answer_disagreements(range(1, n_max + 1), cases)
+
+
+def linear_xi2_disagreements(ns: range) -> tuple[int, list[tuple]]:
+    """:func:`_answer_disagreements` for every n in ``ns``, at linear squeezing values.
+
+    Each distinct (w, h) limit L of n is met by xi**2 = 2n/(L + 2n), written
+    at 15 significant digits rounded down and rounded up.  Brute force reads
+    the ceiling of the exact threshold 2n(1 - xi**2)/xi**2 of that text: an
+    integer limit is below the threshold exactly when it is below its
+    ceiling.
+    """
+
+    def cases(n, limits):
+        for limit in limits:
+            for rounding in (ROUND_FLOOR, ROUND_CEILING):
+                text = str(Context(prec=15, rounding=rounding).divide(2 * n, limit + 2 * n))
+                q = Fraction(text)
+                threshold = 2 * n * (1 - q) / q
+                m = witness.Measurement("brute", n, "xi2", text, "linear")
+                yield m, -(-threshold.numerator // threshold.denominator)
+
+    return _answer_disagreements(ns, cases)
 
 
 def fraction_to_decimal_text(value: Fraction) -> str:

@@ -29,6 +29,21 @@ def test_bounds_wh_n2(capsys):
     assert capsys.readouterr().out == "w,h,f\n1,2,2\n2,1,4\n"
 
 
+@pytest.mark.parametrize("simple", [False, True], ids=["tight", "simple"])
+def test_grid_csv_is_the_wh_table_plus_a_status_column(capsys, simple):
+    # the two (w, h) tables share one row writer: grid.csv without its status
+    # column is the body of bounds --class wh, for one measurement per n
+    rng = random.Random(30)
+    for n in range(1, 41):
+        m = Measurement(label="m", n=n, kind="fq", value=str(rng.randint(1, n * n + 1)))
+        grid_text = grid_csv_text(witness.build_grid(witness.analyze(m, simple=simple)))
+        assert main(["bounds", "--n", str(n), "--class", "wh", *["--simple"] * simple]) == 0
+        table = capsys.readouterr().out.splitlines()
+        grid_rows = grid_text.splitlines()
+        assert table[0] == "w,h,f" and grid_rows[0] == "w,h,f_wh,status"
+        assert [row.rsplit(",", 1)[0] for row in grid_rows[1:]] == table[1:], n
+
+
 def test_bounds_w_table(capsys):
     assert main(["bounds", "--n", "14", "--class", "w"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -654,6 +669,11 @@ def test_dataset_csv_error_exits_2(capsys, tmp_path):
         "/abs",
         "a\\b",
         "a\0b",
+        # control and line-separator characters: the summary prints a label on one line
+        "ab\ncd",
+        "a\tb",
+        "x\x85y",
+        "x\u2028y",
         # longer than a file name may be
         pytest.param("x" * 256, id="256-ascii-bytes"),
         pytest.param("\u00e9" * 128, id="256-utf8-bytes"),
@@ -662,10 +682,11 @@ def test_dataset_csv_error_exits_2(capsys, tmp_path):
 def test_analyze_rejects_unsafe_labels(capsys, tmp_path, label):
     # a label names a directory under --out, so it must not leave it
     dataset = tmp_path / "in.csv"
+    # quoted, so that a line break stays inside the label field
     dataset.write_text(
         "label,n,kind,value,unit,reference\n"
         "safe,5,fq,6,none,\n"
-        f"{label},5,fq,6,none,\n"
+        f'"{label}",5,fq,6,none,\n'
     )
     out_dir = tmp_path / "work" / "out"
     before = sorted(tmp_path.rglob("*"))

@@ -11,6 +11,7 @@ from support import (
     answer_disagreements,
     brute_answer,
     brute_max_squares,
+    linear_xi2_disagreements,
     reference_fold,
     shape_table,
 )
@@ -126,6 +127,14 @@ def test_analyze_matches_the_brute_force_answer():
     # for width w, which no diagram need attain, so no enumeration of diagrams
     # yields them.
     assert answer_disagreements(30) == (4436, [])
+
+
+def test_linear_xi2_answer_matches_the_brute_force_answer():
+    # the squeezing cut: at linear xi**2 texts just below and just above each
+    # distinct (w, h) limit of n <= 30, analyze's tight answer equals brute
+    # force's at the ceiling of the exact threshold.  CI runs the same check
+    # up to MAX_NMAX.
+    assert linear_xi2_disagreements(range(1, 31)) == (4436, [])
 
 
 def test_stripping_1_rows_derives_each_diagram_once():

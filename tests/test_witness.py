@@ -26,7 +26,7 @@ from support import (
 
 from metroent import bounds, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width, wh_limit_simple
-from metroent.cli import grid_csv_text, parse_dataset_text, report_json_text
+from metroent.cli import grid_csv_text, main, parse_dataset_text, report_json_text
 from metroent.witness import Measurement
 
 
@@ -138,6 +138,11 @@ def test_records_are_read_only():
         "/abs",
         "a\\b",
         "a\0b",
+        # control and line-separator characters: the summary prints a label on one line
+        "ab\ncd",
+        "a\tb",
+        "x\x85y",
+        "x\u2028y",
         # longer than a file name may be
         pytest.param("x" * 256, id="256-ascii-bytes"),
         pytest.param("\u00e9" * 128, id="256-utf8-bytes"),
@@ -254,30 +259,36 @@ def test_grid_cells_n14():
     assert max_qfi_rank(14, -5) == 34
 
 
-def test_grid_counts_match_report():
+def report_json(m):
+    return json.loads(report_json_text(witness.analyze(m)))
+
+
+def test_grid_counts_match_report(capsys):
     m = fq(14, "40.4")
     rep = witness.analyze(m)
     assert rep.counts == {"by_w": 16, "by_h": 11, "by_r": 20, "by_wh": 24}
     assert rep.depth == 4 and rep.separability == 9 and rep.rank == -3
-    assert rep.q_advantage == Fraction("26.4")
-    assert rep.smallest_excluded_h == 10
+    assert Fraction(report_json(m)["q_advantage"]) == Fraction("26.4")
+    # the summary's h_excl is the smallest excluded group count
+    assert main(["analyze", "--n", "14", "--fq", "40.4"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(), row.split()))["h_excl"] == "10"
 
 
 def test_quantum_advantage():
     # the gain over the shot-noise limit n, reported for QFI records only
-    assert witness.analyze(fq(14, "40.4")).q_advantage == Fraction("26.4")
-    assert witness.analyze(fq(14, "14")).q_advantage == 0
+    assert Fraction(report_json(fq(14, "40.4"))["q_advantage"]) == Fraction("26.4")
+    assert Fraction(report_json(fq(14, "14"))["q_advantage"]) == 0
     for n in (2, 9, 50):
-        assert witness.analyze(fq(n, str(n * n))).q_advantage == n * (n - 1)
-    assert witness.analyze(xi2_db(470, "-4.5")).q_advantage is None
+        assert Fraction(report_json(fq(n, str(n * n)))["q_advantage"]) == n * (n - 1)
+    assert report_json(xi2_db(470, "-4.5"))["q_advantage"] is None
     # printed without an exponent or trailing zeros
-    assert witness.analyze(fq(5, "1E+2")).to_json_dict()["q_advantage"] == "95"
-    assert witness.analyze(fq(8, "8.000")).to_json_dict()["q_advantage"] == "0"
+    assert report_json(fq(5, "1E+2"))["q_advantage"] == "95"
+    assert report_json(fq(8, "8.000"))["q_advantage"] == "0"
 
 
 def test_report_json_schema():
-    rep = witness.analyze(fq(14, "40.4", label="ions-n14"))
-    d = rep.to_json_dict()
+    d = report_json(fq(14, "40.4", label="ions-n14"))
     assert d == {
         "label": "ions-n14",
         "n": 14,
@@ -288,7 +299,7 @@ def test_report_json_schema():
         "q_advantage": "26.4",
         "grid_ref": "grid.csv",
     }
-    d470 = witness.analyze(xi2_db(470, "-4.5", label="bec-n470")).to_json_dict()
+    d470 = report_json(xi2_db(470, "-4.5", label="bec-n470"))
     assert d470["q_advantage"] is None
     assert d470["inferred"] == {"w": 4, "h": 435, "r": -399}
 
