@@ -43,15 +43,11 @@ def _wh_rows(n: int, w: int, h: int) -> tuple[int, int, int]:
     return k, n - h + 1 - (w - 1) * k, h - k - 1
 
 
-def wh_limit_simple(n: int, w: int, h: int) -> int:
-    """Non-tight limit w*(n - h) + n of a valid (w, h); dominates :func:`max_qfi_wh`."""
-    return w * (n - h) + n
-
-
 def wh_limit_column(n: int, w: int, *, simple: bool = False) -> range | list[int]:
-    """:func:`max_qfi_wh` (or :func:`wh_limit_simple`) at every valid height of width w.
+    """:func:`max_qfi_wh` (or the simple w*(n - h) + n) at every valid height of width w.
 
-    The heights ascend from ceil(n/w) to n + 1 - w.  With t = n - h and
+    The heights ascend from ceil(n/w) to n + 1 - w.  The simple limit
+    dominates the tight one and falls by w per height.  With t = n - h and
     k, j = divmod(t, w - 1) the tight limit is n + k*w*(w - 1) + j*(j + 1),
     so going from t to t + 1 adds 2*(j + 1), also across a block end.  The
     column is therefore n + w*(w - 1), the limit at the largest height, plus

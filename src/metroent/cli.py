@@ -33,7 +33,7 @@ DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 MAX_WH_TABLE_N = 2000
 # Limits on a dataset file, checked before any record is analysed: the bundled
 # one has 5 records in under 1 kB.  The n of all records together must not pass
-# witness.MAX_N either, as each record costs O(n) work.
+# witness.MAX_N either, as each record costs up to O(n) work (witness.analyze).
 MAX_DATASET_BYTES = 1 << 20
 MAX_DATASET_RECORDS = 1000
 # argparse dest -> (kind, unit) of the single-value analyze flags

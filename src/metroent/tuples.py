@@ -35,6 +35,23 @@ def count_width_leq(n: int, w: int) -> int:
     return sum(n + 2 - wi - _ceil_div(n, wi) for wi in range(1, w + 1))
 
 
+def count_widths(n: int, a: int, b: int) -> int:
+    """Number of valid tuples whose width lies in a..b, for 1 <= a <= b + 1 <= n + 1.
+
+    Width w holds n + 1 - w - (n - 1)//w tuples.  The floor quotient is
+    constant on blocks of widths, at most 2*sqrt(n) of them, so the sum
+    costs O(sqrt(n)) exact-integer steps.
+    """
+    total = (b - a + 1) * (2 * n + 2 - a - b) // 2
+    m, w = n - 1, a
+    while w <= b and w <= m:
+        q = m // w
+        last = min(b, m // q)
+        total -= q * (last - w + 1)
+        w = last + 1
+    return total
+
+
 def count_height_geq(n: int, h: int) -> int:
     """Number of valid tuples with height at least h."""
     if not 1 <= h <= n:

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
 
-from . import bounds
+from . import bounds, tuples
 from .squeezing import db_text_to_linear
 
 KIND_QFI = "fq"
@@ -30,7 +30,7 @@ MAX_VALUE_CHARS = 100
 MAX_EXPONENT = 100
 # Largest particle count accepted, so that no input starts unbounded work:
 # atomic-ensemble squeezing experiments reach 10**5 to 10**6 atoms, and each
-# record costs O(n) exact-integer work.
+# record costs at most O(n) exact-integer work (see analyze).
 MAX_N = 10**6
 # Longest label, in UTF-8 bytes: it names a directory under --out, and Linux
 # refuses a file name longer than NAME_MAX = 255 bytes.
@@ -152,10 +152,6 @@ class Measurement:
         args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
         return f"Measurement({args})"
 
-    def quantity(self) -> Fraction:
-        """The measured quantity on linear scale, as an exact rational."""
-        return self._quantity
-
     def exclusion_threshold(self) -> Fraction:
         """The rational T such that a class with QFI limit f is excluded iff f < T.
 
@@ -219,19 +215,21 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
 def exclusion_counts(
     m: Measurement, depth: int, separability: int, rank: int, *, simple: bool = False
 ) -> dict[str, int]:
-    """The four excluded-tuple counts, tallied width by width.
+    """The four excluded-tuple counts; only the widths depth..n - separability are solved.
 
-    Width w's valid heights are lo = ceil(n/w) <= h <= hi = n + 1 - w, and
-    the (w, h) limit excludes exactly the heights p <= h <= hi.  A limit is
-    an integer, so it is excluded iff it is below the measurement's cut
-    ceil(T), and :func:`bounds.wh_first_height_at_most` gives each width's
-    p in O(1), with no limit evaluated.
-
+    Width w's valid heights are lo = ceil(n/w) <= h <= hi = n + 1 - w.
     Each family's limits are monotone, so the W, H and R flags cut each
-    width's height interval once: w < depth, h > separability and
-    h > w - rank.  (Under simple bounds an R flag need not mean (w, h)
-    exclusion: the simple rank limit can sit a quarter below a tuple's.)
-    The walk ends at width n - separability.  A width's top tuple
+    width's heights once: w < depth, h > separability and h > w - rank.
+    (Under simple bounds an R flag need not mean (w, h) exclusion: the
+    simple rank limit can sit a quarter below a tuple's.)  by_w sums the
+    widths below depth and by_h, by conjugation, those above separability,
+    with :func:`tuples.count_widths`.  w - rank + 1 - lo rises with w, so a
+    bisection finds the first width c whose R cut is at least lo; the
+    widths below c count whole, and width w >= c counts n + 1 + rank - 2w
+    while that is positive.  The (w, h) limit excludes exactly the heights
+    p..hi, and :func:`bounds.wh_first_height_at_most` gives p in O(1).  A
+    (w, h) limit is at most its width-class limit, so the widths below
+    depth are wholly excluded.  A width's top tuple
     (w, n + 1 - w) is the hook, with the width's smallest limit
     n + w*(w - 1): in both bound modes the limit of the height class
     n + 1 - w too, and at most the limits of width class w and rank
@@ -239,15 +237,14 @@ def exclusion_counts(
     an excluded tuple, and no wider width has a W, H or R flag.
     """
     n, f_max = m.n, m._cut1 - 1
-    by_w = by_h = by_r = by_wh = 0
-    for w in range(1, n - separability + 1):
-        lo, hi = -(-n // w), n + 1 - w
-        p = bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
-        if w < depth:
-            by_w += hi - lo + 1
-        by_h += hi - max(lo, separability + 1) + 1
-        by_r += max(0, hi - max(lo, w - rank + 1) + 1)
-        by_wh += hi + 1 - p
+    by_w = tuples.count_widths(n, 1, depth - 1)
+    by_h = tuples.count_widths(n, separability + 1, n)
+    c = 1 + bisect_left(range(1, n + 1), True, key=lambda w: w - rank + 1 >= -(-n // w))
+    last = (n + rank) // 2
+    # n + 1 + rank - 2*w summed over w = c..last
+    by_r = tuples.count_widths(n, 1, c - 1) + max(0, last - c + 1) * (n + 1 + rank - c - last)
+    solve, band = bounds.wh_first_height_at_most, range(depth, n - separability + 1)
+    by_wh = by_w + sum(n + 2 - w - solve(n, w, f_max, simple=simple) for w in band)
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
 
 
@@ -278,8 +275,9 @@ class WitnessReport:
 def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     """Full inference for one measurement: w, h, r and the four counts.
 
-    w, h and r cost O(log n) exact comparisons each and the counts O(1)
-    per width for the widths 1..n - h; no per-tuple grid is built here.
+    w, h and r cost O(log n) exact comparisons each; by_w, by_h and by_r
+    O(sqrt(n)), and by_wh O(1) per width of the band w..n - h, at most
+    about n/4 widths.  No per-tuple grid is built here.
     :func:`build_grid` cuts every width into the runs
     ``grid.csv`` is written from when one is wanted.
     """
@@ -344,13 +342,14 @@ def build_grid(report: WitnessReport) -> TupleGrid:
     inferred h (H), the first height whose rank w - h falls below the
     inferred r (R), p and hi + 1; the W flag holds for the whole width when
     w is below the inferred w.  So each width has at most four runs, and
-    the grid O(n) of them; no limit is evaluated.
+    the grid O(n) of them; no limit is evaluated.  A width past
+    n - separability holds no flag, so it is one OK run, with no solve.
     """
     m = report.measurement
     n, f_max = m.n, m._cut1 - 1
     depth, separability, rank = report.depth, report.separability, report.rank
     runs = []
-    for w in range(1, n + 1):
+    for w in range(1, n - separability + 1):
         lo, hi = -(-n // w), n + 1 - w
         p = bounds.wh_first_height_at_most(n, w, f_max, simple=report.simple)
         flag_w = "W" if w < depth else ""
@@ -363,5 +362,6 @@ def build_grid(report: WitnessReport) -> TupleGrid:
             )
             width_runs.append((first, stop, flags or ("WH" if first >= p else "OK")))
         runs.append((w, tuple(width_runs)))
+    runs.extend((w, ((-(-n // w), n + 2 - w, "OK"),)) for w in range(n - separability + 1, n + 1))
     return TupleGrid(n=m.n, simple=report.simple, runs=tuple(runs))
 

@@ -10,7 +10,8 @@ per-shape tables, which strip 1-rows off one enumeration of n_max, come
 from one pass over each n's own partitions.  The oracle's band fold is
 checked against a fold of every whole row, and ``analyze``'s whole answer
 against one read off the oracle's tables alone, counted by bisection over
-sorted class maxima where ``analyze`` walks the widths.
+sorted class maxima where ``analyze`` sums widths in blocks.  The counts
+are also checked against a walk that solves every width up to n - h.
 """
 
 from __future__ import annotations
@@ -221,6 +222,49 @@ def linear_xi2_disagreements(ns: range) -> tuple[int, list[tuple]]:
     return _answer_disagreements(ns, cases)
 
 
+def walk_exclusion_counts(
+    m, depth: int, separability: int, rank: int, *, simple: bool = False
+) -> dict[str, int]:
+    """The four excluded-tuple counts, tallied width by width over 1..n - separability.
+
+    The reference for ``witness.exclusion_counts``, which sums whole widths
+    in floor-division blocks and solves only the band depth..n - h: here
+    every width up to n - separability is solved and its W, H, R and (w, h)
+    cuts are added one by one.
+    """
+    n, f_max = m.n, m._cut1 - 1
+    by_w = by_h = by_r = by_wh = 0
+    for w in range(1, n - separability + 1):
+        lo, hi = -(-n // w), n + 1 - w
+        p = bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
+        if w < depth:
+            by_w += hi - lo + 1
+        by_h += hi - max(lo, separability + 1) + 1
+        by_r += max(0, hi - max(lo, w - rank + 1) + 1)
+        by_wh += hi + 1 - p
+    return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
+
+
+def count_disagreements(ms, *, simple: bool) -> list[tuple]:
+    """``witness.exclusion_counts`` against :func:`walk_exclusion_counts` for each of ``ms``.
+
+    Both read the same inferred w, h and r.  Returns the disagreements, each
+    ``(n, value text, exclusion_counts' answer, the walk's answer)``.
+    """
+    disagreements = []
+    for m in ms:
+        answer = (
+            witness.infer_depth(m, simple=simple),
+            witness.infer_separability(m),
+            witness.infer_rank(m, simple=simple),
+        )
+        got = witness.exclusion_counts(m, *answer, simple=simple)
+        expected = walk_exclusion_counts(m, *answer, simple=simple)
+        if got != expected:
+            disagreements.append((m.n, m.value, got, expected))
+    return disagreements
+
+
 def fraction_to_decimal_text(value: Fraction) -> str:
     """Exact decimal text of a rational whose denominator divides a power of ten."""
     den = value.denominator
@@ -238,6 +282,20 @@ def fraction_to_decimal_text(value: Fraction) -> str:
     digits = str(scaled).rjust(scale + 1, "0")
     text = digits if scale == 0 else f"{digits[:-scale]}.{digits[-scale:]}"
     return f"-{text}" if value < 0 else text
+
+
+def quantity(m) -> Fraction:
+    """The measured quantity of ``m`` on linear scale, as an exact rational."""
+    return m._quantity
+
+
+def wh_limit_simple(n: int, w: int, h: int) -> int:
+    """Non-tight limit w*(n - h) + n of a valid (w, h); dominates ``bounds.max_qfi_wh``.
+
+    ``bounds.wh_limit_column(n, w, simple=True)`` is this limit at every
+    valid height of width w.
+    """
+    return w * (n - h) + n
 
 
 def rank_limit_simple(n, r) -> Fraction:
@@ -290,7 +348,7 @@ def reference_grid_rows(m, simple: bool) -> list[ReferenceCell]:
     no inferred w, h or r and no staircase pointer is involved.
     """
     n, threshold = m.n, m.exclusion_threshold()
-    f_wh = bounds.wh_limit_simple if simple else bounds.max_qfi_wh
+    f_wh = wh_limit_simple if simple else bounds.max_qfi_wh
     f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
     f_r = rank_limit_simple if simple else bounds.max_qfi_rank
     out_w = {w: f_w(n, w) < threshold for w in range(1, n + 1)}

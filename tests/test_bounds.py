@@ -6,7 +6,7 @@ import random
 from itertools import accumulate, repeat
 
 import pytest
-from support import partitions_desc
+from support import partitions_desc, wh_limit_simple
 
 from metroent import bounds, cli, tuples
 
@@ -65,7 +65,7 @@ def _check_limit_column(n, w):
     hs = tuples.heights(n, w)
     assert list(bounds.wh_limit_column(n, w)) == [bounds.max_qfi_wh(n, w, h) for h in hs]
     simple = list(bounds.wh_limit_column(n, w, simple=True))
-    assert simple == [bounds.wh_limit_simple(n, w, h) for h in hs]
+    assert simple == [wh_limit_simple(n, w, h) for h in hs]
 
 
 def test_limit_column_matches_the_per_tuple_limits():
@@ -90,8 +90,8 @@ def test_limit_column_matches_the_per_tuple_limits():
 
 
 def test_max_qfi_wh_simple_examples():
-    assert bounds.wh_limit_simple(7, 4, 3) == 23
-    assert bounds.wh_limit_simple(14, 1, 14) == 14
+    assert wh_limit_simple(7, 4, 3) == 23
+    assert wh_limit_simple(14, 1, 14) == 14
 
 
 def test_dominance_and_monotonicity_sweep():
@@ -100,7 +100,7 @@ def test_dominance_and_monotonicity_sweep():
         by_w = {}
         for w, h in tuples.all_tuples(n):
             f = bounds.max_qfi_wh(n, w, h)
-            assert f <= bounds.wh_limit_simple(n, w, h)
+            assert f <= wh_limit_simple(n, w, h)
             by_h.setdefault(h, []).append((w, f))
             by_w.setdefault(w, []).append((h, f))
         # strictly increasing in w at fixed h, strictly decreasing in h at fixed w

@@ -11,7 +11,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from support import rank_limit_simple, reference_csv_text, reference_grid_rows
+from support import rank_limit_simple, reference_csv_text, reference_grid_rows, wh_limit_simple
 
 from metroent import bounds, cli, oracle, tuples, witness
 from metroent.cli import (
@@ -87,7 +87,7 @@ def _quarter_text(q):
 def _reference_bounds_table(n, cls, simple):
     """A ``bounds`` table written a row at a time from the checked closed forms."""
     if cls == "wh":
-        f_wh = bounds.wh_limit_simple if simple else bounds.max_qfi_wh
+        f_wh = wh_limit_simple if simple else bounds.max_qfi_wh
         return "w,h,f\n" + "".join(f"{w},{h},{f_wh(n, w, h)}\n" for w, h in tuples.all_tuples(n))
     if cls == "w":
         f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
@@ -551,7 +551,7 @@ def _on_limit_values():
         n = rng.randint(9, 80)
         pairs.append((n, *rng.choice(tuples.all_tuples(n))))
     for n, w, h in pairs:
-        for f_wh in (bounds.max_qfi_wh, bounds.wh_limit_simple):
+        for f_wh in (bounds.max_qfi_wh, wh_limit_simple):
             limit = f_wh(n, w, h)
             for value in {limit - 1, limit, limit + 1} - {0}:
                 yield Measurement(label="lim", n=n, kind="fq", value=str(value))

@@ -10,6 +10,8 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+from support import quantity
+
 from metroent import squeezing, witness
 from metroent.bounds import (
     max_qfi_height,
@@ -48,7 +50,7 @@ def test_floor_from_qfi_examples():
     assert floor(1408, 470) == Fraction(940, 2348)
     # the h = 436 floor sits above the measured -4.5 dB value, h = 435 below
     m = xi2(470, "-4.5", unit="db")
-    measured, threshold = m.quantity(), m.exclusion_threshold()
+    measured, threshold = quantity(m), m.exclusion_threshold()
     assert max_qfi_height(470, 436) == 1660
     assert floor(1660, 470) == Fraction(940, 2600)
     assert measured < floor(1660, 470) and 1660 < threshold
@@ -62,7 +64,7 @@ def test_floor_from_qfi_examples():
         limits += [max_qfi_rank(n, r) for r in valid_ranks(n)]
         for value in [f"{rng.uniform(2 / (n + 2), 1):.6f}" for _ in range(20)] + ["1", "0.5"]:
             m = xi2(n, value)
-            q, threshold = m.quantity(), m.exclusion_threshold()
+            q, threshold = quantity(m), m.exclusion_threshold()
             for f in limits:
                 assert (q < floor(f, n)) == (f < threshold), (n, value, f)
 
@@ -98,7 +100,7 @@ def test_floor_rank():
         assert floor(max_qfi_rank(n, 1 - n), n) == Fraction(2, 3)
     # reproduces the published n=470 exclusion boundary between -400 and -399
     m = xi2(470, "-4.5", unit="db")
-    measured, threshold = m.quantity(), m.exclusion_threshold()
+    measured, threshold = quantity(m), m.exclusion_threshold()
     tight_399 = floor(max_qfi_rank(470, -399), 470)
     tight_400 = floor(max_qfi_rank(470, -400), 470)
     assert tight_399 == Fraction(940, 2670)

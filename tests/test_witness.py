@@ -5,7 +5,7 @@ import math
 import random
 import re
 import tracemalloc
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,19 +13,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from support import (
     cell_flags,
+    count_disagreements,
     fraction_to_decimal_text,
     grid_cells,
     grid_counts,
+    quantity,
     rank_limit_simple,
     reference_csv_text,
     reference_grid_rows,
     scan_depth,
     scan_rank,
     scan_separability,
+    wh_limit_simple,
 )
 
 from metroent import bounds, tuples, witness
-from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width, wh_limit_simple
+from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width
 from metroent.cli import grid_csv_text, main, parse_dataset_text, report_json_text
 from metroent.witness import Measurement
 
@@ -61,7 +64,7 @@ def test_measurement_validation():
     for value in ("1e101", "1e-101", "1" * 101):
         with pytest.raises(ValueError, match="bad decimal value"):
             fq(5, value)
-    assert fq(5, "1e100").quantity() == 10**100
+    assert quantity(fq(5, "1e100")) == 10**100
     # n is bounded for every caller, before any value is parsed
     assert fq(witness.MAX_N, "5").n == 10**6
     with pytest.raises(ValueError, match=r"n must be <= 1000000, got 1000001"):
@@ -70,8 +73,8 @@ def test_measurement_validation():
 
 def test_db_values_are_bounded_before_conversion(monkeypatch):
     # 10**(x/10) keeps its exponent within +-MAX_EXPONENT exactly when |x| <= 1000
-    assert xi2_db(5, "1000").quantity() == 10**100
-    assert xi2_db(5, "-1000").quantity() == Fraction(1, 10**100)
+    assert quantity(xi2_db(5, "1000")) == 10**100
+    assert quantity(xi2_db(5, "-1000")) == Fraction(1, 10**100)
 
     def refuse(text):
         raise AssertionError(f"converted {text}")
@@ -155,10 +158,10 @@ def test_measurement_rejects_unsafe_labels(label):
 
 
 def test_quantity_is_exact():
-    assert fq(14, "40.4").quantity() == Fraction(202, 5)
-    assert xi2_linear(470, "0.354813").quantity() == Fraction(354813, 10**6)
+    assert quantity(fq(14, "40.4")) == Fraction(202, 5)
+    assert quantity(xi2_linear(470, "0.354813")) == Fraction(354813, 10**6)
     # dB values go through the 30-digit deterministic conversion
-    assert xi2_db(470, "-4.5").quantity() == Fraction(
+    assert quantity(xi2_db(470, "-4.5")) == Fraction(
         354813389233575458433218702264, 10**30
     )
 
@@ -556,15 +559,13 @@ def test_grid_cells_view_counts_every_tuple(simple):
         assert len(grid.cells) == tuples.count_width_leq(m.n, m.n) == len(grid_cells(grid)), m
 
 
-def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
-    # ROADMAP item 2's guard row at n = 10**6: no per-height limit is
-    # evaluated, and the walk ends at width n - h
+def _analyze_counting_solves(monkeypatch, m):
+    """``analyze(m)`` with no per-height limit evaluated, and the widths it solved."""
     def refuse(n, w, h):
         raise AssertionError("per-height limit evaluated")
 
     monkeypatch.setattr(bounds, "max_qfi_wh", refuse)
     monkeypatch.setattr(bounds, "_wh_rows", refuse)
-    monkeypatch.setattr(bounds, "wh_limit_simple", refuse)
     widths = []
     solve = bounds.wh_first_height_at_most
 
@@ -573,12 +574,72 @@ def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
         return solve(n, w, f_max, simple=simple)
 
     monkeypatch.setattr(bounds, "wh_first_height_at_most", counting)
-    rep = witness.analyze(fq(10**6, "30000000"))
+    return witness.analyze(m), widths
+
+
+def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
+    # ROADMAP item 2's guard row at n = 10**6: only the widths w..n - h are
+    # solved, since those below w are wholly excluded and those past n - h
+    # exclude nothing
+    rep, widths = _analyze_counting_solves(monkeypatch, fq(10**6, "30000000"))
     assert (rep.depth, rep.separability, rep.rank) == (31, 994615, -989229)
     assert rep.counts == {
         "by_w": 26004595, "by_h": 14496421, "by_r": 28992841, "by_wh": 164147146,
     }
-    assert widths == list(range(1, 10**6 - 994615 + 1))  # 5385 widths
+    assert widths == list(range(31, 10**6 - 994615 + 1))  # 5355 widths
+
+
+@pytest.mark.parametrize("value, answer, counts, solved", [
+    # every width but the last is wholly excluded, and the last excludes nothing
+    ("999999999999", (10**6, 1, 999999), (499986530014,) * 4, 0),
+    ("500000000000", (500000, 292894, 414213),
+     (374986280014, 249998846522, 414200306350, 446335928007), 207107),
+])
+def test_large_n_gate_rows_solve_only_the_band(monkeypatch, value, answer, counts, solved):
+    # ROADMAP item 2's other two gate rows at n = 10**6
+    rep, widths = _analyze_counting_solves(monkeypatch, fq(10**6, value))
+    assert (rep.depth, rep.separability, rep.rank) == answer
+    assert rep.counts == dict(zip(("by_w", "by_h", "by_r", "by_wh"), counts))
+    assert widths == list(range(rep.depth, 10**6 - rep.separability + 1))
+    assert len(widths) == solved
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["tight", "simple"])
+def test_counts_match_the_reference_walk(simple):
+    # the block sums and the band walk against the walk over every width up
+    # to n - h, at every class limit of n and 1 either side, for every n <= 60
+    f_w = bounds.max_qfi_width_simple if simple else max_qfi_width
+    f_r = rank_limit_simple if simple else max_qfi_rank
+    for n in range(1, 61):
+        limits = {bounds.max_qfi_height(n, h) for h in range(1, n + 1)}
+        limits |= {f_w(n, w) for w in range(1, n + 1)}
+        limits |= {f_r(n, r) for r in bounds.valid_ranks(n)}
+        # linear xi2 texts just below and above every whole w, h and r limit
+        whole = [int(limit) for limit in limits if limit % 1 == 0]
+        ms = [
+            xi2_linear(n, str(Context(prec=15, rounding=rounding).divide(2 * n, limit + 2 * n)))
+            for limit in whole
+            for rounding in (ROUND_FLOOR, ROUND_CEILING)
+        ]
+        for w in range(1, n + 1):
+            limits |= set(bounds.wh_limit_column(n, w, simple=simple))
+        values = {limit + d for limit in limits for d in (-1, 0, 1)} | {n * n + 1}
+        ms += [fq(n, fraction_to_decimal_text(Fraction(v))) for v in sorted(values) if v > 0]
+        assert count_disagreements(ms, simple=simple) == [], n
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["tight", "simple"])
+def test_counts_at_the_threshold_edges(simple):
+    # T <= n excludes nothing; T > n**2 excludes every tuple, with w = n + 1,
+    # h = 0 and r = n
+    for n in range(1, 61):
+        total = tuples.count_width_leq(n, n)
+        for value in ("0.5", "1", str(n)):
+            report = witness.analyze(fq(n, value), simple=simple)
+            assert report.counts == dict.fromkeys(("by_w", "by_h", "by_r", "by_wh"), 0), n
+        report = witness.analyze(fq(n, str(n * n + 1)), simple=simple)
+        assert (report.depth, report.separability, report.rank) == (n + 1, 0, n)
+        assert report.counts == dict.fromkeys(("by_w", "by_h", "by_r", "by_wh"), total), n
 
 
 @pytest.mark.parametrize("n", range(1, 31))
