@@ -308,8 +308,10 @@ class TupleGrid:
     OK.  (W and H together force R, so the two-letter value WH is
     unambiguous.)  Under ``simple`` a (w, h)-compatible tuple can still
     read R, so more tuples can carry a flag than ``by_wh`` counts.
-    The grid holds O(n) data; only ``cli.grid_csv_text`` expands it into
-    rows, through the row writer ``bounds --class wh`` shares.  Read-only.
+    The grid holds O(n) data; cli expands it into ``grid.csv`` rows a
+    width at a time, through the row writer ``bounds --class wh`` shares,
+    and ``write_report`` writes each width's rows before it makes the next.
+    Read-only.
     """
 
     __slots__ = ("n", "simple", "runs")
@@ -342,8 +344,9 @@ def build_grid(report: WitnessReport) -> TupleGrid:
     inferred h (H), the first height whose rank w - h falls below the
     inferred r (R), p and hi + 1; the W flag holds for the whole width when
     w is below the inferred w.  So each width has at most four runs, and
-    the grid O(n) of them; no limit is evaluated.  A width past
-    n - separability holds no flag, so it is one OK run, with no solve.
+    the grid O(n) of them; no limit is evaluated.  Only the widths from the
+    inferred w to n - separability are solved: a narrower width is wholly
+    excluded (p = lo), and a wider one holds no flag, so it is one OK run.
     """
     m = report.measurement
     n, f_max = m.n, m._cut1 - 1
@@ -351,8 +354,8 @@ def build_grid(report: WitnessReport) -> TupleGrid:
     runs = []
     for w in range(1, n - separability + 1):
         lo, hi = -(-n // w), n + 1 - w
-        p = bounds.wh_first_height_at_most(n, w, f_max, simple=report.simple)
         flag_w = "W" if w < depth else ""
+        p = lo if flag_w else bounds.wh_first_height_at_most(n, w, f_max, simple=report.simple)
         cuts = {lo, p, hi + 1, separability + 1, w - rank + 1}
         cuts = sorted(c for c in cuts if lo <= c <= hi + 1)
         width_runs = []

@@ -559,8 +559,8 @@ def test_grid_cells_view_counts_every_tuple(simple):
         assert len(grid.cells) == tuples.count_width_leq(m.n, m.n) == len(grid_cells(grid)), m
 
 
-def _analyze_counting_solves(monkeypatch, m):
-    """``analyze(m)`` with no per-height limit evaluated, and the widths it solved."""
+def _counting_solves(monkeypatch):
+    """The widths solved from now on, in order; a per-height limit evaluated fails."""
     def refuse(n, w, h):
         raise AssertionError("per-height limit evaluated")
 
@@ -574,6 +574,12 @@ def _analyze_counting_solves(monkeypatch, m):
         return solve(n, w, f_max, simple=simple)
 
     monkeypatch.setattr(bounds, "wh_first_height_at_most", counting)
+    return widths
+
+
+def _analyze_counting_solves(monkeypatch, m):
+    """``analyze(m)`` with no per-height limit evaluated, and the widths it solved."""
+    widths = _counting_solves(monkeypatch)
     return witness.analyze(m), widths
 
 
@@ -587,6 +593,17 @@ def test_large_n_counts_read_no_limit_and_few_widths(monkeypatch):
         "by_w": 26004595, "by_h": 14496421, "by_r": 28992841, "by_wh": 164147146,
     }
     assert widths == list(range(31, 10**6 - 994615 + 1))  # 5355 widths
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["tight", "simple"])
+def test_build_grid_solves_only_the_band(monkeypatch, simple):
+    # the widths below w are wholly excluded and those past n - h exclude
+    # nothing, so build_grid solves the same widths w..n - h as the counts
+    rep = witness.analyze(fq(2000, "1333333.5"), simple=simple)
+    widths = _counting_solves(monkeypatch)
+    witness.build_grid(rep)
+    assert rep.depth == 667
+    assert widths == list(range(667, 2000 - rep.separability + 1))
 
 
 @pytest.mark.parametrize("value, answer, counts, solved", [
