@@ -169,10 +169,12 @@ def max_qfi_rank(n: int, r: int) -> int:
     rows instead of one.  The even branch self-consistently yields n + 4 at
     n + r == 4.  Inference bisects this scalar;
     :func:`metroent.oracle.verify_closed_forms` checks it, and
-    :func:`rank_limit_column`, against brute force.
-    ``tests/test_bounds.py::test_marginals_consistent_with_grid_maxima``,
-    which checks that this limit is the largest (w, h) limit over w - h <= r,
-    finds no special case beyond those two for n <= 250 and n = 1000, 2000.
+    :func:`rank_limit_column`, against brute force.  At every n the limit
+    is n + Phi(n + r), Phi(s) the largest tight (w, h) limit less n over the
+    shapes with w <= (s + 1)/2 and n - h <= s - w.  Phi is the quadratic at
+    every s but 10 and 16, and each of those two applies from the least n
+    at which its maximizer is a valid shape: the proof is in
+    ``tests/test_rank_theorem.py``, which checks its finite steps.
     """
     _require_valid_rank(n, r)
     s = n + r
@@ -194,7 +196,8 @@ def rank_limit_column(n: int, *, simple: bool = False) -> Iterator[int | str]:
     2 more, and the simple one n + k*k - 1 and 3/4 (steps 3, 5, 7, ...); the
     two parities interleave.  The tight ``_TWO_FULL_ROWS`` values and the
     simple ``_SIMPLE_CORNER`` (n + 4 at s == 4) overwrite their entries,
-    outside both sums.  n is not checked.
+    outside both sums, in ``head``, the entries s <= 16: by the theorem in
+    :func:`max_qfi_rank`, no exception lies past s = 16.  n is not checked.
     """
     steps = range(2, 2 * n, 2)
     if simple:

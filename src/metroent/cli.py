@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import os
 import sys
 from decimal import Decimal, Inexact, localcontext
 from itertools import islice, repeat
@@ -87,16 +88,8 @@ def parse_dataset_text(text: str) -> list[Measurement]:
                 raise ValueError(
                     f"bad particle count {row['n']!r} for {row['label']!r}"
                 ) from exc
-            records.append(
-                Measurement(
-                    label=row["label"],
-                    n=n,
-                    kind=row["kind"],
-                    value=row["value"],
-                    unit=row["unit"],
-                    reference=row["reference"],
-                )
-            )
+            # the header is DATASET_HEADER, Measurement's parameters
+            records.append(Measurement(**{**row, "n": n}))
     except csv.Error as exc:
         raise ValueError(f"bad dataset: {exc}") from exc
     total = sum(m.n for m in records)
@@ -184,7 +177,7 @@ def report_json_text(report: WitnessReport) -> str:
     }, indent=2) + "\n"
 
 
-def write_report(report: WitnessReport, out_dir: str | Path) -> Path:
+def write_report(report: WitnessReport, out_dir: str | os.PathLike) -> os.PathLike:
     """Write ``<label>/report.json`` and ``<label>/grid.csv`` under ``out_dir``.
 
     ``grid.csv`` is written a width at a time through a ``GRID_WRITE_BUFFER``

@@ -61,11 +61,27 @@ def is_plain_text(text: str) -> bool:
     return text.isascii() and "_" not in text and text == text.strip()
 
 
-def _read_only(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+class _Record:
+    """A read-only record whose fields, its ``__slots__``, are each set once, by keyword."""
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes exactly the keywords {self.__slots__}")
+        self._set(**fields)
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
-class Measurement:
+class Measurement(_Record):
     """One published sensitivity value for an n-particle state.
 
     ``value`` is kept as the original decimal text: ASCII, with no ``_`` and
@@ -79,7 +95,6 @@ class Measurement:
     # _quantity is the linear-scale value; _cut1 and _cut4 are ceil(T) and
     # ceil(4T): a limit f, or 4f read in quarters, is excluded iff below its cut
     __slots__ = ("label", "n", "kind", "value", "unit", "reference", "_quantity", "_cut1", "_cut4")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(
         self, label: str, n: int, kind: str, value: str, unit: str = "none", reference: str = ""
@@ -106,7 +121,7 @@ class Measurement:
         if kind == KIND_SQUEEZING and unit == "none":
             raise ValueError("squeezing measurements need unit 'linear' or 'db'")
         try:
-            # bound and vet the text before Fraction or Decimal reads it
+            # bound and vet the text before Decimal reads it; Fraction(x) is exact
             if len(value) > MAX_VALUE_CHARS or not is_plain_text(value):
                 raise ValueError
             x = Decimal(value)
@@ -118,24 +133,18 @@ class Measurement:
                     raise ValueError
                 q = db_text_to_linear(value)
             else:
-                q = Fraction(value)
+                q = Fraction(x)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad decimal value {value!r}") from exc
         if kind == KIND_QFI and q <= 0:
             raise ValueError(f"QFI value must be positive, got {value}")
         if kind == KIND_SQUEEZING and q <= 0:
             raise ValueError(f"linear xi**2 must be positive, got {value}")
-        init = object.__setattr__
-        init(self, "label", label)
-        init(self, "n", n)
-        init(self, "kind", kind)
-        init(self, "value", value)
-        init(self, "unit", unit)
-        init(self, "reference", reference)
-        init(self, "_quantity", q)
+        self._set(label=label, n=n, kind=kind, value=value, unit=unit, reference=reference,
+                  _quantity=q)
         t = self.exclusion_threshold()
-        init(self, "_cut1", -(-t.numerator // t.denominator))
-        init(self, "_cut4", -(-4 * t.numerator // t.denominator))
+        a, b = t.numerator, t.denominator
+        self._set(_cut1=-(-a // b), _cut4=-(-4 * a // b))
 
     def _fields(self) -> tuple:
         return (self.label, self.n, self.kind, self.value, self.unit, self.reference)
@@ -248,28 +257,13 @@ def exclusion_counts(
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
 
 
-class WitnessReport:
-    """The answer for one measurement: w, h, r and four counts.  Read-only; cli formats it."""
+class WitnessReport(_Record):
+    """The answer for one measurement: w, h, r and four counts.  Read-only; cli formats it.
+
+    ``depth``, ``separability`` and ``rank`` are w, h and r; ``counts`` is exclusion_counts'.
+    """
 
     __slots__ = ("measurement", "depth", "separability", "rank", "counts", "simple")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(
-        self,
-        measurement: Measurement,
-        depth: int,
-        separability: int,
-        rank: int,
-        counts: dict,
-        simple: bool,
-    ):
-        init = object.__setattr__
-        init(self, "measurement", measurement)
-        init(self, "depth", depth)
-        init(self, "separability", separability)
-        init(self, "rank", rank)
-        init(self, "counts", counts)
-        init(self, "simple", simple)
 
 
 def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
@@ -294,7 +288,7 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
     )
 
 
-class TupleGrid:
+class TupleGrid(_Record):
     """Per-tuple exclusion map for one measurement, in run-length form.
 
     ``runs`` holds, for each width w = 1..n in turn, ``(w, ((first, stop,
@@ -315,15 +309,6 @@ class TupleGrid:
     """
 
     __slots__ = ("n", "simple", "runs")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(
-        self, n: int, simple: bool, runs: tuple[tuple[int, tuple[tuple[int, int, str], ...]], ...]
-    ):
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "simple", simple)
-        init(self, "runs", runs)
 
     def __len__(self) -> int:
         """The number of tuples, the sum of the run lengths."""

@@ -130,6 +130,18 @@ def test_records_are_read_only():
     assert (report.depth, grid.n) == (4, 14)
 
 
+def test_records_take_exactly_their_fields_by_keyword():
+    report = witness.analyze(fq(14, "40.4"))
+    fields = {name: getattr(report, name) for name in report.__slots__}
+    assert {name: getattr(witness.WitnessReport(**fields), name) for name in fields} == fields
+    grid = witness.build_grid(report)
+    for bad in ({**fields, "extra": 0}, {k: v for k, v in fields.items() if k != "counts"}):
+        with pytest.raises(TypeError, match="takes exactly the keywords"):
+            witness.WitnessReport(**bad)
+    with pytest.raises(TypeError):
+        witness.TupleGrid(grid.n, grid.simple, grid.runs)
+
+
 @pytest.mark.parametrize(
     "label",
     [
