@@ -246,11 +246,9 @@ def _measurements_from_args(args) -> list[Measurement]:
 
 
 def _print_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [max(len(col), *(len(r[i]) for r in rows)) if rows else len(col)
-              for i, col in enumerate(header)]
-    print("  ".join(col.ljust(w) for col, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    table = [header, *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    print("\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in table))
 
 
 def _cmd_analyze(args) -> int:

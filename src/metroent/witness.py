@@ -16,14 +16,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import bounds, tuples
 from .squeezing import db_text_to_linear
 
 KIND_QFI = "fq"
-KIND_SQUEEZING = "xi2"
-KINDS = (KIND_QFI, KIND_SQUEEZING)
-UNITS = ("none", "linear", "db")
+# the accepted (kind, unit) pairs, each with what its sign error calls the value
+_VALUE_NAMES = {(KIND_QFI, "none"): "QFI value", ("xi2", "linear"): "linear xi**2",
+                ("xi2", "db"): "linear xi**2"}
 # limits on a measured value's decimal text, so that no value parses into a
 # huge integer
 MAX_VALUE_CHARS = 100
@@ -112,14 +113,8 @@ class Measurement(_Record):
                 f" {MAX_LABEL_BYTES} bytes in UTF-8"
             )
         check_n(n)
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        if unit not in UNITS:
-            raise ValueError(f"unit must be one of {UNITS}, got {unit!r}")
-        if kind == KIND_QFI and unit != "none":
-            raise ValueError("QFI measurements take unit 'none'")
-        if kind == KIND_SQUEEZING and unit == "none":
-            raise ValueError("squeezing measurements need unit 'linear' or 'db'")
+        if (kind, unit) not in _VALUE_NAMES:
+            raise ValueError(f"(kind, unit) must be one of {[*_VALUE_NAMES]}, got {(kind, unit)!r}")
         try:
             # bound and vet the text before Decimal reads it; Fraction(x) is exact
             if len(value) > MAX_VALUE_CHARS or not is_plain_text(value):
@@ -136,10 +131,8 @@ class Measurement(_Record):
                 q = Fraction(x)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad decimal value {value!r}") from exc
-        if kind == KIND_QFI and q <= 0:
-            raise ValueError(f"QFI value must be positive, got {value}")
-        if kind == KIND_SQUEEZING and q <= 0:
-            raise ValueError(f"linear xi**2 must be positive, got {value}")
+        if q <= 0:
+            raise ValueError(f"{_VALUE_NAMES[kind, unit]} must be positive, got {value}")
         self._set(label=label, n=n, kind=kind, value=value, unit=unit, reference=reference,
                   _quantity=q)
         t = self.exclusion_threshold()
@@ -260,7 +253,8 @@ def exclusion_counts(
 class WitnessReport(_Record):
     """The answer for one measurement: w, h, r and four counts.  Read-only; cli formats it.
 
-    ``depth``, ``separability`` and ``rank`` are w, h and r; ``counts`` is exclusion_counts'.
+    ``depth``, ``separability`` and ``rank`` are w, h and r; ``counts`` a read-only view of
+    exclusion_counts'.
     """
 
     __slots__ = ("measurement", "depth", "separability", "rank", "counts", "simple")
@@ -283,7 +277,7 @@ def analyze(m: Measurement, *, simple: bool = False) -> WitnessReport:
         depth=depth,
         separability=separability,
         rank=rank,
-        counts=exclusion_counts(m, depth, separability, rank, simple=simple),
+        counts=MappingProxyType(exclusion_counts(m, depth, separability, rank, simple=simple)),
         simple=simple,
     )
 

@@ -635,6 +635,16 @@ def test_dataset_rejects_bad_input():
         parse_dataset_text("label,n,kind,value,unit,reference\na,5,fq\n")
 
 
+def test_analyze_dataset_with_no_records_prints_the_header_alone(capsys, tmp_path):
+    dataset = tmp_path / "empty.csv"
+    dataset.write_text("label,n,kind,value,unit,reference\n")
+    assert main(["analyze", "--dataset", str(dataset)]) == 0
+    assert capsys.readouterr().out == "label  n  kind  value  w  h  r  by_w  by_h  by_r  by_wh  h_excl\n"
+    out = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out)]) == 0
+    assert not out.exists()
+
+
 def test_dataset_row_with_extra_fields_exits_2(capsys, tmp_path):
     # an unquoted comma splits a field: refused, not analysed with the rest dropped
     dataset = tmp_path / "unquoted.csv"

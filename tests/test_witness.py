@@ -142,6 +142,34 @@ def test_records_take_exactly_their_fields_by_keyword():
         witness.TupleGrid(grid.n, grid.simple, grid.runs)
 
 
+def test_report_counts_are_read_only():
+    report = witness.analyze(fq(14, "40.4"))
+    with pytest.raises(TypeError):
+        report.counts["by_w"] = 999
+    assert report.counts == {"by_w": 16, "by_h": 11, "by_r": 20, "by_wh": 24}
+
+
+@pytest.mark.parametrize("unit", ["none", "linear", "db", "dB"])
+@pytest.mark.parametrize("kind", ["fq", "xi2", "qfi", ""])
+def test_only_three_kind_unit_pairs_are_accepted(kind, unit):
+    if (kind, unit) in {("fq", "none"), ("xi2", "linear"), ("xi2", "db")}:
+        assert Measurement(label="x", n=5, kind=kind, value="1", unit=unit).unit == unit
+        return
+    with pytest.raises(ValueError, match=re.escape(repr((kind, unit)))):
+        Measurement(label="x", n=5, kind=kind, value="1", unit=unit)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the dB conversion keeps 30 significant digits, so a"
+    " threshold 7.5e-33 above f_3 = 1408 reads as at most 1408",
+)
+def test_db_value_just_above_a_width_limit_excludes_it():
+    # a 200-digit evaluation puts T at 1408 + 7.5e-33, above f_3 = 1408, so w = 4
+    m = Measurement("x", 470, "xi2", "-3.9757023897587820686307879387200615", "db")
+    assert witness.infer_depth(m) == 4
+
+
 @pytest.mark.parametrize(
     "label",
     [
