@@ -69,26 +69,22 @@ def wh_limit_column(n: int, w: int, *, simple: bool = False) -> range | list[int
 def wh_first_height_at_most(n: int, w: int, f_max: int, *, simple: bool = False) -> int:
     """The first valid height of width w whose (w, h) limit is at most f_max.
 
-    Returns n + 2 - w, one past the largest valid height, when there is none.
-    The inverse of :func:`wh_limit_column`'s running sum, in O(1): with
-    t = n - h the limit is n + w*t (simple) or n + k*w*(w - 1) + j*(j + 1)
-    for k, j = divmod(t, w - 1) (tight), which rises with t, so the largest
-    t with limit <= f_max is a floor division, or for the tight limit a
-    division into blocks of w - 1 heights and an integer square root within one.
+    Returns n + 2 - w, one past the largest valid height, when there is none:
+    the final clamp's bound, which a negative t (f_max < n) reaches.  The
+    inverse of :func:`wh_limit_column`'s running sum, in O(1): with t = n - h
+    the limit is n + w*t (simple, or w == 1, whose one height n has limit n)
+    or n + k*w*(w - 1) + j*(j + 1) for k, j = divmod(t, w - 1) (tight), rising
+    with t, so the largest t with limit <= f_max is a floor division, or for
+    the tight limit blocks of w - 1 heights and an integer square root in one.
     """
     excess = f_max - n
-    hi = n + 1 - w
-    if excess < 0:
-        return hi + 1
-    if simple:
+    if simple or w == 1:
         t = excess // w
-    elif w == 1:
-        t = 0  # the one height, n, whose limit n is at most f_max
     else:
         k, d = divmod(excess, w * (w - 1))
         # the largest j with j*(j + 1) <= d; d < w*(w - 1) keeps it below w - 1
         t = (w - 1) * k + (isqrt(4 * d + 1) - 1) // 2
-    return min(max(n - t, _ceil_div(n, w)), hi + 1)
+    return min(max(n - t, _ceil_div(n, w)), n + 2 - w)
 
 
 def max_qfi_wh(n: int, w: int, h: int) -> int:
@@ -98,11 +94,10 @@ def max_qfi_wh(n: int, w: int, h: int) -> int:
     :func:`_wh_rows`.  Exact integer; equals the true maximum of the
     squared-row sum over partitions of n with width <= w and height >= h,
     attained at width exactly w and height exactly h.  ``verify`` checks
-    :func:`wh_limit_column`, which the tests tie to this function.
+    :func:`wh_limit_column`, which the tests tie to this function.  Refused
+    unless 1 <= w <= n (so n >= 1) and ceil(n/w) <= h <= n + 1 - w (so h <= n).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (1 <= w <= n and 1 <= h <= n and _ceil_div(n, w) <= h <= n + 1 - w):
+    if not (1 <= w <= n and _ceil_div(n, w) <= h <= n + 1 - w):
         raise ValueError(
             f"(w={w}, h={h}) is not a realizable width/height pair for n={n}"
         )
@@ -155,8 +150,6 @@ def _rank_flags(n: int) -> Iterator[int]:
 
 
 def _require_valid_rank(n: int, r: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if abs(r) > n - 1 or abs(r) == n - 2:
         raise ValueError(f"r={r} is not a realizable Dyson rank for n={n}")
 

@@ -199,19 +199,18 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
 
     The rank limit never falls in r, so a bisection over -(n - 1)..n - 1
     finds it in O(log n) exact comparisons.  The unrealizable ranks
-    +-(n - 2) read the limit of the rank one above, so a search that stops
-    on one answers that rank.  Returns n (one past the largest realizable
-    rank) when nothing is compatible.  The simple limit is read in quarters.
+    +-(n - 2) read the rank below, as :func:`metroent.oracle.brute_force_max`
+    does, so the search never stops on one.  Returns n, one past the largest
+    realizable rank, if none is compatible.  The simple limit is in quarters.
     """
     f = bounds.rank_limit_simple_quarters if simple else bounds.max_qfi_rank
     n = m.n
     cut = m._cut4 if simple else m._cut1
 
     def key(r):
-        return f(n, r + (abs(r) == n - 2)) >= cut
+        return f(n, r - (abs(r) == n - 2)) >= cut
 
-    r = 1 - n + bisect_left(range(1 - n, n), True, key=key)
-    return r + (abs(r) == n - 2)
+    return 1 - n + bisect_left(range(1 - n, n), True, key=key)
 
 
 def exclusion_counts(
@@ -243,8 +242,8 @@ def exclusion_counts(
     by_h = tuples.count_widths(n, separability + 1, n)
     c = 1 + bisect_left(range(1, n + 1), True, key=lambda w: w - rank + 1 >= -(-n // w))
     last = (n + rank) // 2
-    # n + 1 + rank - 2*w summed over w = c..last
-    by_r = tuples.count_widths(n, 1, c - 1) + max(0, last - c + 1) * (n + 1 + rank - c - last)
+    # n + 1 + rank - 2*w over w = c..last; c <= last + 1, as the R cut holds at last + 1
+    by_r = tuples.count_widths(n, 1, c - 1) + (last - c + 1) * (n + 1 + rank - c - last)
     solve, band = bounds.wh_first_height_at_most, range(depth, n - separability + 1)
     by_wh = by_w + sum(n + 2 - w - solve(n, w, f_max, simple=simple) for w in band)
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}

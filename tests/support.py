@@ -11,7 +11,8 @@ from one pass over each n's own partitions.  The oracle's band fold is
 checked against a fold of every whole row, and ``analyze``'s whole answer
 against one read off the oracle's tables alone, counted by bisection over
 sorted class maxima where ``analyze`` sums widths in blocks.  The counts
-are also checked against a walk that solves every width up to n - h.
+are also checked against a walk that solves every width up to n - h, and
+the O(1) (w, h) inverse against a bisection of each width's limit column.
 """
 
 from __future__ import annotations
@@ -243,6 +244,29 @@ def walk_exclusion_counts(
         by_r += max(0, hi - max(lo, w - rank + 1) + 1)
         by_wh += hi + 1 - p
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}
+
+
+def first_height_disagreements(cases) -> tuple[int, list[tuple]]:
+    """``bounds.wh_first_height_at_most`` against a search of the column it inverts.
+
+    ``cases`` yields ``(n, w, simple, f_maxes)``: each f_max is one case.
+    The first height whose limit is at most f_max is found by bisecting
+    ``bounds.wh_limit_column(n, w, simple=simple)``, which falls as h rises,
+    and is n + 2 - w when there is none.  Returns the number of cases and
+    the disagreements, each ``(n, w, simple, f_max, the inverse's height,
+    the column's height)``.
+    """
+    checked = 0
+    disagreements = []
+    for n, w, simple, f_maxes in cases:
+        column = bounds.wh_limit_column(n, w, simple=simple)
+        for f_max in f_maxes:
+            expected = -(-n // w) + bisect_left(column, True, key=lambda f: f <= f_max)
+            got = bounds.wh_first_height_at_most(n, w, f_max, simple=simple)
+            checked += 1
+            if got != expected:
+                disagreements.append((n, w, simple, f_max, got, expected))
+    return checked, disagreements
 
 
 def count_disagreements(ms, *, simple: bool) -> list[tuple]:

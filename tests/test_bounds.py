@@ -6,7 +6,7 @@ import random
 from itertools import accumulate, repeat
 
 import pytest
-from support import partitions_desc, wh_limit_simple
+from support import first_height_disagreements, partitions_desc, wh_limit_simple
 
 from metroent import bounds, cli, tuples
 
@@ -27,6 +27,8 @@ def test_max_qfi_wh_rejects_invalid_tuples():
         bounds.max_qfi_wh(14, 1, 13)  # width 1 forces h == n
     with pytest.raises(ValueError):
         bounds.max_qfi_wh(5, 6, 1)
+    with pytest.raises(ValueError):
+        bounds.max_qfi_wh(0, 1, 1)
 
 
 def test_decomposition_invariants():
@@ -52,6 +54,23 @@ def test_capped_quotient_matches_verbatim_arithmetic():
             u = n - h + 1 - (w - 1) * k
             v = h - k - 1
             assert k * w * w + u * u + v == bounds.max_qfi_wh(n, w, h)
+
+
+def _first_height_cases(n_max):
+    # f_max at n - 1 (no height), at each column entry and one below it, and
+    # one past the top entry, for every width of every n <= n_max
+    for n in range(1, n_max + 1):
+        for w in range(1, n + 1):
+            for simple in (False, True):
+                column = bounds.wh_limit_column(n, w, simple=simple)
+                f_maxes = {n - 1, *column, *(f - 1 for f in column), column[0] + 1}
+                yield n, w, simple, sorted(f_maxes)
+
+
+def test_first_height_inverse_matches_its_column():
+    checked, disagreements = first_height_disagreements(_first_height_cases(60))
+    assert disagreements == []
+    assert checked == 131440
 
 
 def test_rectangle_tuples():
@@ -208,6 +227,8 @@ def test_max_qfi_rank_rejects_invalid_ranks():
         bounds.max_qfi_rank(14, -12)
     with pytest.raises(ValueError):
         bounds.max_qfi_rank(14, 14)
+    with pytest.raises(ValueError):
+        bounds.max_qfi_rank(0, 0)
 
 
 def test_max_qfi_rank_simple():
