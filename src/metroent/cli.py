@@ -31,11 +31,10 @@ DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 # grid.csv of ``analyze --out``, which have one row per valid (w, h) tuple,
 # about n**2 / 2: n = 2000 gives about 2 million rows (31 MB of table, 37 MB
 # of grid.csv), n = MAX_N 5e11.  Both are written a width at a time.
-# Under --out the n**2 of all records together must not pass MAX_WH_TABLE_N**2.
+# _check_cost holds the n**2 of all records together to MAX_WH_TABLE_N**2.
 MAX_WH_TABLE_N = 2000
 # Limits on a dataset file, checked before any record is analysed: the bundled
-# one has 5 records in under 1 kB.  The n of all records together must not pass
-# witness.MAX_N either, as each record costs up to O(n) work (witness.analyze).
+# one has 5 records in under 1 kB.
 MAX_DATASET_BYTES = 1 << 20
 MAX_DATASET_RECORDS = 1000
 # argparse dest -> (kind, unit) of the single-value analyze flags
@@ -57,44 +56,37 @@ def bundled_dataset_text() -> str:
 def parse_dataset_text(text: str) -> list[Measurement]:
     import csv
 
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
     records = []
     seen = set()
     # a csv.Error is bad input; its message leaves out reader.line_num, often wrong
     try:
-        if reader.fieldnames != DATASET_HEADER:
-            raise ValueError(
-                f"dataset header must be {','.join(DATASET_HEADER)}, got {reader.fieldnames}"
-            )
-        for row in reader:
+        header = next(reader, None)
+        if header != DATASET_HEADER:
+            raise ValueError(f"dataset header must be {','.join(DATASET_HEADER)}, got {header}")
+        # blank rows are skipped, as csv.DictReader skips them
+        for row in filter(None, reader):
             if len(records) == MAX_DATASET_RECORDS:
                 raise ValueError(f"dataset has more than {MAX_DATASET_RECORDS} records")
-            if None in row:
-                # csv files the fields past the header under the key None
+            if len(row) != len(DATASET_HEADER):
                 raise ValueError(
-                    f"dataset row {row['label']!r} has more than {len(DATASET_HEADER)} fields;"
+                    f"dataset row {row[0]!r} has {len(row)} fields, not {len(DATASET_HEADER)};"
                     " quote a field that holds a comma"
                 )
-            if any(row.get(field) is None for field in DATASET_HEADER):
-                raise ValueError(f"dataset row is missing fields: {row}")
-            if row["label"] in seen:
-                raise ValueError(f"duplicate label {row['label']!r} in dataset")
-            seen.add(row["label"])
+            label, n_text, *rest = row
+            if label in seen:
+                raise ValueError(f"duplicate label {label!r} in dataset")
+            seen.add(label)
             try:
-                if not witness.is_plain_text(row["n"]):
+                if not witness.is_plain_text(n_text):
                     raise ValueError
-                n = int(row["n"])
+                n = int(n_text)
             except ValueError as exc:
-                raise ValueError(
-                    f"bad particle count {row['n']!r} for {row['label']!r}"
-                ) from exc
+                raise ValueError(f"bad particle count {n_text!r} for {label!r}") from exc
             # the header is DATASET_HEADER, Measurement's parameters
-            records.append(Measurement(**{**row, "n": n}))
+            records.append(Measurement(label, n, *rest))
     except csv.Error as exc:
         raise ValueError(f"bad dataset: {exc}") from exc
-    total = sum(m.n for m in records)
-    if total > witness.MAX_N:
-        raise ValueError(f"dataset records' n must sum to <= {witness.MAX_N}, got {total}")
     return records
 
 
@@ -194,14 +186,25 @@ def write_report(report: WitnessReport, out_dir: str | os.PathLike) -> os.PathLi
     return target
 
 
+def _check_cost(ns: list[int], *, tables: bool) -> None:
+    """Refuse a command whose records of particle counts ``ns`` ask too much, before any work.
+
+    Each record costs up to O(n) work (witness.analyze), so the n must sum
+    to at most witness.MAX_N.  A command that writes per-tuple tables
+    (``tables``: ``bounds --class wh``, ``analyze --out``) writes about
+    n**2 / 2 rows per record, so there the n**2 must sum to at most
+    MAX_WH_TABLE_N**2 too.
+    """
+    for name, power, cap in [("n", 1, witness.MAX_N), ("n**2", 2, MAX_WH_TABLE_N**2)][: 1 + tables]:
+        total = sum(n**power for n in ns)
+        if total > cap:
+            raise ValueError(f"{name} must sum to <= {cap} over the records, got {total}")
+
+
 def _cmd_bounds(args) -> int:
     n = args.n
     witness.check_n(n)
-    if args.cls == "wh" and n > MAX_WH_TABLE_N:
-        raise ValueError(
-            f"n must be <= {MAX_WH_TABLE_N} for --class wh, got {n}: "
-            "the table has one row per (w, h) tuple, about n**2 / 2 rows"
-        )
+    _check_cost([n], tables=args.cls == "wh")
     write = sys.stdout.write
     if args.cls == "wh":
         write("w,h,f\n")
@@ -253,19 +256,7 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 def _cmd_analyze(args) -> int:
     measurements = _measurements_from_args(args)
-    if args.out is not None:
-        for m in measurements:
-            if m.n > MAX_WH_TABLE_N:
-                raise ValueError(
-                    f"n must be <= {MAX_WH_TABLE_N} for --out, got {m.n}: "
-                    "grid.csv has one row per (w, h) tuple, about n**2 / 2 rows"
-                )
-        total = sum(m.n * m.n for m in measurements)
-        if total > MAX_WH_TABLE_N**2:
-            raise ValueError(
-                f"n**2 must sum to <= {MAX_WH_TABLE_N**2} over the records for --out, "
-                f"got {total}: each grid.csv has about n**2 / 2 rows"
-            )
+    _check_cost([m.n for m in measurements], tables=args.out is not None)
     reports = [witness.analyze(m, simple=args.simple) for m in measurements]
     if args.out is not None:
         for report in reports:
@@ -289,6 +280,7 @@ def _cmd_rank_summary(args) -> int:
     import csv
 
     measurements = load_dataset(args.dataset)
+    _check_cost([m.n for m in measurements], tables=False)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["label", "n", "r", "r_plus_n"])
     for m in measurements:

@@ -1,16 +1,22 @@
 """Tests for the command-line interface and its file formats."""
 
 import ast
+import contextlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from support import rank_limit_simple, reference_csv_text, reference_grid_rows, wh_limit_simple
 
 from metroent import bounds, cli, oracle, tuples, witness
@@ -134,8 +140,7 @@ def test_large_n_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: n must be <= 1000000, got 1000001"] * 4 + [
-        "error: n must be <= 2000 for --class wh, got 2001: "
-        "the table has one row per (w, h) tuple, about n**2 / 2 rows"
+        "error: n**2 must sum to <= 4000000 over the records, got 4004001"
     ]
     assert not (tmp_path / "o").exists()
     # the caps themselves pass and reach the work
@@ -161,9 +166,8 @@ def test_analyze_out_is_refused_above_the_table_cap(capsys, monkeypatch, tmp_pat
     assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    message = "error: n must be <= 2000 for --out, got {}: "
-    message += "grid.csv has one row per (w, h) tuple, about n**2 / 2 rows"
-    assert captured.err.splitlines() == [message.format(1000000), message.format(too_big)]
+    message = "error: n**2 must sum to <= 4000000 over the records, got {}"
+    assert captured.err.splitlines() == [message.format(10**12), message.format(25 + 2001**2)]
     assert not out_dir.exists()
     # the cap itself passes and reaches the grid
     with pytest.raises(AssertionError, match="grid built for fq-n2000"):
@@ -247,7 +251,7 @@ def test_dataset_total_n_is_bounded(capsys, monkeypatch, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: dataset records' n must sum to <= 1000000, got 1000001"
+        "error: n must sum to <= 1000000 over the records, got 1000001"
     ] * 2
     assert not out_dir.exists()
     # exactly the budget is accepted and reaches the analysis
@@ -272,10 +276,7 @@ def test_analyze_out_bounds_the_total_grid(capsys, monkeypatch, tmp_path):
     assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: n**2 must sum to <= 4000000 over the records for --out, "
-        "got 4003201: each grid.csv has about n**2 / 2 rows\n"
-    )
+    assert captured.err == "error: n**2 must sum to <= 4000000 over the records, got 4003201\n"
     assert not out_dir.exists()
     # exactly the budget is accepted, and without --out the sum is not checked
     dataset.write_text(header + "a,1200,fq,5,none,\nb,1600,fq,5,none,\n")
@@ -284,6 +285,90 @@ def test_analyze_out_bounds_the_total_grid(capsys, monkeypatch, tmp_path):
     dataset.write_text(header + "a,1200,fq,5,none,\nb,1601,fq,5,none,\n")
     with pytest.raises(AssertionError, match="analysed a"):
         main(["analyze", "--dataset", str(dataset)])
+
+
+class _WorkReached(Exception):
+    """Raised by the stand-ins for the work a command does once its cost is accepted."""
+
+
+def _reach_work(*args, **kwargs):
+    raise _WorkReached
+
+
+def _old_rules_refuse(ns, *, tables):
+    """The four cost checks the commands made before the one cost rule, as they were.
+
+    ``tables`` is true for the per-tuple outputs, ``bounds --class wh`` (one
+    n) and ``analyze --out``.  The n of a ``bounds`` command is at most
+    ``witness.MAX_N``, so the dataset rule never refuses it.
+    """
+    cap = cli.MAX_WH_TABLE_N
+    dataset_sum = sum(ns) > witness.MAX_N  # parse_dataset_text
+    wh_table = tables and len(ns) == 1 and ns[0] > cap  # bounds --class wh
+    out_each = tables and any(n > cap for n in ns)  # analyze --out, each record
+    out_sum = tables and sum(n * n for n in ns) > cap**2  # analyze --out, all records
+    return dataset_sum or wh_table or out_each or out_sum
+
+
+@st.composite
+def _record_ns(draw):
+    """1 to 4 particle counts, biased to the edges of the cost caps."""
+    cap = cli.MAX_WH_TABLE_N
+    edges = st.sampled_from([1, cap - 1, cap, cap + 1, witness.MAX_N // 2, witness.MAX_N])
+    ns = draw(st.lists(edges | st.integers(1, witness.MAX_N), min_size=1, max_size=4))
+    rest = ns[:-1]
+    aim = draw(st.sampled_from(["none", "n", "n**2"]))
+    if aim == "n":
+        # the last count takes the sum to the cap, or one past it
+        last = witness.MAX_N + draw(st.integers(0, 1)) - sum(rest)
+    elif aim == "n**2":
+        # the last count takes the sum of squares to cap**2 or cap**2 + 1, or straddles it
+        target = cap * cap + draw(st.integers(0, 1)) - sum(n * n for n in rest)
+        last = math.isqrt(max(target, 0)) + draw(st.integers(0, 1))
+    if aim != "none" and 1 <= last <= witness.MAX_N:
+        ns[-1] = last
+    return ns
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ns=_record_ns())
+@example(ns=[witness.MAX_N])
+@example(ns=[witness.MAX_N, 1])
+@example(ns=[witness.MAX_N - 1, 1])
+@example(ns=[1200, 1600])
+@example(ns=[1200, 1601])
+@example(ns=[2000, 1])
+@example(ns=[2000])
+@example(ns=[2001])
+def test_cost_rule_refuses_what_the_old_rules_refused(monkeypatch, ns):
+    # each command is refused, exit 2 and nothing out, exactly when the old
+    # rules refused it; otherwise it reaches the work, which the stand-ins stop
+    monkeypatch.setattr(witness, "analyze", _reach_work)
+    monkeypatch.setattr(witness, "infer_rank", _reach_work)
+    monkeypatch.setattr(tuples, "heights", _reach_work)
+    rows = "".join(f"r{i},{n},fq,1,none,\n" for i, n in enumerate(ns))
+    with tempfile.TemporaryDirectory() as work:
+        dataset, out_dir = Path(work) / "records.csv", Path(work) / "out"
+        dataset.write_text("label,n,kind,value,unit,reference\n" + rows)
+        commands = [
+            (["analyze", "--dataset", str(dataset)], ns, False),
+            (["analyze", "--dataset", str(dataset), "--out", str(out_dir)], ns, True),
+            (["rank-summary", "--dataset", str(dataset)], ns, False),
+            *((["bounds", "--n", str(n), "--class", "wh"], [n], True) for n in ns),
+        ]
+        for argv, cost_ns, tables in commands:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                if _old_rules_refuse(cost_ns, tables=tables):
+                    assert main(argv) == 2, argv
+                else:
+                    with pytest.raises(_WorkReached):
+                        main(argv)
+                    continue
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("error: ")
+            assert not out_dir.exists()
 
 
 class _CountingSink:
@@ -657,7 +742,7 @@ def test_dataset_row_with_extra_fields_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: dataset row 'ions-n8' has more than 6 fields; quote a field that holds a comma"
+        "error: dataset row 'ions-n8' has 7 fields, not 6; quote a field that holds a comma"
     ] * 2
     assert not out_dir.exists()
     # quoted, the same reference is one field
@@ -666,6 +751,31 @@ def test_dataset_row_with_extra_fields_exits_2(capsys, tmp_path):
     )
     (record,) = load_dataset(str(dataset))
     assert record.reference == "Monz et al., PRL 106"
+
+
+def test_dataset_blank_lines_are_skipped():
+    rows = ["a,5,fq,6,none,\n", "b,7,xi2,0.5,linear,\n", "c,9,fq,10,none,ref\n"]
+    header = "label,n,kind,value,unit,reference\n"
+    spaced = header + "\n".join(rows) + "\n\n\n"
+    assert parse_dataset_text(spaced) == parse_dataset_text(header + "".join(rows))
+    assert [m.label for m in parse_dataset_text(spaced)] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize(
+    "row, count", [("a,5,fq\n", 3), ("a,5,fq,6,none,ref,extra\n", 7)], ids=["short", "long"]
+)
+def test_dataset_rows_have_six_fields(capsys, tmp_path, row, count):
+    dataset = tmp_path / "rows.csv"
+    dataset.write_text("label,n,kind,value,unit,reference\n" + row)
+    out_dir = tmp_path / "out"
+    assert _run_dataset_commands(dataset, out_dir) == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one message names the count, and no longer echoes the row
+    assert captured.err.splitlines() == [
+        f"error: dataset row 'a' has {count} fields, not 6; quote a field that holds a comma"
+    ] * 2
+    assert not out_dir.exists()
 
 
 def test_dataset_csv_error_exits_2(capsys, tmp_path):
@@ -867,7 +977,7 @@ def test_identity_digest_is_pinned():
     )
     assert result.stdout == (
         "cases: 847\n"
-        "sha256: 50855997da68eba21ecddb6e0038462fddd6d6d0f49d7850aeb62276e10a0d69\n"
+        "sha256: 7955c98e1886e7d99df1ceca2eff87e4d960bb8abad1536be47f1ff59c7bb9c3\n"
     )
 
 
