@@ -11,7 +11,6 @@ enter any computation here, so exclusion decisions built on these values
 are bit-reproducible.
 """
 
-from __future__ import annotations
 
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import isqrt

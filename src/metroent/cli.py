@@ -13,7 +13,6 @@ All numeric values stay decimal text until they reach the exact-comparison
 pipeline; no binary floats are involved in any exclusion decision.
 """
 
-from __future__ import annotations
 
 import argparse
 import functools

@@ -15,7 +15,6 @@ shares code with the closed forms it checks, and keeps no state between
 calls.
 """
 
-from __future__ import annotations
 
 from itertools import accumulate, zip_longest
 

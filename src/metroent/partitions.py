@@ -7,7 +7,6 @@ two.  Enumeration is reverse-lexicographic on the row tuples so that reports
 and tests are reproducible.
 """
 
-from __future__ import annotations
 
 from collections.abc import Iterator
 

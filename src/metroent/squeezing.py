@@ -6,7 +6,6 @@ f, witnesses entanglement beyond the class; that criterion lives in
 given in dB reaches it through :func:`db_text_to_linear`.
 """
 
-from __future__ import annotations
 
 import functools
 from decimal import Decimal, localcontext

@@ -5,7 +5,6 @@ and height exactly h, i.e. ceil(n/w) <= h <= n + 1 - w.  Counting functions
 use exact integer arithmetic only.
 """
 
-from __future__ import annotations
 
 import math
 

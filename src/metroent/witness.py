@@ -11,7 +11,6 @@ A measurement exactly at a class limit does not exclude the class: the
 limits are attainable, so exclusion requires strictly exceeding them.
 """
 
-from __future__ import annotations
 
 from bisect import bisect_left
 from decimal import Decimal

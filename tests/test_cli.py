@@ -917,8 +917,8 @@ from metroent import cli
 def loaded(*names):
     return [name for name in names if name in sys.modules]
 
-results = [loaded("dataclasses", "inspect", "json", "csv", "importlib.resources", "typing",
-                  "pathlib")]
+results = [loaded("__future__", "dataclasses", "inspect", "json", "csv", "importlib.resources",
+                  "typing", "pathlib")]
 for argv in ARGVS:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -24,7 +24,6 @@ directory, emptied after each call is hashed, so the disk holds one
 record's files at a time.
 """
 
-from __future__ import annotations
 
 import argparse
 import contextlib
