@@ -14,7 +14,6 @@ limits are attainable, so exclusion requires strictly exceeding them.
 
 from bisect import bisect_left
 from decimal import Decimal
-from fractions import Fraction
 from types import MappingProxyType
 
 from . import bounds, tuples
@@ -92,7 +91,7 @@ class Measurement(_Record):
     read-only; equality and hash read the six constructor fields only.
     """
 
-    # _quantity is the linear-scale value; _cut1 and _cut4 are ceil(T) and
+    # _quantity is the linear-scale Decimal; _cut1 and _cut4 are ceil(T) and
     # ceil(4T): a limit f, or 4f read in quarters, is excluded iff below its cut
     __slots__ = ("label", "n", "kind", "value", "unit", "reference", "_quantity", "_cut1", "_cut4")
 
@@ -115,28 +114,28 @@ class Measurement(_Record):
         if (kind, unit) not in _VALUE_NAMES:
             raise ValueError(f"(kind, unit) must be one of {[*_VALUE_NAMES]}, got {(kind, unit)!r}")
         try:
-            # bound and vet the text before Decimal reads it; Fraction(x) is exact
+            # bound and vet the text before Decimal reads it; as_integer_ratio is
+            # exact, and refuses a NaN or an infinity
             if len(value) > MAX_VALUE_CHARS or not is_plain_text(value):
                 raise ValueError
-            x = Decimal(value)
-            if abs(x.adjusted()) > MAX_EXPONENT:
+            q = Decimal(value)
+            if abs(q.adjusted()) > MAX_EXPONENT:
                 raise ValueError
             if unit == "db":
-                # 10**(x/10) keeps its exponent within +-MAX_EXPONENT too
-                if abs(x) > 10 * MAX_EXPONENT:
+                # 10**(db/10) keeps its exponent within +-MAX_EXPONENT too
+                if abs(q) > 10 * MAX_EXPONENT:
                     raise ValueError
                 q = db_text_to_linear(value)
-            else:
-                q = Fraction(x)
+            a, b = q.as_integer_ratio()
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad decimal value {value!r}") from exc
-        if q <= 0:
+        if a <= 0:
             raise ValueError(f"{_VALUE_NAMES[kind, unit]} must be positive, got {value}")
+        if kind != KIND_QFI:
+            # T = a/b for a QFI value; a squeezing value a/b gives T = 2n(b - a)/a
+            a, b = 2 * n * (b - a), a
         self._set(label=label, n=n, kind=kind, value=value, unit=unit, reference=reference,
-                  _quantity=q)
-        t = self.exclusion_threshold()
-        a, b = t.numerator, t.denominator
-        self._set(_cut1=-(-a // b), _cut4=-(-4 * a // b))
+                  _quantity=q, _cut1=-(-a // b), _cut4=-(-4 * a // b))
 
     def _fields(self) -> tuple:
         return (self.label, self.n, self.kind, self.value, self.unit, self.reference)
@@ -153,15 +152,18 @@ class Measurement(_Record):
         args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
         return f"Measurement({args})"
 
-    def exclusion_threshold(self) -> Fraction:
-        """The rational T such that a class with QFI limit f is excluded iff f < T.
+    def exclusion_threshold(self):
+        """The exact T, a ``fractions.Fraction``: a class with QFI limit f is excluded iff f < T.
 
         For a QFI lower bound F this is F itself.  A squeezing upper bound
         xi**2 excludes a class when xi**2 < 2n/(f + 2n), which rearranges to
-        f < 2n(1 - xi**2)/xi**2.  Worked out once, when the measurement is
-        made, for the stored cuts ceil(T) and ceil(4T).
+        f < 2n(1 - xi**2)/xi**2.  No command calls this: the constructor
+        works out the stored cuts ceil(T) and ceil(4T) from the integer
+        ratio of the value, so ``fractions`` is imported here, not at start-up.
         """
-        q = self._quantity
+        from fractions import Fraction
+
+        q = Fraction(self._quantity)
         if self.kind == KIND_QFI:
             return q
         return 2 * self.n * (1 - q) / q

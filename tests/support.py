@@ -18,7 +18,7 @@ the O(1) (w, h) inverse against a bisection of each width's limit column.
 from __future__ import annotations
 
 from bisect import bisect_left
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -308,8 +308,8 @@ def fraction_to_decimal_text(value: Fraction) -> str:
     return f"-{text}" if value < 0 else text
 
 
-def quantity(m) -> Fraction:
-    """The measured quantity of ``m`` on linear scale, as an exact rational."""
+def quantity(m) -> Decimal:
+    """The measured quantity of ``m`` on linear scale, the exact ``Decimal`` it keeps."""
     return m._quantity
 
 

@@ -918,19 +918,20 @@ def loaded(*names):
     return [name for name in names if name in sys.modules]
 
 results = [loaded("__future__", "dataclasses", "inspect", "json", "csv", "importlib.resources",
-                  "typing", "pathlib")]
+                  "typing", "pathlib", "fractions")]
 for argv in ARGVS:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    results.append((code, out.getvalue(), loaded("json", "csv")))
+    results.append((code, out.getvalue(), loaded("json", "csv"), loaded("fractions")))
 print(repr(results))
 """
 
 
 def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
-    # json, csv, pathlib and the rest are imported where they are used; this process
-    # has them loaded already, so only a fresh interpreter shows a missing import
+    # json, csv, pathlib and the rest are imported where they are used, and
+    # fractions by no command; this process has them loaded already, so only a
+    # fresh interpreter shows a missing import
     src = Path(cli.__file__).resolve().parents[1]
 
     def argvs(out_dir):
@@ -951,6 +952,7 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     first, *runs = ast.literal_eval(result.stdout)
     assert first == []
     assert runs[0][2] == []
+    assert [run[3] for run in runs] == [[]] * 4
     expected = []
     for argv in argvs(tmp_path / "here"):
         code = main(argv)

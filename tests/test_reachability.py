@@ -52,6 +52,8 @@ UNREACHED = {
     " contract, pinned by tests",
     "witness.Measurement.__hash__": "hashed by the same six fields, as __eq__",
     "witness.Measurement.__repr__": "the six fields as text, as __eq__",
+    "witness.Measurement.exclusion_threshold": "the Fraction view of T, which tests compare"
+    " with and the benchmark spans by name",
     "witness.Measurement._fields": "the six fields that __eq__, __hash__ and __repr__ read",
     "witness._Record.__setattr__": "the read-only guard, also __delattr__: it only"
     " refuses a change, and no command makes one",

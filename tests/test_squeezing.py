@@ -1,8 +1,8 @@
 """Tests for the squeezing criterion and the exact dB-text snapshot.
 
 A measured xi**2 strictly below the floor 2n / (f + 2n) excludes a class
-with QFI limit f.  The package holds that criterion only as
-``Measurement.exclusion_threshold``; ``floor`` below is the paper's form,
+with QFI limit f.  The package holds that criterion in ``Measurement``,
+whose ``exclusion_threshold`` gives T; ``floor`` below is the paper's form,
 kept here as the reference it is checked against.
 """
 

@@ -27,7 +27,7 @@ from support import (
     wh_limit_simple,
 )
 
-from metroent import bounds, tuples, witness
+from metroent import bounds, squeezing, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width
 from metroent.cli import grid_csv_text, main, parse_dataset_text, report_json_text
 from metroent.witness import Measurement
@@ -105,7 +105,7 @@ def test_measurements_compare_by_their_six_fields():
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a == Measurement("ions-n14", 14, "fq", "40.4", "none", "Monz 2011")
     # the parsed value and its cuts play no part, only the text does
-    for name, hidden in (("_quantity", Fraction(1)), ("_cut1", 0), ("_cut4", 0)):
+    for name, hidden in (("_quantity", Decimal(1)), ("_cut1", 0), ("_cut4", 0)):
         object.__setattr__(b, name, hidden)
     assert a == b and hash(a) == hash(b)
     assert a != Measurement("ions-n14", 14, "fq", "40.40", "none", "Monz 2011")
@@ -126,7 +126,7 @@ def test_records_are_read_only():
                 setattr(record, name, 0)
             with pytest.raises(AttributeError):
                 delattr(record, name)
-    assert (m.value, m._quantity, m._cut1, m._cut4) == ("40.4", Fraction("40.4"), 41, 162)
+    assert (m.value, m._quantity, m._cut1, m._cut4) == ("40.4", Decimal("40.4"), 41, 162)
     assert (report.depth, grid.n) == (4, 14)
 
 
@@ -727,9 +727,68 @@ def test_walk_ends_where_the_first_width_excludes_nothing(n):
             assert first == n + 1 - separability, (m, simple)
 
 
+@st.composite
+def measured_values(draw):
+    """A ``(kind, unit, value, n)`` a Measurement accepts, in all three (kind, unit) pairs.
+
+    Half the texts are any plain or exponent form.  The rest lie on or next
+    to a whole or quarter limit f = k/4 of T: a QFI text is f, or f moved by
+    10**-d for d from 3 to 30, and a squeezing text is 8n/(k + 8n), the
+    xi**2 whose T is f, or that value in dB, rounded down or up to 1 to 30
+    significant digits; a rounding that is exact lands on the limit.
+    """
+    kind, unit = draw(st.sampled_from([("fq", "none"), ("xi2", "linear"), ("xi2", "db")]))
+    n = draw(st.integers(1, witness.MAX_N))
+    if draw(st.booleans()):
+        if unit != "db":
+            return kind, unit, draw(qfi_value_texts()), n
+        x = draw(st.decimals(-1000, 1000, allow_nan=False, allow_infinity=False))
+        text = draw(st.sampled_from(["{}", "{:f}", "{:e}", "{:E}"])).format(x)
+        assume(len(text) <= witness.MAX_VALUE_CHARS and abs(x.adjusted()) <= witness.MAX_EXPONENT)
+        return kind, unit, text, n
+    k = draw(st.integers(1, 4 * n * n))
+    if kind == "fq":
+        step = Fraction(draw(st.sampled_from((-1, 0, 1))), 10 ** draw(st.integers(3, 30)))
+        return kind, unit, fraction_to_decimal_text(Fraction(k, 4) + step), n
+    rounding = draw(st.sampled_from((ROUND_FLOOR, ROUND_CEILING)))
+    context, exact = Context(prec=draw(st.integers(1, 30)), rounding=rounding), Context(prec=60)
+    xi2 = exact.divide(8 * n, k + 8 * n)
+    value = exact.multiply(10, exact.log10(xi2)) if unit == "db" else xi2
+    return kind, unit, str(context.plus(value)), n
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(case=measured_values())
+# on an integer limit (T = 0, 2n, 18n), on a quarter (T = 0.5, 40.25), the
+# smallest and largest T, and a negative T, whose ceiling rounds toward zero
+@example(case=("xi2", "linear", "1", 5))
+@example(case=("xi2", "linear", "0.5", 470))
+@example(case=("xi2", "db", "-10", 14))
+@example(case=("xi2", "linear", "0.8", 1))
+@example(case=("fq", "none", "40.25", 14))
+@example(case=("fq", "none", "1E-100", 1))
+@example(case=("xi2", "db", "-1000", witness.MAX_N))
+@example(case=("xi2", "linear", "2.5", 3))
+@example(case=("xi2", "db", "1000", 1))
+@example(case=("xi2", "db", "-4.5", 470))
+def test_cuts_are_the_ceilings_of_the_threshold(case):
+    # the constructor's integer-ratio cuts are ceil(T) and ceil(4T) of the
+    # Fraction view, and a dB value's snapshot is a Decimal of DB_DIGITS digits
+    kind, unit, text, n = case
+    m = Measurement(label="m", n=n, kind=kind, value=text, unit=unit)
+    threshold = m.exclusion_threshold()
+    assert (m._cut1, m._cut4) == (math.ceil(threshold), math.ceil(4 * threshold)), case
+    if unit == "db":
+        q = squeezing.db_text_to_linear(text)
+        assert type(q) is Decimal and len(q.as_tuple().digits) <= squeezing.DB_DIGITS, case
+        assert q is m._quantity
+
+
 @pytest.mark.parametrize("simple", [False, True])
 def test_threshold_is_worked_out_once(monkeypatch, simple):
-    # inference, counts and grid all read the threshold the measurement stored
+    # inference, counts and grid all read the cuts the measurement stored, which
+    # the constructor works out from the value's integer ratio, not from the
+    # Fraction view exclusion_threshold gives
     calls = []
     threshold = witness.Measurement.exclusion_threshold
 
@@ -740,7 +799,7 @@ def test_threshold_is_worked_out_once(monkeypatch, simple):
     monkeypatch.setattr(witness.Measurement, "exclusion_threshold", counting)
     m = xi2_db(470, "-4.5")
     witness.build_grid(witness.analyze(m, simple=simple))
-    assert calls == ["m"]
+    assert calls == []
 
 
 def test_rank_plus_n_stays_in_range():
