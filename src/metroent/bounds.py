@@ -3,12 +3,12 @@
 For each class of partitions -- bounded width w (producibility), minimum
 height h (separability), bounded Dyson rank r, or a (w, h) pair -- these
 closed forms give the exact maximum of the quantum Fisher information over
-the class, together with simpler non-tight variants.  Everything is integer
-arithmetic: each limit is an int, and the one non-integer limit, the simple
-rank limit, is an integer number of quarters, or exact ``"%d.75"`` text
-built from an int in the simple rank column.  No floats and no rationals
-enter any computation here, so exclusion decisions built on these values
-are bit-reproducible.
+the class, and under a family's ``simple`` argument a simpler non-tight
+limit (the height family has none).  Everything is integer arithmetic: each
+limit is an int, and the one non-integer limit, the simple rank limit, is an
+integer number of quarters, or exact ``"%d.75"`` text built from an int in
+the simple rank column.  No floats and no rationals enter any computation
+here, so exclusion decisions built on these values are bit-reproducible.
 """
 
 
@@ -104,19 +104,17 @@ def max_qfi_wh(n: int, w: int, h: int) -> int:
     return k * w * w + u * u + v
 
 
-def max_qfi_width(n: int, w: int) -> int:
-    """Largest QFI of any w-producible state: s*w**2 + t**2 with n = s*w + t."""
+def max_qfi_width(n: int, w: int, simple: bool = False) -> int:
+    """Largest QFI of any w-producible state: s*w**2 + t**2 with n = s*w + t.
+
+    Under ``simple``, the non-tight limit w*n, which dominates it.
+    """
     if not 1 <= w <= n:
         raise ValueError(f"width must satisfy 1 <= w <= n; got w={w}, n={n}")
+    if simple:
+        return w * n
     s, t = divmod(n, w)
     return s * w * w + t * t
-
-
-def max_qfi_width_simple(n: int, w: int) -> int:
-    """Non-tight producibility limit w*n; dominates :func:`max_qfi_width`."""
-    if not 1 <= w <= n:
-        raise ValueError(f"width must satisfy 1 <= w <= n; got w={w}, n={n}")
-    return w * n
 
 
 def max_qfi_height(n: int, h: int) -> int:
@@ -181,7 +179,7 @@ def rank_limit_column(n: int, *, simple: bool = False) -> Iterator[int | str]:
     """The rank limit at every rank of :func:`valid_ranks`, lazily, in the same order.
 
     Tight it is :func:`max_qfi_rank`; simple, the limit of
-    :func:`rank_limit_simple_quarters`, an int if whole, else ``"%d.75"``
+    :func:`rank_limit_quarters`, an int if whole, else ``"%d.75"``
     text.  ``bounds --class r`` prints it and ``verify`` checks it.  With
     s = n + r both limits are n + k*(k - 1) at odd s = 2k - 1, a running sum
     (steps 2, 4, 6, ...) as s rises by 2.  At even s = 2k the tight limit is
@@ -207,14 +205,17 @@ def rank_limit_column(n: int, *, simple: bool = False) -> Iterator[int | str]:
     return compress(chain(head, column), _rank_flags(n))
 
 
-def rank_limit_simple_quarters(n: int, r: int) -> int:
-    """Four times the non-tight rank limit ((n + r)**2 - 1)/4 + n, at a valid rank r.
+def rank_limit_quarters(n: int, r: int, *, simple: bool = False) -> int:
+    """Four times the rank limit at a realizable rank r: an integer in both bound modes.
 
-    An integer: (n + r)**2 - 1 + 4*n, or 4*(n + 4) at the corner n + r == 4
-    of ``_SIMPLE_CORNER``.  It is 0 or 3 modulo 4, so the limit is an integer
-    or ends in .75.  It is at least 4 * :func:`max_qfi_rank`, with equality
-    when n + r is odd.  The rank is not checked.
+    Tight, 4 * :func:`max_qfi_rank`; simple, (n + r)**2 - 1 + 4*n, or
+    4*(n + 4) at the corner n + r == 4 of ``_SIMPLE_CORNER``.  The simple
+    limit ((n + r)**2 - 1)/4 + n is thus an integer or ends in .75, and is
+    at least the tight one, with equality when n + r is odd.
     """
+    if not simple:
+        return 4 * max_qfi_rank(n, r)
+    _require_valid_rank(n, r)
     s = n + r
     if s in _SIMPLE_CORNER and n >= _SIMPLE_CORNER[s][0]:
         return 4 * (n + _SIMPLE_CORNER[s][1])

@@ -216,8 +216,7 @@ def _cmd_bounds(args) -> int:
     xs, row = range(1, n + 1), "%d,%d\n"
     column = map(bounds.max_qfi_height, repeat(n), xs)
     if args.cls == "w":
-        f = bounds.max_qfi_width_simple if args.simple else bounds.max_qfi_width
-        column = map(f, repeat(n), xs)
+        column = map(bounds.max_qfi_width, repeat(n), xs, repeat(args.simple))
     elif args.cls == "r":
         # %s: the simple column holds "%d.75" text where its limit is not whole
         xs, row = bounds.valid_ranks(n), "%d,%s\n"

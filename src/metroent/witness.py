@@ -92,7 +92,7 @@ class Measurement(_Record):
     """
 
     # _quantity is the linear-scale Decimal; _cut1 and _cut4 are ceil(T) and
-    # ceil(4T): a limit f, or 4f read in quarters, is excluded iff below its cut
+    # ceil(4T): a limit f is excluded iff f < _cut1, and a rank limit iff 4f < _cut4
     __slots__ = ("label", "n", "kind", "value", "unit", "reference", "_quantity", "_cut1", "_cut4")
 
     def __init__(
@@ -177,9 +177,9 @@ def infer_depth(m: Measurement, *, simple: bool = False) -> int:
     when even the genuine n-partite limit n**2 is exceeded (an unphysical
     measurement; no separable description remains).
     """
-    f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
     n, cut = m.n, m._cut1
-    return 1 + bisect_left(range(1, n + 1), True, key=lambda w: f(n, w) >= cut)
+    widths = range(1, n + 1)
+    return 1 + bisect_left(widths, True, key=lambda w: bounds.max_qfi_width(n, w, simple) >= cut)
 
 
 def infer_separability(m: Measurement) -> int:
@@ -202,14 +202,13 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     finds it in O(log n) exact comparisons.  The unrealizable ranks
     +-(n - 2) read the rank below, as :func:`metroent.oracle.brute_force_max`
     does, so the search never stops on one.  Returns n, one past the largest
-    realizable rank, if none is compatible.  The simple limit is in quarters.
+    realizable rank, if none is compatible.  Both bound modes read the rank
+    limit in quarters: for an integer f, f >= ceil(T) iff 4f >= ceil(4T).
     """
-    f = bounds.rank_limit_simple_quarters if simple else bounds.max_qfi_rank
-    n = m.n
-    cut = m._cut4 if simple else m._cut1
+    n, cut = m.n, m._cut4
 
     def key(r):
-        return f(n, r - (abs(r) == n - 2)) >= cut
+        return bounds.rank_limit_quarters(n, r - (abs(r) == n - 2), simple=simple) >= cut
 
     return 1 - n + bisect_left(range(1 - n, n), True, key=key)
 

@@ -313,25 +313,25 @@ def quantity(m) -> Decimal:
     return m._quantity
 
 
-def wh_limit_simple(n: int, w: int, h: int) -> int:
-    """Non-tight limit w*(n - h) + n of a valid (w, h); dominates ``bounds.max_qfi_wh``.
+def wh_limit(n: int, w: int, h: int, simple: bool = False) -> int:
+    """The limit of a valid (w, h): ``bounds.max_qfi_wh``, or the simple w*(n - h) + n above it.
 
-    ``bounds.wh_limit_column(n, w, simple=True)`` is this limit at every
+    ``bounds.wh_limit_column(n, w, simple=simple)`` is this limit at every
     valid height of width w.
     """
-    return w * (n - h) + n
+    return w * (n - h) + n if simple else bounds.max_qfi_wh(n, w, h)
 
 
-def rank_limit_simple(n, r) -> Fraction:
-    """The simple rank limit as an exact rational, from its integer quarters."""
-    return Fraction(bounds.rank_limit_simple_quarters(n, r), 4)
+def rank_limit(n, r, simple: bool = False) -> Fraction:
+    """The rank limit as an exact rational, from its integer quarters."""
+    return Fraction(bounds.rank_limit_quarters(n, r, simple=simple), 4)
 
 
 def scan_depth(m, simple: bool) -> int:
     """The first compatible width by a linear scan, n + 1 when there is none."""
-    f = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
     threshold = m.exclusion_threshold()
-    return next((w for w in range(1, m.n + 1) if f(m.n, w) >= threshold), m.n + 1)
+    widths = range(1, m.n + 1)
+    return next((w for w in widths if bounds.max_qfi_width(m.n, w, simple) >= threshold), m.n + 1)
 
 
 def scan_separability(m) -> int:
@@ -343,9 +343,9 @@ def scan_separability(m) -> int:
 
 def scan_rank(m, simple: bool) -> int:
     """The first compatible realizable rank by a linear scan, n when there is none."""
-    f = rank_limit_simple if simple else bounds.max_qfi_rank
     threshold = m.exclusion_threshold()
-    return next((r for r in bounds.valid_ranks(m.n) if f(m.n, r) >= threshold), m.n)
+    ranks = bounds.valid_ranks(m.n)
+    return next((r for r in ranks if rank_limit(m.n, r, simple) >= threshold), m.n)
 
 
 class ReferenceCell(NamedTuple):
@@ -372,15 +372,12 @@ def reference_grid_rows(m, simple: bool) -> list[ReferenceCell]:
     no inferred w, h or r and no staircase pointer is involved.
     """
     n, threshold = m.n, m.exclusion_threshold()
-    f_wh = wh_limit_simple if simple else bounds.max_qfi_wh
-    f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-    f_r = rank_limit_simple if simple else bounds.max_qfi_rank
-    out_w = {w: f_w(n, w) < threshold for w in range(1, n + 1)}
+    out_w = {w: bounds.max_qfi_width(n, w, simple) < threshold for w in range(1, n + 1)}
     out_h = {h: bounds.max_qfi_height(n, h) < threshold for h in range(1, n + 1)}
-    out_r = {r: f_r(n, r) < threshold for r in bounds.valid_ranks(n)}
+    out_r = {r: rank_limit(n, r, simple) < threshold for r in bounds.valid_ranks(n)}
     rows = []
     for w, h in tuples.all_tuples(n):
-        f = f_wh(n, w, h)
+        f = wh_limit(n, w, h, simple)
         rows.append(ReferenceCell(w, h, f, out_w[w], out_h[h], out_r[w - h], f < threshold))
     return rows
 

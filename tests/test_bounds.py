@@ -6,9 +6,11 @@ import random
 from itertools import accumulate, repeat
 
 import pytest
-from support import first_height_disagreements, partitions_desc, wh_limit_simple
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from support import first_height_disagreements, partitions_desc, wh_limit
 
-from metroent import bounds, cli, tuples
+from metroent import bounds, cli, tuples, witness
 
 
 def test_max_qfi_wh_examples():
@@ -84,7 +86,7 @@ def _check_limit_column(n, w):
     hs = tuples.heights(n, w)
     assert list(bounds.wh_limit_column(n, w)) == [bounds.max_qfi_wh(n, w, h) for h in hs]
     simple = list(bounds.wh_limit_column(n, w, simple=True))
-    assert simple == [wh_limit_simple(n, w, h) for h in hs]
+    assert simple == [wh_limit(n, w, h, simple=True) for h in hs]
 
 
 def test_limit_column_matches_the_per_tuple_limits():
@@ -109,8 +111,8 @@ def test_limit_column_matches_the_per_tuple_limits():
 
 
 def test_max_qfi_wh_simple_examples():
-    assert wh_limit_simple(7, 4, 3) == 23
-    assert wh_limit_simple(14, 1, 14) == 14
+    assert wh_limit(7, 4, 3, simple=True) == 23
+    assert wh_limit(14, 1, 14, simple=True) == 14
 
 
 def test_dominance_and_monotonicity_sweep():
@@ -119,7 +121,7 @@ def test_dominance_and_monotonicity_sweep():
         by_w = {}
         for w, h in tuples.all_tuples(n):
             f = bounds.max_qfi_wh(n, w, h)
-            assert f <= wh_limit_simple(n, w, h)
+            assert f <= wh_limit(n, w, h, simple=True)
             by_h.setdefault(h, []).append((w, f))
             by_w.setdefault(w, []).append((h, f))
         # strictly increasing in w at fixed h, strictly decreasing in h at fixed w
@@ -147,9 +149,11 @@ def test_max_qfi_width_examples():
         bounds.max_qfi_width(14, 15)
 
 
-def test_max_qfi_width_simple_dominates():
-    assert bounds.max_qfi_width_simple(14, 3) == 42
-    assert bounds.max_qfi_width_simple(5, 5) == 25
+def test_simple_width_limit_dominates():
+    assert bounds.max_qfi_width(14, 3, simple=True) == 42
+    assert bounds.max_qfi_width(5, 5, simple=True) == 25
+    with pytest.raises(ValueError):
+        bounds.max_qfi_width(14, 15, simple=True)
     for n in range(1, 101):
         for w in range(1, n + 1):
             assert bounds.max_qfi_width(n, w) <= w * n
@@ -210,13 +214,12 @@ def test_rank_limit_column_matches_max_qfi_rank(simple):
     # the running sums, the overwritten entries (tight: n + r = 10 and 16;
     # simple: the corner n + r = 4) and the skipped ranks +-(n - 2), across
     # the n where each first applies; n = 1, 2, 3 stop short of the corner
-    def simple_text(n, r):
-        q = bounds.rank_limit_simple_quarters(n, r)
+    def limit_text(n, r):
+        q = bounds.rank_limit_quarters(n, r, simple=simple)
         return f"{q >> 2}.75" if q & 3 else q >> 2
 
-    limit = simple_text if simple else bounds.max_qfi_rank
     for n in range(1, 61):
-        expected = [limit(n, r) for r in bounds.valid_ranks(n)]
+        expected = [limit_text(n, r) for r in bounds.valid_ranks(n)]
         assert list(bounds.rank_limit_column(n, simple=simple)) == expected, n
 
 
@@ -229,16 +232,49 @@ def test_max_qfi_rank_rejects_invalid_ranks():
         bounds.max_qfi_rank(14, 14)
     with pytest.raises(ValueError):
         bounds.max_qfi_rank(0, 0)
+    # the rank family refuses them in both bound modes
+    for simple in (False, True):
+        with pytest.raises(ValueError):
+            bounds.rank_limit_quarters(14, 12, simple=simple)
 
 
 def test_max_qfi_rank_simple():
     # in quarters: 44, the corner n + r == 4 at 12, and 99/4 + 14
-    assert bounds.rank_limit_simple_quarters(14, -3) == 176
-    assert bounds.rank_limit_simple_quarters(8, -4) == 48
-    assert bounds.rank_limit_simple_quarters(14, -4) == 155
+    assert bounds.rank_limit_quarters(14, -3, simple=True) == 176
+    assert bounds.rank_limit_quarters(8, -4, simple=True) == 48
+    assert bounds.rank_limit_quarters(14, -4, simple=True) == 155
     for n in range(1, 61):
         for r in bounds.valid_ranks(n):
-            assert bounds.rank_limit_simple_quarters(n, r) >= 4 * bounds.max_qfi_rank(n, r)
+            assert bounds.rank_limit_quarters(n, r, simple=True) >= 4 * bounds.max_qfi_rank(n, r)
+
+
+@st.composite
+def _realizable_ranks(draw):
+    """(n, r): n up to witness.MAX_N, r realizable, often at n + r = 4, 10, 16 or an end."""
+    n = draw(st.integers(1, witness.MAX_N))
+
+    def realizable(r):
+        return abs(r) < n and abs(r) != n - 2
+
+    special = [r for r in (1 - n, 3 - n, 4 - n, 10 - n, 16 - n, n - 3, n - 1) if realizable(r)]
+    return n, draw(st.sampled_from(special) | st.integers(1 - n, n - 1).filter(realizable))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_realizable_ranks())
+@example(case=(4, 0))
+@example(case=(8, 2))
+@example(case=(12, 4))
+@example(case=(witness.MAX_N, 4 - witness.MAX_N))
+@example(case=(witness.MAX_N, 16 - witness.MAX_N))
+@example(case=(witness.MAX_N, witness.MAX_N - 1))
+def test_simple_rank_limit_dominates_at_every_n(case):
+    # past test_max_qfi_rank_simple's n <= 60: the simple rank limit is at
+    # least the tight one, and equal to it when n + r is odd
+    n, r = case
+    simple, tight = (bounds.rank_limit_quarters(n, r, simple=s) for s in (True, False))
+    assert simple >= tight
+    assert (n + r) % 2 == 0 or simple == tight
 
 
 def test_simple_rank_corner_has_one_source(monkeypatch):
@@ -247,10 +283,10 @@ def test_simple_rank_corner_has_one_source(monkeypatch):
     def column_at(n, r):
         return dict(zip(bounds.valid_ranks(n), bounds.rank_limit_column(n, simple=True)))[r]
 
-    assert bounds.rank_limit_simple_quarters(5, -1) == 4 * 9
+    assert bounds.rank_limit_quarters(5, -1, simple=True) == 4 * 9
     assert column_at(5, -1) == 9
     monkeypatch.setattr(bounds, "_SIMPLE_CORNER", {4: (3, 5)})
-    assert bounds.rank_limit_simple_quarters(5, -1) == 4 * 10
+    assert bounds.rank_limit_quarters(5, -1, simple=True) == 4 * 10
     assert column_at(5, -1) == 10
 
 
@@ -297,7 +333,7 @@ def test_all_bounds_are_exact_integers():
             assert isinstance(bounds.max_qfi_height(n, w), int)
         for r in bounds.valid_ranks(n):
             assert isinstance(bounds.max_qfi_rank(n, r), int)
-            q = bounds.rank_limit_simple_quarters(n, r)
+            q = bounds.rank_limit_quarters(n, r, simple=True)
             assert isinstance(q, int) and q % 4 in (0, 3), (n, r)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from support import rank_limit_simple, reference_csv_text, reference_grid_rows, wh_limit_simple
+from support import rank_limit, reference_csv_text, reference_grid_rows, wh_limit
 
 from metroent import bounds, cli, oracle, tuples, witness
 from metroent.cli import (
@@ -93,17 +94,14 @@ def _quarter_text(q):
 def _reference_bounds_table(n, cls, simple):
     """A ``bounds`` table written a row at a time from the checked closed forms."""
     if cls == "wh":
-        f_wh = wh_limit_simple if simple else bounds.max_qfi_wh
-        return "w,h,f\n" + "".join(f"{w},{h},{f_wh(n, w, h)}\n" for w, h in tuples.all_tuples(n))
+        rows = "".join(f"{w},{h},{wh_limit(n, w, h, simple)}\n" for w, h in tuples.all_tuples(n))
+        return "w,h,f\n" + rows
     if cls == "w":
-        f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-        rows = [(w, f_w(n, w)) for w in range(1, n + 1)]
+        rows = [(w, bounds.max_qfi_width(n, w, simple)) for w in range(1, n + 1)]
     elif cls == "h":
         rows = [(h, bounds.max_qfi_height(n, h)) for h in range(1, n + 1)]
-    elif simple:
-        rows = [(r, _quarter_text(rank_limit_simple(n, r))) for r in bounds.valid_ranks(n)]
     else:
-        rows = [(r, bounds.max_qfi_rank(n, r)) for r in bounds.valid_ranks(n)]
+        rows = [(r, _quarter_text(rank_limit(n, r, simple))) for r in bounds.valid_ranks(n)]
     return "x,f\n" + "".join(f"{x},{f}\n" for x, f in rows)
 
 
@@ -651,8 +649,8 @@ def _on_limit_values():
         n = rng.randint(9, 80)
         pairs.append((n, *rng.choice(tuples.all_tuples(n))))
     for n, w, h in pairs:
-        for f_wh in (bounds.max_qfi_wh, wh_limit_simple):
-            limit = f_wh(n, w, h)
+        for simple in (False, True):
+            limit = wh_limit(n, w, h, simple)
             for value in {limit - 1, limit, limit + 1} - {0}:
                 yield Measurement(label="lim", n=n, kind="fq", value=str(value))
 
@@ -967,20 +965,24 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     assert written(tmp_path / "fresh") == written(tmp_path / "here")
 
 
-def test_identity_digest_is_pinned():
+def test_identity_digest_is_pinned(tmp_path):
     # byte-identity in small: every call of the n <= 8 sweep hashes to the
-    # recorded digest; a subprocess, as the tool changes the working directory
-    tool = Path(__file__).resolve().parents[1] / "tools" / "identity_digest.py"
-    result = subprocess.run(
-        [sys.executable, str(tool), "--nmax", "8"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout == (
-        "cases: 847\n"
-        "sha256: 7955c98e1886e7d99df1ceca2eff87e4d960bb8abad1536be47f1ff59c7bb9c3\n"
-    )
+    # recorded digest; a subprocess, as the tool changes the working directory.
+    # The same with a copy of the package as ROOT, as when two trees are compared
+    repo = Path(__file__).resolve().parents[1]
+    shutil.copytree(repo / "src" / "metroent", tmp_path / "src" / "metroent",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for root in ([], [str(tmp_path)]):
+        result = subprocess.run(
+            [sys.executable, str(repo / "tools" / "identity_digest.py"), "--nmax", "8", *root],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == (
+            "cases: 847\n"
+            "sha256: 7955c98e1886e7d99df1ceca2eff87e4d960bb8abad1536be47f1ff59c7bb9c3\n"
+        ), root
 
 
 def test_cli_import_leaves_numpy_out():

@@ -138,7 +138,7 @@ def theorem_disagreements(n_max: int = 300) -> list[tuple]:
     for n, r in cases:
         phi = rank_excess(n, r, rows)
         tight, quarters = n + phi, 4 * n + max((n + r) ** 2 - 1, 4 * phi)
-        got = (bounds.max_qfi_rank(n, r), bounds.rank_limit_simple_quarters(n, r))
+        got = (bounds.max_qfi_rank(n, r), bounds.rank_limit_quarters(n, r, simple=True))
         if got != (tight, quarters):
             found.append((n, r, got, (tight, quarters)))
     return found

@@ -18,7 +18,6 @@ from metroent.bounds import (
     max_qfi_rank,
     max_qfi_wh,
     max_qfi_width,
-    max_qfi_width_simple,
     valid_ranks,
 )
 from metroent.tuples import all_tuples
@@ -73,7 +72,7 @@ def test_floor_width():
     # the floor of the simple width limit w*n is 2/(2 + w) for every n
     for n in (5, 14, 470):
         for w in range(1, min(n, 40) + 1):
-            assert floor(max_qfi_width_simple(n, w), n) == Fraction(2, 2 + w)
+            assert floor(max_qfi_width(n, w, simple=True), n) == Fraction(2, 2 + w)
     for value in ("0.5", "0.35", "0.2", "0.95"):
         for n in (40, 100, 470):
             expected = min(w for w in range(1, n + 1) if Fraction(2, 2 + w) <= Fraction(value))

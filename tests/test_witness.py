@@ -18,17 +18,17 @@ from support import (
     grid_cells,
     grid_counts,
     quantity,
-    rank_limit_simple,
+    rank_limit,
     reference_csv_text,
     reference_grid_rows,
     scan_depth,
     scan_rank,
     scan_separability,
-    wh_limit_simple,
+    wh_limit,
 )
 
 from metroent import bounds, squeezing, tuples, witness
-from metroent.bounds import max_qfi_rank, max_qfi_wh, max_qfi_width
+from metroent.bounds import max_qfi_rank, max_qfi_width
 from metroent.cli import grid_csv_text, main, parse_dataset_text, report_json_text
 from metroent.witness import Measurement
 
@@ -440,11 +440,9 @@ def test_boundary_consistency():
 def test_class_limits_are_monotone(n, simple):
     # the nesting build_grid and exclusion_counts rely on: width and rank limits never fall,
     # height limits never rise
-    f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-    f_r = rank_limit_simple if simple else bounds.max_qfi_rank
-    widths = [f_w(n, w) for w in range(1, n + 1)]
+    widths = [max_qfi_width(n, w, simple) for w in range(1, n + 1)]
     heights = [bounds.max_qfi_height(n, h) for h in range(1, n + 1)]
-    ranks = [f_r(n, r) for r in bounds.valid_ranks(n)]
+    ranks = [rank_limit(n, r, simple) for r in bounds.valid_ranks(n)]
     assert all(a <= b for a, b in zip(widths, widths[1:]))
     assert all(a >= b for a, b in zip(heights, heights[1:]))
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
@@ -457,8 +455,7 @@ def test_class_limits_are_monotone(n, simple):
 def test_wh_limit_is_a_staircase(n, simple):
     # the shape exclusion_counts walks: over valid tuples the (w, h) limit
     # never rises with h and never falls with w
-    f_wh = wh_limit_simple if simple else max_qfi_wh
-    f = {(w, h): f_wh(n, w, h) for w, h in tuples.all_tuples(n)}
+    f = {(w, h): wh_limit(n, w, h, simple) for w, h in tuples.all_tuples(n)}
     for (w, h), value in f.items():
         assert f.get((w, h + 1), value) <= value, (n, w, h)
         assert f.get((w + 1, h), value) >= value, (n, w, h)
@@ -472,7 +469,7 @@ def test_counts_match_the_grid(monkeypatch):
     for _ in range(40):
         n = rng.randint(1, 120)
         w, h = rng.choice(tuples.all_tuples(n))
-        limit = rng.choice((max_qfi_wh, wh_limit_simple))(n, w, h)
+        limit = wh_limit(n, w, h, rng.choice((False, True)))
         ms += [fq(n, str(limit + d)) for d in (-1, 0, 1) if limit + d > 0]
     expected = {(m, simple): grid_counts(reference_grid_rows(m, simple))
                 for m in ms for simple in (False, True)}
@@ -495,14 +492,12 @@ OFFSETS = (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-1, 4), Fraction(
 def _family_limit(n, family, simple, pick):
     """One limit of a class family at n, chosen by ``pick``, in either bound mode."""
     if family == "w":
-        f = bounds.max_qfi_width_simple if simple else max_qfi_width
-        return f(n, 1 + pick % n)
+        return max_qfi_width(n, 1 + pick % n, simple)
     if family == "h":
         return bounds.max_qfi_height(n, 1 + pick % n)
     if family == "r":
         ranks = list(bounds.valid_ranks(n))
-        f = rank_limit_simple if simple else max_qfi_rank
-        return f(n, ranks[pick % len(ranks)])
+        return rank_limit(n, ranks[pick % len(ranks)], simple)
     column = list(bounds.wh_limit_column(n, 1 + pick % n, simple=simple))
     return column[pick // n % len(column)]
 
@@ -561,11 +556,11 @@ def test_first_excluded_height_solves_each_width(n, simple, family, pick, offset
     m = _fq_near_limit(n, family, simple, pick, offset)
     threshold = m.exclusion_threshold()
     num, den = threshold.numerator, threshold.denominator
-    f_wh = wh_limit_simple if simple else max_qfi_wh
     for w in range(1, n + 1):
         lo, hi = -(-n // w), n + 1 - w
         p = bounds.wh_first_height_at_most(n, w, math.ceil(threshold) - 1, simple=simple)
-        first = next((h for h in range(lo, hi + 1) if f_wh(n, w, h) * den < num), hi + 1)
+        heights = range(lo, hi + 1)
+        first = next((h for h in heights if wh_limit(n, w, h, simple) * den < num), hi + 1)
         assert p == first, (m, simple, w)
 
 
@@ -665,12 +660,10 @@ def test_large_n_gate_rows_solve_only_the_band(monkeypatch, value, answer, count
 def test_counts_match_the_reference_walk(simple):
     # the block sums and the band walk against the walk over every width up
     # to n - h, at every class limit of n and 1 either side, for every n <= 60
-    f_w = bounds.max_qfi_width_simple if simple else max_qfi_width
-    f_r = rank_limit_simple if simple else max_qfi_rank
     for n in range(1, 61):
         limits = {bounds.max_qfi_height(n, h) for h in range(1, n + 1)}
-        limits |= {f_w(n, w) for w in range(1, n + 1)}
-        limits |= {f_r(n, r) for r in bounds.valid_ranks(n)}
+        limits |= {max_qfi_width(n, w, simple) for w in range(1, n + 1)}
+        limits |= {rank_limit(n, r, simple) for r in bounds.valid_ranks(n)}
         # linear xi2 texts just below and above every whole w, h and r limit
         whole = [int(limit) for limit in limits if limit % 1 == 0]
         ms = [
@@ -706,10 +699,8 @@ def test_walk_ends_where_the_first_width_excludes_nothing(n):
     # in both bound modes, and at OFFSETS from it
     limits = {bounds.max_qfi_height(n, h) for h in range(1, n + 1)}
     for simple in (False, True):
-        f_w = bounds.max_qfi_width_simple if simple else max_qfi_width
-        f_r = rank_limit_simple if simple else max_qfi_rank
-        limits |= {f_w(n, w) for w in range(1, n + 1)}
-        limits |= {f_r(n, r) for r in bounds.valid_ranks(n)}
+        limits |= {max_qfi_width(n, w, simple) for w in range(1, n + 1)}
+        limits |= {rank_limit(n, r, simple) for r in bounds.valid_ranks(n)}
         for w in range(1, n + 1):
             limits |= set(bounds.wh_limit_column(n, w, simple=simple))
     values = {limit + offset for limit in limits for offset in OFFSETS}

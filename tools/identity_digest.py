@@ -14,7 +14,9 @@ call behaved byte-identically.
 The sweep, for every n = 1..N (default NMAX = 30) and both bound modes:
 
 - ``analyze --fq V --out`` at every width, height, Dyson-rank and (w, h)
-  limit V of n, tight and simple, offset by -1, -1/4, 0, 1/8 and +1;
+  limit V of n, tight and simple, offset by -1, -1/4, 0, 1/8 and +1; the
+  limits are read from the ``bounds`` tables, so ``metroent.cli`` is the
+  one module the script imports, and it runs on any tree that has them;
 - ``analyze --xi2`` / ``--xi2-db --out`` at a few fixed values;
 - ``bounds`` tables of every class;
 
@@ -55,18 +57,18 @@ REFUSED = (
 )
 
 
-def _limits(bounds, n: int, simple: bool) -> set[Fraction]:
-    """Every class limit of n in one bound mode, as exact rationals."""
-    f_w = bounds.max_qfi_width_simple if simple else bounds.max_qfi_width
-    limits = {Fraction(f_w(n, w)) for w in range(1, n + 1)}
-    limits |= {Fraction(bounds.max_qfi_height(n, h)) for h in range(1, n + 1)}
-    for r in bounds.valid_ranks(n):
-        if simple:
-            limits.add(Fraction(bounds.rank_limit_simple_quarters(n, r), 4))
-        else:
-            limits.add(Fraction(bounds.max_qfi_rank(n, r)))
-    for w in range(1, n + 1):
-        limits |= set(map(Fraction, bounds.wh_limit_column(n, w, simple=simple)))
+def _limits(cli, n: int, simple: bool) -> set[Fraction]:
+    """Every class limit of n in one bound mode, as exact rationals, from the ``bounds`` tables.
+
+    The last field of every row of the four tables is a limit: an integer, or
+    exact decimal text in quarters.
+    """
+    limits = set()
+    for cls in ("w", "h", "r", "wh"):
+        table = io.StringIO()
+        with contextlib.redirect_stdout(table):
+            cli.main(["bounds", "--n", str(n), "--class", cls, *["--simple"] * simple])
+        limits |= {Fraction(row.rpartition(",")[2]) for row in table.getvalue().splitlines()[1:]}
     return limits
 
 
@@ -75,12 +77,12 @@ def _decimal_text(value: Fraction) -> str:
     return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def cases(bounds, nmax: int = NMAX):
+def cases(cli, nmax: int = NMAX):
     """Every argv of the sweep for n = 1..nmax, in a fixed order."""
     for n in range(1, nmax + 1):
         for simple in (False, True):
             mode = ["--simple"] if simple else []
-            values = {v + d for v in _limits(bounds, n, simple) for d in OFFSETS}
+            values = {v + d for v in _limits(cli, n, simple) for d in OFFSETS}
             for value in sorted(v for v in values if v > 0):
                 yield ["analyze", "--n", str(n), "--fq", _decimal_text(value), "--out", "out", *mode]
             for value in XI2_LINEAR:
@@ -103,7 +105,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     root = Path(args.root).resolve()
     sys.path.insert(0, str(root / "src"))
-    from metroent import bounds, cli
+    from metroent import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"metroent was imported from {cli.__file__}, not from {root}")
@@ -112,7 +114,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         out_dir = Path("out")
-        for case in cases(bounds, args.nmax):
+        for case in cases(cli, args.nmax):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
