@@ -317,13 +317,13 @@ def _int_option(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first :func:`main` call and reused after.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its command -> subparser map, built on the first :func:`main` call.
 
     Building it costs far more than parsing one command line, and a process
     that calls :func:`main` many times would otherwise pay that per call.
-    Reuse is safe: ``parse_args`` leaves the parser unchanged, and help and
-    usage text read the terminal width when they are printed.
+    Reuse is safe: parsing leaves the parsers unchanged, and help text reads the
+    terminal width when printed.  The map is ``sub.choices``; ``dest`` names a missing command.
     """
     parser = argparse.ArgumentParser(
         prog="metroent",
@@ -361,11 +361,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="closed forms vs brute force; exit 1 on mismatch")
     p_verify.add_argument("--nmax", type=_int_option, default=30, help="largest n to sweep")
     p_verify.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run ``argv`` (default ``sys.argv[1:]``) and return the exit code: the command's own
+    parser reads what follows its name, as the top parser would.  An argv with no command
+    first, or with extras, goes through the top ``parse_args``, which prints its help or error.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
+    if args is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -445,8 +445,11 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
         ("120", ["analyze", "--help"]),
         ("120", ["--help"]),
         ("80", ["analyze", "--n", "14", "--fq", "40.4", "--simple"]),
+        ("80", []),
+        ("80", ["bogus"]),
+        ("80", ["verify", "--nmax", "12", "x"]),
     ]
-    parser = cli._build_parser()
+    built = cli._build_parser()
     results = []
     for columns, argv in calls:
         monkeypatch.setenv("COLUMNS", columns)
@@ -462,10 +465,103 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
             text=True,
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-        assert cli._build_parser() is parser
+        assert cli._build_parser() is built
         results.append((code, out, err))
-    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 2]
     assert results[4] != results[5]  # the usage line is wrapped to each width
+
+
+def _exit_code(call) -> int:
+    try:
+        return call()
+    except SystemExit as exc:
+        return exc.code
+
+
+# argvs whose parse is easy to get wrong: no command or not first, help
+# anywhere, abbreviations, "--", extras, repeats, missing values, bad and
+# negative numbers
+_ODD_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["Analyze"], ["-x"], ["--help=x"],
+    ["--", "analyze", "--n", "14", "--fq", "40.4"], ["--n", "5", "analyze"],
+    ["analyze"], ["bounds"], ["bounds", "-h"], ["rank-summary", "--help"],
+    ["analyze", "--n", "14", "--fq", "40.4", "-h"], ["analyze", "--n", "14", "--help=x"],
+    ["verify", "--nm", "6"], ["analyze", "--d", "bundled.csv"],
+    ["analyze", "--n", "14", "--x", "0.5"],
+    ["analyze", "--", "--n", "14"], ["analyze", "--n", "14", "--fq", "40.4", "--"],
+    ["verify", "--nmax", "6", "--", "x"], ["verify", "--", "--nmax", "6"],
+    ["verify", "--nmax", "6", "x"], ["analyze", "--n", "14", "--fq", "40.4", "extra", "more"],
+    ["analyze", "--bogus"], ["bounds", "--n", "6", "--class", "w", "--zz=1"], ["verify", "-q"],
+    ["analyze", "--n", "14", "--n", "15", "--fq", "40.4"],
+    ["bounds", "--n", "6", "--class", "w", "--class", "h"],
+    ["analyze", "--n"], ["verify", "--nmax"], ["bounds", "--n", "6", "--class"],
+    ["analyze", "--n", "14", "--fq"],
+    ["analyze", "--n", "five", "--fq", "6"], ["verify", "--nmax", "1_2"],
+    ["bounds", "--n", "-3", "--class", "w"], ["analyze", "--n=-3", "--fq", "5"],
+    ["verify", "--nmax", "-6"],
+    ["analyze", "--n", "14", "--xi2-db", "-4.5"], ["analyze", "--n", "14", "--xi2-db=-4.5"],
+    ["analyze", "--n", "14", "--fq", "-5"], ["bounds", "--n", "6", "--class", "q"],
+    ["analyze", "--n", "14", "--fq", "40.4", "--simple"],
+    ["bounds", "--n", "6", "--class", "r", "--simple"],
+    ["rank-summary", "--dataset", "bundled.csv"], ["verify", "--nmax", "6"],
+    ["analyze", "--dataset", "bundled.csv", "--n", "3"],
+]
+
+
+def test_main_parses_as_the_top_parser_did(capsys, monkeypatch, tmp_path):
+    # main parses argv[1:] with the named command's parser and falls back to
+    # the top parser's parse_args; that parse_args alone, the old route, must
+    # give the same exit code, stdout and stderr, and the same namespace but
+    # for its command entry.  main runs the top parser only for an argv that
+    # no command name leads, or that leaves extras for it to refuse
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, commands = cli._build_parser()
+    funcs = {command: p.get_default("func") for command, p in commands.items()}
+    parsed, top = [], []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: top.append(argv) or parse_args(argv))
+
+    def spy(func):
+        def run(args):
+            parsed.append(vars(args).copy())
+            return func(args)
+        return run
+
+    def old_route(argv):
+        args = parse_args(argv)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    for command, func in funcs.items():
+        commands[command].set_defaults(func=spy(func))
+    try:
+        for argv in _ODD_ARGVS:
+            parsed.clear()
+            top.clear()
+            new = (_exit_code(lambda: main(argv)), *capsys.readouterr())
+            led = bool(argv) and argv[0] in commands
+            assert bool(top) == (not led or "unrecognized arguments" in new[2]), argv
+            old = (_exit_code(lambda: old_route(argv)), *capsys.readouterr())
+            assert new == old, argv
+            if parsed:
+                for namespace in parsed:
+                    namespace.pop("command", None)
+                assert len(parsed) == 2 and parsed[0] == parsed[1], argv
+    finally:
+        for command, func in funcs.items():
+            commands[command].set_defaults(func=func)
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    for argv in (["analyze", "--n", "14", "--fq", "40.4"], ["verify", "--nmax", "6", "x"], []):
+        expected = (_exit_code(lambda: main(argv)), *capsys.readouterr())
+        monkeypatch.setattr(sys, "argv", ["metroent", *argv])
+        assert (_exit_code(main), *capsys.readouterr()) == expected, argv
 
 
 def test_analyze_single_measurement(capsys):
