@@ -1,25 +1,29 @@
 """Brute-force ground truth for every closed-form sensitivity limit.
 
-The oracle keeps, as a plain int, the largest squared-row sum of every
-(width, height) shape of n, and :func:`brute_force_max` reads every class
-maximum of n off them in one walk down each width's band of real shapes:
-a prefix table, ``corner``, in which a width, height or (width, height)
-class maximum is one entry, and the column of Dyson-rank class maxima.
-One enumeration of the partitions of n_max gives the shapes of every
-n <= n_max: stripping j of a partition's 1-rows leaves a partition of
-n_max - j of the same width, j fewer rows and a squared-row sum j lower,
-and every partition of n_max - j arises so exactly once.  It returns
-values only: the diagram attaining a limit comes from the closed form
-(:func:`metroent.bounds._wh_rows`), which the values check.  It never
-shares code with the closed forms it checks, and keeps no state between
-calls.
+A Young diagram of n is a partition of n, a non-increasing tuple of
+positive rows.  Its width is the largest row (the biggest entangled block),
+its height the number of rows (of separable blocks), and its Dyson rank
+the width less the height.  The oracle keeps the largest squared-row sum
+of every (width, height) shape of n, and :func:`brute_force_max` reads
+every class maximum of n off them in one walk down each width's band of
+real shapes: a prefix table, ``corner``, in which a width, height or
+(width, height) class maximum is one entry, and the column of Dyson-rank
+class maxima.  One enumeration of the partitions of n_max
+(:func:`iter_partition_rows`, the ZS1 of Zoghbi and Stojmenovic, 1998)
+gives the shapes of every n <= n_max: stripping j of a partition's 1-rows
+leaves a partition of n_max - j of the same width, j fewer rows and a
+squared-row sum j lower, and every partition of n_max - j arises so
+exactly once.  It returns values only: the diagram attaining a limit comes
+from the closed form (:func:`metroent.bounds._wh_rows`), which the values
+check.  It shares no code with the closed forms it checks, not even the
+keys: :func:`verify_closed_forms` picks its own bands and ranks.  It keeps
+no state between calls.
 """
 
-
+from collections.abc import Iterator
 from itertools import accumulate, zip_longest
 
-from . import bounds, tuples
-from .partitions import iter_partition_rows
+from . import bounds
 
 # Largest n_max verify_closed_forms accepts.  The sweep walks the p(n_max)
 # partitions of n_max once and strips their 1-rows for every smaller n, and
@@ -28,6 +32,46 @@ from .partitions import iter_partition_rows
 # subprocess) on a 2-vCPU x86 Xeon machine with Python 3.11, while
 # n_max = 200 would walk p(200), about 4e12 partitions.
 MAX_NMAX = 60
+
+
+def iter_partition_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Stream the row tuples of every partition of ``n``, exactly once.
+
+    Yields plain tuples in reverse-lexicographic order, generated by
+    Zoghbi and Stojmenovic's ZS1 algorithm ("Fast algorithms for generating
+    integer partitions", Int. J. Comput. Math. 70, 1998) over one row
+    buffer: ``x[1..m]`` holds the current rows, ``h`` indexes its last row
+    larger than 1, and every entry past ``h`` is 1.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    x = [1] * (n + 1)
+    x[1] = n
+    m = h = 1
+    yield (n,)
+    while x[1] != 1:
+        if x[h] == 2:
+            # split the last 2 into 1 + 1
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            # lower the last row above 1 by one and refill with parts of that size
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[1 : m + 1])
 
 
 def _shape_tables(top: int) -> list[list[list[int]]]:
@@ -112,22 +156,23 @@ def verify_closed_forms(n_max: int) -> list[dict]:
     is walked class by class: the width classes (``corner[w][0]``) against
     :func:`metroent.bounds.max_qfi_width`, the height classes
     (``corner[n][h]``) against :func:`metroent.bounds.max_qfi_height`, the
-    valid (w, h) tuples one width at a time, the ``corner`` entries at width
-    w's heights against :func:`metroent.bounds.wh_limit_column` (the limits
-    ``grid.csv`` and ``bounds --class wh`` print), and every realizable
-    Dyson rank r, read off the rank column, against both
-    :func:`metroent.bounds.max_qfi_rank` (the scalar inference bisects) and
+    ``corner`` entries of width w's band against
+    :func:`metroent.bounds.wh_limit_column` (the limits ``grid.csv`` and
+    ``bounds --class wh`` print), and the rank column at every rank but the
+    shapeless +-(n - 2) against both :func:`metroent.bounds.max_qfi_rank`
+    (the scalar inference bisects) and
     :func:`metroent.bounds.rank_limit_column` (the column ``bounds --class r``
-    prints).  After that O(n**2) walk a width or height class costs O(1), a
-    width's column O(n) and a rank class O(1).  Returns the (possibly empty)
-    list of mismatches, each a dict with keys "n", "class", "closed" and
-    "brute"; within one n the (w, h) tuples come first, by w then h, then
-    the width, height and rank classes, the scalar's rank mismatches before
-    the column's.
-    Mismatches are data, not errors, and a class label is formatted only for
-    a mismatch.  n_max >= 18 covers both two-full-row rank special cases
-    (n + r = 10 and 16) and the n + r = 4 corner.  n_max must lie in
-    2..MAX_NMAX, checked before any enumeration starts.
+    prints).  The bands and the ranks are the oracle's own keys, so a closed
+    form that misses one is a mismatch there.  After that O(n**2) walk a
+    width or height class costs O(1), a width's column O(n) and a rank class
+    O(1).  Returns the (possibly empty) list of mismatches, each a dict with
+    keys "n", "class", "closed" and "brute"; within one n the (w, h) tuples
+    come first, by w then h, then the width, height and rank classes, the
+    scalar's rank mismatches before the column's.  Mismatches are data, not
+    errors, and a class label is formatted only for a mismatch.  n_max >= 18
+    covers both two-full-row rank special cases (n + r = 10 and 16) and the
+    n + r = 4 corner.  n_max must lie in 2..MAX_NMAX, checked before any
+    enumeration starts.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -148,7 +193,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
     for n in range(1, n_max + 1):
         corner, column = brute_force_max(tables[n_max - n])
         for w in range(1, n + 1):
-            hs = tuples.heights(n, w)
+            hs = range(-(-n // w), n + 2 - w)
             compare(bounds.wh_limit_column(n, w), corner[w][hs.start : hs.stop], f"wh({w},{{}})", hs)
         classes = range(1, n + 1)
         compare(
@@ -158,7 +203,7 @@ def verify_closed_forms(n_max: int) -> list[dict]:
             classes,
         )
         compare([bounds.max_qfi_height(n, h) for h in classes], corner[n][1 : n + 1], "h({})", classes)
-        ranks = list(bounds.valid_ranks(n))
+        ranks = [r for r in range(1 - n, n) if abs(r) != n - 2]
         brute = [column[r + n - 1] for r in ranks]
         compare([bounds.max_qfi_rank(n, r) for r in ranks], brute, "r({})", ranks)
         compare(list(bounds.rank_limit_column(n)), brute, "r({})", ranks)

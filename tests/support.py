@@ -24,7 +24,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from metroent import bounds, cli, oracle, tuples, witness
-from metroent.partitions import iter_partition_rows
+from metroent.oracle import iter_partition_rows
 
 
 def accel_asc(n):

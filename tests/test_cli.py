@@ -235,7 +235,8 @@ def test_dataset_db_values_are_bounded(capsys, monkeypatch, tmp_path):
 
 
 def test_dataset_total_n_is_bounded(capsys, monkeypatch, tmp_path):
-    # every record passes MAX_N on its own; together they must too
+    # every record passes MAX_N on its own; for analyze, together they must
+    # too, while rank-summary, one bisection per record, takes them
     def refuse(m, **kwargs):
         raise AssertionError(f"analysed {m.label}")
 
@@ -245,13 +246,16 @@ def test_dataset_total_n_is_bounded(capsys, monkeypatch, tmp_path):
     dataset = tmp_path / "heavy.csv"
     dataset.write_text(header + f"a,{witness.MAX_N},fq,5,none,\nb,1,fq,1,none,\n")
     out_dir = tmp_path / "out"
-    assert _run_dataset_commands(dataset, out_dir) == [2, 2]
+    assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
+    assert main(["analyze", "--dataset", str(dataset)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: n must sum to <= 1000000 over the records, got 1000001"
     ] * 2
     assert not out_dir.exists()
+    with pytest.raises(AssertionError, match="analysed a"):
+        main(["rank-summary", "--dataset", str(dataset)])
     # exactly the budget is accepted and reaches the analysis
     dataset.write_text(header + f"a,{witness.MAX_N - 1},fq,5,none,\nb,1,fq,1,none,\n")
     assert [m.n for m in load_dataset(str(dataset))] == [witness.MAX_N - 1, 1]
@@ -259,6 +263,22 @@ def test_dataset_total_n_is_bounded(capsys, monkeypatch, tmp_path):
         main(["analyze", "--dataset", str(dataset)])
     with pytest.raises(AssertionError, match="analysed a"):
         main(["rank-summary", "--dataset", str(dataset)])
+
+
+def test_rank_summary_answers_records_past_the_sum_of_n(capsys, tmp_path):
+    # two n = 600 000 records sum past MAX_N, and each gets the r it gets alone
+    rows = ["a,600000,fq,123456789,none,\n", "b,600000,xi2,0.5,linear,\n"]
+    header = "label,n,kind,value,unit,reference\n"
+    alone = []
+    for i, row in enumerate(rows):
+        (tmp_path / f"{i}.csv").write_text(header + row)
+        assert main(["rank-summary", "--dataset", str(tmp_path / f"{i}.csv")]) == 0
+        alone.append(capsys.readouterr().out.splitlines()[1])
+    (tmp_path / "both.csv").write_text(header + "".join(rows))
+    assert main(["rank-summary", "--dataset", str(tmp_path / "both.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["label,n,r,r_plus_n", *alone]
+    assert captured.err == ""
 
 
 def test_analyze_out_bounds_the_total_grid(capsys, monkeypatch, tmp_path):
@@ -341,7 +361,8 @@ def _record_ns(draw):
 @example(ns=[2001])
 def test_cost_rule_refuses_what_the_old_rules_refused(monkeypatch, ns):
     # each command is refused, exit 2 and nothing out, exactly when the old
-    # rules refused it; otherwise it reaches the work, which the stand-ins stop
+    # rules refused it; otherwise it reaches the work, which the stand-ins stop.
+    # rank-summary, no longer held to the sum of n, always reaches it
     monkeypatch.setattr(witness, "analyze", _reach_work)
     monkeypatch.setattr(witness, "infer_rank", _reach_work)
     monkeypatch.setattr(tuples, "heights", _reach_work)
@@ -352,7 +373,7 @@ def test_cost_rule_refuses_what_the_old_rules_refused(monkeypatch, ns):
         commands = [
             (["analyze", "--dataset", str(dataset)], ns, False),
             (["analyze", "--dataset", str(dataset), "--out", str(out_dir)], ns, True),
-            (["rank-summary", "--dataset", str(dataset)], ns, False),
+            (["rank-summary", "--dataset", str(dataset)], [], False),
             *((["bounds", "--n", str(n), "--class", "wh"], [n], True) for n in ns),
         ]
         for argv, cost_ns, tables in commands:
@@ -1101,4 +1122,4 @@ def test_cli_import_leaves_numpy_out():
         text=True,
         check=True,
     )
-    assert result.stdout == "bounds cli oracle partitions squeezing tuples witness\n"
+    assert result.stdout == "bounds cli oracle squeezing tuples witness\n"

@@ -4,6 +4,7 @@ import ast
 import collections
 import inspect
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -16,10 +17,10 @@ from support import (
     shape_table,
 )
 
-from metroent import bounds, oracle, partitions
+import metroent
+from metroent import bounds, oracle, tuples
 from metroent.cli import main
-from metroent.oracle import MAX_NMAX, brute_force_max, verify_closed_forms
-from metroent.partitions import iter_partition_rows
+from metroent.oracle import MAX_NMAX, brute_force_max, iter_partition_rows, verify_closed_forms
 from metroent.tuples import all_tuples
 
 
@@ -328,6 +329,44 @@ def test_verify_reports_a_short_limit_column(monkeypatch):
     assert verify_closed_forms(6) == [{"n": 6, "class": "wh(2,5)", "closed": None, "brute": 8}]
 
 
+def test_verify_reads_each_band_from_its_own_edges(monkeypatch):
+    # a lower edge one too high in the ceiling that wh_limit_column and
+    # tuples.heights share, at width 3 of n = 20, shifts that column by one
+    # height; verify walks the band from its own edge, ceil(20/3) = 7
+    exact = bounds._ceil_div
+
+    def raised(a, b):
+        return exact(a, b) + ((a, b) == (20, 3))
+
+    monkeypatch.setattr(bounds, "_ceil_div", raised)
+    monkeypatch.setattr(tuples, "_ceil_div", raised)
+    found = verify_closed_forms(20)
+    assert [m["class"] for m in found] == [f"wh(3,{h})" for h in range(7, 19)]
+    assert found[0] == {"n": 20, "class": "wh(3,7)", "closed": 56, "brute": 58}
+    assert found[-1]["closed"] is None
+    assert verify_closed_forms(19) == []
+
+
+def test_verify_reads_every_rank_from_its_own_rule(monkeypatch):
+    # the rank flags that valid_ranks and rank_limit_column share, with the
+    # realizable rank 3 - n dropped at n = 20: the printed column loses its
+    # entry there, and verify still reads every rank but +-(n - 2)
+    exact = bounds._rank_flags
+
+    def dropped(n):
+        flags = list(exact(n))
+        if n == 20:
+            flags[2] = 0  # r = -17
+        return iter(flags)
+
+    monkeypatch.setattr(bounds, "_rank_flags", dropped)
+    found = verify_closed_forms(20)
+    assert len(found) == 36 and {m["n"] for m in found} == {20}
+    assert found[0] == {"n": 20, "class": "r(-17)", "closed": 24, "brute": 22}
+    assert found[-1]["closed"] is None
+    assert verify_closed_forms(19) == []
+
+
 def _global_names(code) -> set[str]:
     """Every global or attribute name a code object, or one nested in it, looks up."""
     names = set(code.co_names)
@@ -346,6 +385,7 @@ def test_oracle_shares_no_code_with_the_closed_forms():
     }
     assert {"max_qfi_wh", "max_qfi_rank", "_wh_rows", "valid_ranks"} <= closed_forms
     brute_side = (
+        oracle.iter_partition_rows,
         oracle._shape_tables,
         oracle.brute_force_max,
         reference_fold,
@@ -355,10 +395,15 @@ def test_oracle_shares_no_code_with_the_closed_forms():
         names = _global_names(fn.__code__)
         assert "bounds" not in names, fn.__name__
         assert not names & closed_forms, (fn.__name__, names & closed_forms)
-    # and the enumeration imports nothing from the package
-    tree = ast.parse(inspect.getsource(partitions))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            assert node.level == 0 and not (node.module or "").startswith("metroent")
+    # the enumeration names no module of the package
+    modules = {info.name for info in pkgutil.iter_modules(metroent.__path__)}
+    assert not _global_names(oracle.iter_partition_rows.__code__) & modules
+    # and the one package module oracle imports is bounds, the module it checks
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("metroent")):
+            module = (node.module or "").removeprefix("metroent").strip(".")
+            imported |= {module} if module else {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
-            assert not any(alias.name.startswith("metroent") for alias in node.names)
+            imported |= {a.name.removeprefix("metroent.") for a in node.names if a.name.startswith("metroent")}
+    assert imported == {"bounds"}

@@ -3,7 +3,7 @@
 import pytest
 from support import count_partitions, partitions_desc
 
-from metroent.partitions import iter_partition_rows
+from metroent.oracle import iter_partition_rows
 
 
 @pytest.mark.parametrize("n", [1, 5, 9])
