@@ -7,7 +7,7 @@ analyze       infer w, h, r and excluded-tuple grids from measurements
 rank-summary  one (label, n, r, r + n) row per dataset record
 verify        check every closed form against brute force, exit 1 on mismatch
 
-Datasets are CSV files with header ``label,n,kind,value,unit,reference``
+Datasets are UTF-8 CSV files with header ``label,n,kind,value,unit,reference``
 where kind is ``fq`` or ``xi2`` and unit is ``linear``, ``db`` or ``none``.
 All numeric values stay decimal text until they reach the exact-comparison
 pipeline; no binary floats are involved in any exclusion decision.
@@ -45,19 +45,12 @@ GRID_FILE = "grid.csv"
 GRID_WRITE_BUFFER = 1 << 16
 
 
-def bundled_dataset_text() -> str:
-    """The packaged dataset of published QFI / squeezing measurements."""
-    from importlib import resources
-
-    return resources.files("metroent").joinpath("data/published.csv").read_text()
-
-
 def parse_dataset_text(text: str) -> list[Measurement]:
     import csv
 
     reader = csv.reader(io.StringIO(text))
-    records = []
-    seen = set()
+    # label -> record: the one duplicate-label check, and the records in file order
+    records = {}
     # a csv.Error is bad input; its message leaves out reader.line_num, often wrong
     try:
         header = next(reader, None)
@@ -73,37 +66,40 @@ def parse_dataset_text(text: str) -> list[Measurement]:
                     " quote a field that holds a comma"
                 )
             label, n_text, *rest = row
-            if label in seen:
+            if label in records:
                 raise ValueError(f"duplicate label {label!r} in dataset")
-            seen.add(label)
             try:
-                if not witness.is_plain_text(n_text):
-                    raise ValueError
-                n = int(n_text)
-            except ValueError as exc:
+                n = _int_option(n_text)
+            except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"bad particle count {n_text!r} for {label!r}") from exc
             # the header is DATASET_HEADER, Measurement's parameters
-            records.append(Measurement(label, n, *rest))
+            records[label] = Measurement(label, n, *rest)
     except csv.Error as exc:
         raise ValueError(f"bad dataset: {exc}") from exc
-    return records
+    return list(records.values())
 
 
 def load_dataset(path_or_alias: str) -> list[Measurement]:
-    """Read a dataset file; the name ``bundled.csv`` falls back to the packaged data."""
+    """Read a dataset file as UTF-8, the format's encoding, whatever the locale.
+
+    The name ``bundled.csv``, when no file of that name exists, reads the
+    packaged data, through the same capped read and decode.
+    """
     from pathlib import Path
 
     path = Path(path_or_alias)
-    if path.exists():
-        with path.open("rb") as f:
-            data = f.read(MAX_DATASET_BYTES + 1)
-        if len(data) > MAX_DATASET_BYTES:
-            raise ValueError(f"dataset file is larger than {MAX_DATASET_BYTES} bytes: {path}")
-        # decoded as Path.read_text would: locale encoding, universal newlines
-        return parse_dataset_text(io.TextIOWrapper(io.BytesIO(data)).read())
-    if path_or_alias == "bundled.csv":
-        return parse_dataset_text(bundled_dataset_text())
-    raise ValueError(f"dataset file not found: {path_or_alias}")
+    if not path.exists():
+        if path_or_alias != "bundled.csv":
+            raise ValueError(f"dataset file not found: {path_or_alias}")
+        from importlib import resources
+
+        path = resources.files("metroent").joinpath("data/published.csv")
+    with path.open("rb") as f:
+        data = f.read(MAX_DATASET_BYTES + 1)
+    if len(data) > MAX_DATASET_BYTES:
+        raise ValueError(f"dataset file is larger than {MAX_DATASET_BYTES} bytes: {path}")
+    # universal newlines, as Path.read_text would
+    return parse_dataset_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 
 def _wh_table(n: int, simple: bool, runs):
@@ -303,7 +299,7 @@ def _cmd_verify(args) -> int:
 
 
 def _int_option(text: str) -> int:
-    """``int`` for ``--n`` and ``--nmax``, under the plain-text rule of dataset ``n``.
+    """``int`` for ``--n``, ``--nmax`` and a dataset's ``n``, under the plain-text rule.
 
     ``int`` alone takes ``1_0``, `` 10`` and non-ASCII digits.  The message
     is the one ``type=int`` gives.

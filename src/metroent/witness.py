@@ -123,7 +123,7 @@ class Measurement(_Record):
                 raise ValueError
             if unit == "db":
                 # 10**(db/10) keeps its exponent within +-MAX_EXPONENT too
-                if abs(q) > 10 * MAX_EXPONENT:
+                if q.copy_abs() > 10 * MAX_EXPONENT:
                     raise ValueError
                 q = db_text_to_linear(value)
             a, b = q.as_integer_ratio()

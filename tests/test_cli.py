@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 from decimal import Decimal
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,6 @@ from support import rank_limit, reference_csv_text, reference_grid_rows, wh_limi
 
 from metroent import bounds, cli, oracle, tuples, witness
 from metroent.cli import (
-    bundled_dataset_text,
     grid_csv_text,
     load_dataset,
     main,
@@ -660,13 +660,15 @@ def test_analyze_refuses_loose_decimal_text(capsys, value):
 def test_dataset_refuses_loose_particle_counts(capsys, tmp_path, n_text):
     # int() reads each as 14
     dataset = tmp_path / "in.csv"
-    dataset.write_text(f"label,n,kind,value,unit,reference\na,{n_text},fq,40.4,none,\n")
+    dataset.write_text(f"label,n,kind,value,unit,reference\na,{n_text},fq,40.4,none,\n",
+                       encoding="utf-8")
     assert main(["analyze", "--dataset", str(dataset)]) == 2
     assert main(["rank-summary", "--dataset", str(dataset)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad particle count {n_text!r} for 'a'\n" * 2
-    dataset.write_text(f"label,n,kind,value,unit,reference\na,14,fq,{n_text}.4,none,\n")
+    dataset.write_text(f"label,n,kind,value,unit,reference\na,14,fq,{n_text}.4,none,\n",
+                       encoding="utf-8")
     assert main(["analyze", "--dataset", str(dataset)]) == 2
     assert capsys.readouterr().err == f"error: bad decimal value {n_text + '.4'!r}\n"
 
@@ -815,7 +817,7 @@ def test_dataset_round_trip(tmp_path):
     records = load_dataset("bundled.csv")
     assert len(records) == 5
     path = tmp_path / "copy.csv"
-    path.write_text(bundled_dataset_text())
+    path.write_bytes(resources.files("metroent").joinpath("data/published.csv").read_bytes())
     assert load_dataset(str(path)) == records
 
 
@@ -936,7 +938,8 @@ def test_analyze_rejects_unsafe_labels(capsys, tmp_path, label):
     dataset.write_text(
         "label,n,kind,value,unit,reference\n"
         "safe,5,fq,6,none,\n"
-        f'"{label}",5,fq,6,none,\n'
+        f'"{label}",5,fq,6,none,\n',
+        encoding="utf-8",
     )
     out_dir = tmp_path / "work" / "out"
     before = sorted(tmp_path.rglob("*"))
@@ -957,6 +960,41 @@ def test_analyze_writes_a_label_of_255_bytes(tmp_path):
     assert main(["analyze", "--dataset", str(dataset), "--out", str(out_dir)]) == 0
     for label in labels:
         assert (out_dir / label / "report.json").is_file()
+
+
+def test_dataset_is_read_as_utf8_in_any_locale(capsys, tmp_path):
+    # UTF-8 is the format's encoding: under the C locale, with neither UTF-8
+    # mode nor locale coercion, the process answers as one under a UTF-8 locale
+    dataset = tmp_path / "in.csv"
+    dataset.write_text(
+        "label,n,kind,value,unit,reference\n"
+        'ions\u2013n14,14,fq,40.4,none,"Monz \u00e9t al."\n'
+        "bec\u00e9-n470,470,xi2,-4.5,db,Strobel\u2019s\n",
+        encoding="utf-8",
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONIOENCODING": "utf-8", "PYTHONPATH": str(src)}
+    for command in ("analyze", "rank-summary"):
+        argv = [command, "--dataset", str(dataset)]
+        result = subprocess.run([sys.executable, "-m", "metroent.cli", *argv],
+                                env=env, capture_output=True)
+        assert main(argv) == 0
+        here = capsys.readouterr().out
+        assert (result.returncode, result.stderr) == (0, b""), command
+        assert result.stdout.decode("utf-8") == here and "ions\u2013n14" in here, command
+
+
+def test_a_bundled_csv_file_is_read_before_the_packaged_data(capsys, tmp_path, monkeypatch):
+    # the name bundled.csv reads the packaged data only where no file of that name exists
+    monkeypatch.chdir(tmp_path)
+    assert len(load_dataset("bundled.csv")) == 5
+    (tmp_path / "bundled.csv").write_text(
+        "label,n,kind,value,unit,reference\nlocal,14,fq,40.4,none,\n", encoding="utf-8"
+    )
+    assert [m.label for m in load_dataset("bundled.csv")] == ["local"]
+    assert main(["rank-summary", "--dataset", "bundled.csv"]) == 0
+    assert capsys.readouterr().out == "label,n,r,r_plus_n\nlocal,14,-3,11\n"
 
 
 def test_rank_summary_bundled(capsys):

@@ -7,7 +7,7 @@ kept here as the reference it is checked against.
 """
 
 import random
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from support import quantity
@@ -42,6 +42,30 @@ def test_db_text_to_linear_is_exact_30_digit_snapshot():
 
 def test_db_cache_is_bounded():
     assert squeezing.db_text_to_linear.cache_info().maxsize is not None
+
+
+def test_db_snapshot_ignores_the_callers_decimal_context():
+    # the snapshot is cached and handed to every later caller, so no setting of
+    # the context it was first made in may move it, nor refuse the value; the
+    # long text's exact threshold lies just above the w = 3 limit 1408, and a
+    # floor rounding would move its width cut to 1409
+    texts = ("-3.9757023897587820686307879387200615", "-4.5")
+    callers = {"floor": Context(rounding=ROUND_FLOOR), "inexact-trapped": Context(traps=[Inexact]),
+               "prec-5": Context(prec=5)}
+
+    def answers():
+        squeezing.db_text_to_linear.cache_clear()
+        ms = [xi2(470, text, unit="db") for text in texts]
+        return [(m._quantity, m._cut1, m._cut4) for m in ms]
+
+    try:
+        expected = answers()
+        for name, context in callers.items():
+            with localcontext(context):
+                got = answers()
+            assert got == expected, name
+    finally:
+        squeezing.db_text_to_linear.cache_clear()
 
 
 def test_floor_from_qfi_examples():
