@@ -19,11 +19,11 @@ import functools
 import io
 import os
 import sys
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal
 from itertools import islice, repeat
 
 from . import bounds, oracle, tuples, witness
-from .witness import Measurement, TupleGrid, WitnessReport
+from .witness import EXACT, Measurement, TupleGrid, WitnessReport
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 # Largest n for the two per-tuple outputs, ``bounds --class wh`` and the
@@ -98,8 +98,8 @@ def load_dataset(path_or_alias: str) -> list[Measurement]:
         data = f.read(MAX_DATASET_BYTES + 1)
     if len(data) > MAX_DATASET_BYTES:
         raise ValueError(f"dataset file is larger than {MAX_DATASET_BYTES} bytes: {path}")
-    # universal newlines, as Path.read_text would
-    return parse_dataset_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    # universal newlines, as Path.read_text would, and no spreadsheet's byte-order mark
+    return parse_dataset_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read())
 
 
 def _wh_table(n: int, simple: bool, runs):
@@ -139,19 +139,14 @@ def report_json_text(report: WitnessReport) -> str:
     """The ``report.json`` text of ``report``: the measurement, its answer, and the grid file.
 
     ``q_advantage`` is a QFI record's gain F - n over the shot-noise limit n,
-    exact decimal text, and null for a squeezing record.
+    exact decimal text worked out in ``EXACT``, and null for a squeezing record.
     """
     import json
 
     m = report.measurement
     q = None
     if m.kind == witness.KIND_QFI:
-        # exact: the digits of F and of n <= MAX_N lie between
-        # 10**MAX_EXPONENT and 10**(1 - MAX_EXPONENT - MAX_VALUE_CHARS)
-        with localcontext() as ctx:
-            ctx.prec = witness.MAX_VALUE_CHARS + 2 * witness.MAX_EXPONENT
-            ctx.traps[Inexact] = True
-            q = format((Decimal(m.value) - m.n).normalize(), "f")
+        q = format(EXACT.subtract(Decimal(m.value, EXACT), m.n).normalize(EXACT), "f")
     return json.dumps({
         "label": m.label,
         "n": m.n,

@@ -13,7 +13,7 @@ limits are attainable, so exclusion requires strictly exceeding them.
 
 
 from bisect import bisect_left
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, Inexact, InvalidOperation
 from types import MappingProxyType
 
 from . import bounds, tuples
@@ -27,6 +27,10 @@ _VALUE_NAMES = {(KIND_QFI, "none"): "QFI value", ("xi2", "linear"): "linear xi**
 # huge integer
 MAX_VALUE_CHARS = 100
 MAX_EXPONENT = 100
+# the context, every field fixed, that reads a value's text and works out F - n: the digits
+# of F and of n <= MAX_N lie in 10**MAX_EXPONENT..10**(1 - MAX_EXPONENT - MAX_VALUE_CHARS)
+EXACT = Context(prec=MAX_VALUE_CHARS + 2 * MAX_EXPONENT, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN,
+                Emax=MAX_EMAX, capitals=1, clamp=0, flags=[], traps=[InvalidOperation, Inexact])
 # Largest particle count accepted, so that no input starts unbounded work:
 # atomic-ensemble squeezing experiments reach 10**5 to 10**6 atoms, and each
 # record costs at most O(n) exact-integer work (see analyze).
@@ -118,15 +122,15 @@ class Measurement(_Record):
             # exact, and refuses a NaN or an infinity
             if len(value) > MAX_VALUE_CHARS or not is_plain_text(value):
                 raise ValueError
-            q = Decimal(value)
+            q = Decimal(value, EXACT)
             if abs(q.adjusted()) > MAX_EXPONENT:
                 raise ValueError
+            a, b = q.as_integer_ratio()
             if unit == "db":
                 # 10**(db/10) keeps its exponent within +-MAX_EXPONENT too
-                if q.copy_abs() > 10 * MAX_EXPONENT:
+                if abs(a) > 10 * MAX_EXPONENT * b:
                     raise ValueError
-                q = db_text_to_linear(value)
-            a, b = q.as_integer_ratio()
+                a, b = (q := db_text_to_linear(value)).as_integer_ratio()
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad decimal value {value!r}") from exc
         if a <= 0:

@@ -985,6 +985,22 @@ def test_dataset_is_read_as_utf8_in_any_locale(capsys, tmp_path):
         assert result.stdout.decode("utf-8") == here and "ions\u2013n14" in here, command
 
 
+def test_a_byte_order_mark_is_not_part_of_the_header(capsys, tmp_path):
+    # spreadsheets' "CSV UTF-8" export starts the file with U+FEFF; without it
+    # the file reads the same, records and stdout alike
+    data = resources.files("metroent").joinpath("data/published.csv").read_bytes()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(data)
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    assert load_dataset(str(marked)) == load_dataset(str(plain))
+    for command in ("analyze", "rank-summary"):
+        outs = []
+        for path in (plain, marked):
+            assert main([command, "--dataset", str(path)]) == 0, (command, path)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "bec-n470" in outs[0], command
+
+
 def test_a_bundled_csv_file_is_read_before_the_packaged_data(capsys, tmp_path, monkeypatch):
     # the name bundled.csv reads the packaged data only where no file of that name exists
     monkeypatch.chdir(tmp_path)
@@ -1120,6 +1136,46 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     assert written(tmp_path / "fresh") == written(tmp_path / "here")
 
 
+# tools/identity_digest.py with each cli.main call made under a hostile
+# decimal.DefaultContext and current context: prec 3, ROUND_FLOOR, Emin -9,
+# Emax 9, capitals 0 and clamp 1, with every signal trapped (argv[1] "trap")
+# or none; the rest of argv goes to the tool.  Run from the checkout root.
+HOSTILE_DECIMAL_DIGEST = """
+import decimal
+import os
+import sys
+
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("tools")]
+import identity_digest
+from metroent import cli
+
+# the thread's own context, made now: made later, it would copy the hostile defaults
+decimal.setcontext(decimal.Context())
+signals = list(decimal.DefaultContext.traps) if sys.argv[1] == "trap" else []
+hostile = decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR, Emin=-9, Emax=9, capitals=0,
+                          clamp=1, flags=[], traps=signals)
+fields = ("prec", "rounding", "Emin", "Emax", "capitals", "clamp", "traps")
+run = cli.main
+
+
+def hostile_main(argv):
+    default = decimal.DefaultContext
+    saved = default.copy()
+    for name in fields:
+        setattr(default, name, getattr(hostile, name))
+    try:
+        with decimal.localcontext(hostile):
+            return run(argv)
+    finally:
+        for name in fields:
+            setattr(default, name, getattr(saved, name))
+
+
+cli.main = hostile_main
+sys.exit(identity_digest.main(sys.argv[2:]))
+"""
+
+
 def test_identity_digest_is_pinned(tmp_path):
     # byte-identity in small: every call of the n <= 8 sweep hashes to the
     # recorded digest; a subprocess, as the tool changes the working directory.
@@ -1138,6 +1194,21 @@ def test_identity_digest_is_pinned(tmp_path):
             "cases: 847\n"
             "sha256: 7955c98e1886e7d99df1ceca2eff87e4d960bb8abad1536be47f1ff59c7bb9c3\n"
         ), root
+    # and under a hostile decimal context, with every signal trapped and with
+    # none: no answer, report or refusal may read the caller's context or
+    # decimal.DefaultContext
+    for mode in ("trap", "none"):
+        result = subprocess.run(
+            [sys.executable, "-c", HOSTILE_DECIMAL_DIGEST, mode, "--nmax", "8"],
+            cwd=repo,
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), mode
+        assert result.stdout == (
+            "cases: 847\n"
+            "sha256: 7955c98e1886e7d99df1ceca2eff87e4d960bb8abad1536be47f1ff59c7bb9c3\n"
+        ), mode
 
 
 def test_cli_import_leaves_numpy_out():

@@ -1,4 +1,8 @@
-"""The package computes with exact integers, decimals and rationals only."""
+"""The package computes with exact integers, decimals and rationals only.
+
+Its decimals are computed in fixed contexts: none reads the thread's current
+decimal context or ``decimal.DefaultContext``.
+"""
 
 import ast
 from pathlib import Path
@@ -45,4 +49,88 @@ def test_the_scan_sees_each_kind_of_float_use():
         (2, "float"),
         (4, "math.sqrt"),
         (5, "from math import log"),
+    ]
+
+
+# the eight fields of a decimal.Context, in the order of its positional parameters
+CONTEXT_FIELDS = ("prec", "rounding", "Emin", "Emax", "capitals", "clamp", "flags", "traps")
+# the names that reach the ambient decimal context
+AMBIENT = {"localcontext", "getcontext", "setcontext", "DefaultContext"}
+
+
+def _named(node, names):
+    """The name ``node`` refers to if it is one of ``names``, as a Name or an attribute."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in names else None
+
+
+def _context_uses(tree):
+    """(line, what) of each use of ambient decimal state.
+
+    That is any name of AMBIENT, imported or read; a ``Context`` call inside a
+    function or lambda, which builds a context per call; a ``Context`` call
+    that leaves a field to ``decimal.DefaultContext``; and a ``Decimal`` call
+    with no context, whose conversion signals in the current one.  Decimal
+    operators also read the current context; the scan cannot see those, so
+    the package calls the context's methods instead.
+    """
+    def walk(node, in_function):
+        if isinstance(node, ast.ImportFrom) and node.module == "decimal":
+            for alias in node.names:
+                if alias.name in AMBIENT:
+                    yield node.lineno, f"from decimal import {alias.name}"
+        elif name := _named(node, AMBIENT):
+            yield node.lineno, name
+        elif isinstance(node, ast.Call) and _named(node.func, {"Context"}):
+            fields = {*CONTEXT_FIELDS[: len(node.args)], *(k.arg for k in node.keywords)}
+            if in_function:
+                yield node.lineno, "Context() in a function"
+            if fields != set(CONTEXT_FIELDS):
+                yield node.lineno, "Context() without " + ", ".join(
+                    f for f in CONTEXT_FIELDS if f not in fields)
+        elif (isinstance(node, ast.Call) and _named(node.func, {"Decimal"}) and len(node.args) < 2
+              and not any(k.arg == "context" for k in node.keywords)):
+            yield node.lineno, "Decimal() without a context"
+        scope = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    yield from walk(tree, False)
+
+
+def test_no_ambient_decimal_context_in_the_package():
+    assert {"cli.py", "squeezing.py", "witness.py"} <= {path.name for path in SOURCES}
+    found = {
+        path.name: uses
+        for path in SOURCES
+        if (uses := list(_context_uses(ast.parse(path.read_text(encoding="utf-8")))))
+    }
+    assert found == {}
+
+
+def test_the_scan_sees_each_kind_of_ambient_decimal_use():
+    source = (
+        "from decimal import Context, Decimal, localcontext\n"
+        "import decimal\n"
+        "A = Context(prec=3, rounding=R, Emin=-9, Emax=9, capitals=1, clamp=0, flags=[], traps=[])\n"
+        "B = Context(3, R, -9, 9, 1, 0, [], [])\n"
+        "C = decimal.Context(prec=3, traps=[])\n"
+        "def f(x):\n"
+        "    D = Context(3, R, -9, 9, 1, 0, [], traps=[])\n"
+        "    with localcontext() as ctx:\n"
+        "        return decimal.getcontext().prec + Decimal(x, A) + Decimal(x, context=B)\n"
+        "g = lambda kw: decimal.Context(**kw)\n"
+        "h = Decimal('1')\n"
+        "decimal.DefaultContext.prec = 3\n"
+    )
+    assert sorted(_context_uses(ast.parse(source))) == [
+        (1, "from decimal import localcontext"),
+        (5, "Context() without rounding, Emin, Emax, capitals, clamp, flags"),
+        (7, "Context() in a function"),
+        (8, "localcontext"),
+        (9, "getcontext"),
+        (10, "Context() in a function"),
+        (10, "Context() without prec, rounding, Emin, Emax, capitals, clamp, flags, traps"),
+        (11, "Decimal() without a context"),
+        (12, "DefaultContext"),
     ]

@@ -7,7 +7,7 @@ kept here as the reference it is checked against.
 """
 
 import random
-from decimal import ROUND_FLOOR, Context, Decimal, Inexact, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, DefaultContext, Inexact, localcontext
 from fractions import Fraction
 
 from support import quantity
@@ -64,6 +64,18 @@ def test_db_snapshot_ignores_the_callers_decimal_context():
             with localcontext(context):
                 got = answers()
             assert got == expected, name
+        # nor decimal.DefaultContext, which a Context() given only some fields
+        # copies the rest from: with Inexact trapped, a per-call context of prec
+        # and rounding alone refused -4.5 dB
+        saved = DefaultContext.copy()
+        DefaultContext.traps[Inexact] = True
+        DefaultContext.Emin, DefaultContext.Emax = -9, 9
+        try:
+            got = answers()
+        finally:
+            DefaultContext.traps = saved.traps
+            DefaultContext.Emin, DefaultContext.Emax = saved.Emin, saved.Emax
+        assert got == expected, "DefaultContext"
     finally:
         squeezing.db_text_to_linear.cache_clear()
 

@@ -5,7 +5,7 @@ import math
 import random
 import re
 import tracemalloc
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -328,6 +328,17 @@ def test_quantum_advantage():
     # printed without an exponent or trailing zeros
     assert report_json(fq(5, "1E+2"))["q_advantage"] == "95"
     assert report_json(fq(8, "8.000"))["q_advantage"] == "0"
+
+
+def test_q_advantage_ignores_the_callers_decimal_context(tmp_path):
+    # worked out in a context of its own: under a floor rounding 1 - 1 is -0,
+    # and a caller's Emax of 5 overflowed 4.04e10 - 14
+    with localcontext(Context(rounding=ROUND_FLOOR)):
+        assert report_json(fq(1, "1"))["q_advantage"] == "0"
+    with localcontext(Context(Emax=5)):
+        assert main(["analyze", "--n", "14", "--fq", "4.04e10", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fq-n14" / "report.json").read_text())
+    assert report["q_advantage"] == "40399999986"
 
 
 def test_report_json_schema():
