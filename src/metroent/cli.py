@@ -7,6 +7,11 @@ analyze       infer w, h, r and excluded-tuple grids from measurements
 rank-summary  one (label, n, r, r + n) row per dataset record
 verify        check every closed form against brute force, exit 1 on mismatch
 
+Each command's options are declared once, in ``_COMMANDS``.  :func:`main`
+reads a plainly formed command line from that table itself; ``argparse``,
+whose parser is built from the same table, is imported only for help, a
+usage error or an unusual form of command line.
+
 Datasets are UTF-8 CSV files with header ``label,n,kind,value,unit,reference``
 where kind is ``fq`` or ``xi2`` and unit is ``linear``, ``db`` or ``none``.
 All numeric values stay decimal text until they reach the exact-comparison
@@ -14,13 +19,13 @@ pipeline; no binary floats are involved in any exclusion decision.
 """
 
 
-import argparse
 import functools
 import io
 import os
 import sys
 from decimal import Decimal
 from itertools import islice, repeat
+from types import SimpleNamespace
 
 from . import bounds, oracle, tuples, witness
 from .witness import EXACT, Measurement, TupleGrid, WitnessReport
@@ -68,10 +73,9 @@ def parse_dataset_text(text: str) -> list[Measurement]:
             label, n_text, *rest = row
             if label in records:
                 raise ValueError(f"duplicate label {label!r} in dataset")
-            try:
-                n = _int_option(n_text)
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"bad particle count {n_text!r} for {label!r}") from exc
+            n = _plain_int(n_text)
+            if n is None:
+                raise ValueError(f"bad particle count {n_text!r} for {label!r}")
             # the header is DATASET_HEADER, Measurement's parameters
             records[label] = Measurement(label, n, *rest)
     except csv.Error as exc:
@@ -293,79 +297,152 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _int_option(text: str) -> int:
-    """``int`` for ``--n``, ``--nmax`` and a dataset's ``n``, under the plain-text rule.
+def _plain_int(text: str) -> int | None:
+    """``int(text)`` under the plain-text rule of ``--n``, ``--nmax`` and dataset ``n``, else None.
 
-    ``int`` alone takes ``1_0``, `` 10`` and non-ASCII digits.  The message
-    is the one ``type=int`` gives.
+    ``int`` alone takes ``1_0``, `` 10`` and non-ASCII digits.
     """
     if witness.is_plain_text(text):
         try:
             return int(text)
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return None
+
+
+def _int_option(text: str) -> int:
+    """The ``type`` of ``--n`` and ``--nmax``: :func:`_plain_int`, refused as ``type=int`` refuses."""
+    n = _plain_int(text)
+    if n is None:
+        import argparse
+
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return n
+
+
+_SIMPLE = ("--simple", dict(action="store_true", default=False, help="use the non-tight bounds"))
+# command -> (help, function, options in help order as (flag, add_argument keywords)):
+# _build_parser's argparse parser and _read_plain both read it
+_COMMANDS = {
+    "bounds": ("print a class sensitivity-limit table as CSV", _cmd_bounds, [
+        ("--n", dict(type=_int_option, required=True, help="particle count")),
+        ("--class", dict(dest="cls", choices=("w", "h", "r", "wh"), required=True,
+                         help="class family: producibility, separability, Dyson rank, or full tuples")),
+        _SIMPLE,
+    ]),
+    "analyze": ("infer w, h, r and excluded tuples from measurements", _cmd_analyze, [
+        ("--n", dict(type=_int_option, help="particle count (with --fq/--xi2/--xi2-db)")),
+        ("--fq", dict(help="measured QFI lower bound, decimal text")),
+        ("--xi2", dict(help="measured squeezing upper bound, linear decimal text")),
+        ("--xi2-db", dict(dest="xi2_db", help="measured squeezing upper bound in dB")),
+        ("--dataset", dict(help="CSV dataset file ('bundled.csv' uses the packaged data)")),
+        ("--out", dict(help="directory for <label>/report.json and grid.csv")),
+        _SIMPLE,
+    ]),
+    "rank-summary": ("per-record inferred Dyson rank as CSV", _cmd_rank_summary, [
+        ("--dataset", dict(required=True)),
+    ]),
+    "verify": ("closed forms vs brute force; exit 1 on mismatch", _cmd_verify, [
+        ("--nmax", dict(type=_int_option, default=30, help="largest n to sweep")),
+    ]),
+}
+
+
+# _COMMANDS as _read_plain reads it, worked out once: command -> (flag -> (dest, keywords),
+# each dest's value when its flag is not given, the required flags)
+_PLAIN = {
+    command: (spec, {dest: kw.get("default") for dest, kw in spec.values()},
+              {flag for flag, (_, kw) in spec.items() if kw.get("required")})
+    for command, (_, _, options) in _COMMANDS.items()
+    for spec in [{flag: (kw.get("dest", flag[2:].replace("-", "_")), kw) for flag, kw in options}]
+}
+
+
+def _is_negative_number(text: str) -> bool:
+    """True for ASCII ``-5``, ``-5.5`` and ``-.5``, which argparse also reads as values, not flags."""
+    whole, dot, fraction = text[1:].partition(".")
+    digits = (whole + fraction).isdigit() and bool(fraction or not dot)
+    return text[:1] == "-" and text.isascii() and digits
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the command's own parser gives ``argv``, but for ``command``, or None.
+
+    ``argv`` is read by argparse's rules if it is a command name, then only
+    exact ``--flag=value``, ``--flag value`` and store-true ``--flag`` tokens
+    of that command, a space-form value starting with ``-`` only as a
+    negative number; a repeated flag keeps its last value.  Anything else is
+    None, left to argparse: help, an abbreviation, ``--``, a missing, extra
+    or unconvertible value, a bad choice, a missing required option, and an
+    ``--flag=--``, which argparse before 3.13 reads as an empty list.
+    """
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    spec, defaults, required = _PLAIN[argv[0]]
+    args, missing = dict(defaults), set(required)
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        dest, kw = spec.get(flag, (None, None))
+        if kw is None or eq and "action" in kw:
+            return None
+        if "action" in kw:
+            value = True
+        else:
+            value = value if eq else next(words, "--")
+            if value == "--" or not eq and value[:1] == "-" and not _is_negative_number(value):
+                return None
+            # the type is _int_option, whose refusal argparse reports as a usage error
+            value = _plain_int(value) if "type" in kw else value
+            if value is None or value not in kw.get("choices", (value,)):
+                return None
+        args[dest] = value
+        missing.discard(flag)
+    return None if missing else SimpleNamespace(**args, func=_COMMANDS[argv[0]][1])
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its command -> subparser map, built on the first :func:`main` call.
+def _build_parser():
+    """The argparse parser and its command -> subparser map, built from ``_COMMANDS`` on first use.
 
-    Building it costs far more than parsing one command line, and a process
-    that calls :func:`main` many times would otherwise pay that per call.
-    Reuse is safe: parsing leaves the parsers unchanged, and help text reads the
+    Only a command line that :func:`_read_plain` leaves needs it, so
+    ``argparse`` is imported here.  Building it costs far more than parsing
+    one command line, so a process that calls :func:`main` many times builds
+    it once.  Reuse is safe: parsing leaves the parsers unchanged, and help text reads the
     terminal width when printed.  The map is ``sub.choices``; ``dest`` names a missing command.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="metroent",
         description="Exact metrological bounds and witnesses for multipartite entanglement classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bounds = sub.add_parser("bounds", help="print a class sensitivity-limit table as CSV")
-    p_bounds.add_argument("--n", type=_int_option, required=True, help="particle count")
-    p_bounds.add_argument(
-        "--class", dest="cls", choices=("w", "h", "r", "wh"), required=True,
-        help="class family: producibility, separability, Dyson rank, or full tuples",
-    )
-    p_bounds.add_argument("--simple", action="store_true", help="use the non-tight bounds")
-    p_bounds.set_defaults(func=_cmd_bounds)
-
-    p_analyze = sub.add_parser(
-        "analyze", help="infer w, h, r and excluded tuples from measurements"
-    )
-    p_analyze.add_argument("--n", type=_int_option, help="particle count (with --fq/--xi2/--xi2-db)")
-    p_analyze.add_argument("--fq", help="measured QFI lower bound, decimal text")
-    p_analyze.add_argument("--xi2", help="measured squeezing upper bound, linear decimal text")
-    p_analyze.add_argument("--xi2-db", dest="xi2_db", help="measured squeezing upper bound in dB")
-    p_analyze.add_argument(
-        "--dataset", help="CSV dataset file ('bundled.csv' uses the packaged data)"
-    )
-    p_analyze.add_argument("--out", help="directory for <label>/report.json and grid.csv")
-    p_analyze.add_argument("--simple", action="store_true", help="use the non-tight bounds")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_rank = sub.add_parser("rank-summary", help="per-record inferred Dyson rank as CSV")
-    p_rank.add_argument("--dataset", required=True)
-    p_rank.set_defaults(func=_cmd_rank_summary)
-
-    p_verify = sub.add_parser("verify", help="closed forms vs brute force; exit 1 on mismatch")
-    p_verify.add_argument("--nmax", type=_int_option, default=30, help="largest n to sweep")
-    p_verify.set_defaults(func=_cmd_verify)
+    for name, (help_text, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kw in options:
+            command.add_argument(flag, **kw)
+        command.set_defaults(func=func)
     return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run ``argv`` (default ``sys.argv[1:]``) and return the exit code: the command's own
-    parser reads what follows its name, as the top parser would.  An argv with no command
-    first, or with extras, goes through the top ``parse_args``, which prints its help or error.
+    """Run ``argv`` (default ``sys.argv[1:]``) and return the exit code.
+
+    A plainly formed command line is read by :func:`_read_plain` from
+    ``_COMMANDS``, with no ``argparse`` loaded.  Anything else goes to
+    argparse: the command's own parser reads what follows its name, as the
+    top parser would, and an argv with no command first, or with extras,
+    goes through the top ``parse_args``, which prints its help or error.
     """
-    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = commands.get(argv[0]) if argv else None
-    args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
-    if args is None or extras:
-        args = parser.parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:
+        parser, commands = _build_parser()
+        command = commands.get(argv[0]) if argv else None
+        args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
+        if args is None or extras:
+            args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -8,13 +8,15 @@ dB reaches it through :func:`db_text_to_linear`.
 
 
 import functools
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, Overflow
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, Overflow,
+                     Underflow)
 
 # significant digits of every dB conversion, a fixed part of each result
 DB_DIGITS = 30
-# the dB conversions' context, every field fixed: bad text or an out-of-range power raises
+# the dB conversions' context, every field fixed: bad text or a power past either end of
+# the exponent range raises, so no 0 or infinity stands for a value and is cached
 _DB = Context(prec=DB_DIGITS, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
-              clamp=0, flags=[], traps=[InvalidOperation, Overflow])
+              clamp=0, flags=[], traps=[InvalidOperation, Overflow, Underflow])
 
 
 @functools.lru_cache(maxsize=1024)

@@ -17,6 +17,9 @@ the O(1) (w, h) inverse against a bisection of each width's limit column.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import random
 from bisect import bisect_left
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -416,3 +419,65 @@ def cell_flags(cell, threshold) -> tuple[bool, bool, bool, bool]:
     _, _, f, status = cell
     letters = "" if status in ("OK", "WH") else status
     return "W" in letters, "H" in letters, "R" in letters, f < threshold
+
+
+# the differential check of cli._read_plain against argparse: values that fit
+# some option, values argparse reads by its own rules (negative numbers, "-5."
+# and "-1e3" that it does not, a non-ASCII digit that its \d takes, "" and
+# "a b"), and tokens that only argparse reads: help, "--", abbreviations, junk
+PLAIN_VALUES = ("14", "6", "0", "+7", "-3", "-4.5", "-.5", "-5.", "-1e3", "-٣", "٣", "1_0", " 7",
+                "-5\n", "40.4", "bundled.csv", "w", "wh", "q", "", "a b", "-a b", "x=y", "-", "--",
+                "-h", "--n", "--fq=1")
+PLAIN_ODD = ("-h", "--help", "--he", "--", "x", "-x", "-5", "--bogus", "--nm", "--d", "--x",
+             "--xi2-", "--si", "--cl", "--o", "--n ")
+
+
+def plain_reader_disagreements(seed: int, per_command: int) -> tuple[int, int, list[list[str]]]:
+    """Argvs on which ``cli._read_plain`` neither declines nor gives argparse's namespace.
+
+    ``per_command`` seeded argvs per command: its name, each required flag
+    with a fitting value half the time, then up to five words, each a flag of
+    some command or a ``PLAIN_ODD`` token, alone, with a value joined by
+    ``=`` or with one as the next word.  A value fits the flag's choices or
+    type 7 times in 10, else is drawn from ``PLAIN_VALUES``.  An argv the
+    reader reads must parse under the top parser to the same namespace,
+    value types included, but for its ``command``.  Returns how many argvs
+    were read and declined, and the argvs that disagree.
+    """
+    rng = random.Random(seed)
+    parser, _ = cli._build_parser()
+    flags = sorted({flag for _, _, options in cli._COMMANDS.values() for flag, _ in options})
+    read = declined = 0
+    disagreements = []
+
+    def value(kw):
+        fits = kw.get("choices") or (("14", "6", "-3") if "type" in kw else ("-4.5", "a b"))
+        return rng.choice(fits if rng.random() < 0.7 else PLAIN_VALUES)
+
+    for command, (_, _, options) in cli._COMMANDS.items():
+        own = dict(options)
+        for _ in range(per_command):
+            argv = [command]
+            for flag, kw in options:
+                if kw.get("required") and rng.random() < 0.5:
+                    argv += [flag, value(kw)]
+            for _ in range(rng.randint(0, 5)):
+                flag = rng.choice(list(own) if rng.random() < 0.85 else flags + list(PLAIN_ODD))
+                text = value(own.get(flag, {}))
+                argv += rng.choice([[flag], [flag, text], [f"{flag}={text}"]])
+            got = cli._read_plain(argv)
+            if got is None:
+                declined += 1
+                continue
+            read += 1
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    expected = vars(parser.parse_args(argv))
+            except SystemExit:
+                expected = None
+            else:
+                del expected["command"]
+            typed = {name: (type(v), v) for name, v in vars(got).items()}
+            if expected is None or typed != {name: (type(v), v) for name, v in expected.items()}:
+                disagreements.append(argv)
+    return read, declined, disagreements

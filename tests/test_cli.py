@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from support import rank_limit, reference_csv_text, reference_grid_rows, wh_limit
+from support import (
+    plain_reader_disagreements,
+    rank_limit,
+    reference_csv_text,
+    reference_grid_rows,
+    wh_limit,
+)
 
 from metroent import bounds, cli, oracle, tuples, witness
 from metroent.cli import (
@@ -501,7 +507,8 @@ def _exit_code(call) -> int:
 
 # argvs whose parse is easy to get wrong: no command or not first, help
 # anywhere, abbreviations, "--", extras, repeats, missing values, bad and
-# negative numbers
+# negative numbers, and values that only argparse's rules read: "-1e3" and
+# "-5." are flags to it, and its negative numbers take non-ASCII digits
 _ODD_ARGVS = [
     [], ["-h"], ["--help"], ["--he"], ["bogus"], ["Analyze"], ["-x"], ["--help=x"],
     ["--", "analyze", "--n", "14", "--fq", "40.4"], ["--n", "5", "analyze"],
@@ -526,22 +533,32 @@ _ODD_ARGVS = [
     ["bounds", "--n", "6", "--class", "r", "--simple"],
     ["rank-summary", "--dataset", "bundled.csv"], ["verify", "--nmax", "6"],
     ["analyze", "--dataset", "bundled.csv", "--n", "3"],
+    ["analyze", "--n", "14", "--fq", "-1e3"], ["analyze", "--n", "14", "--fq=-1e3"],
+    ["analyze", "--n", "14", "--fq", "-5."], ["analyze", "--n", "14", "--xi2-db", "-\u0663"],
+    ["analyze", "--n", "14", "--fq", "-.5"], ["verify", "--nmax=6", "--nmax", "7"],
+    ["analyze", "--n=14", "--fq="], ["analyze", "--n", "14", "--fq", "40.4", "--simple=1"],
 ]
 
 
 def test_main_parses_as_the_top_parser_did(capsys, monkeypatch, tmp_path):
-    # main parses argv[1:] with the named command's parser and falls back to
-    # the top parser's parse_args; that parse_args alone, the old route, must
-    # give the same exit code, stdout and stderr, and the same namespace but
-    # for its command entry.  main runs the top parser only for an argv that
-    # no command name leads, or that leaves extras for it to refuse
+    # main reads a plainly formed argv from cli._COMMANDS, else parses
+    # argv[1:] with the named command's parser and falls back to the top
+    # parser's parse_args; that parse_args alone, the old route, must give the
+    # same exit code, stdout and stderr, and the same namespace but for its
+    # command entry.  argparse parses only what the plain reader declines, and
+    # the top parser only an argv that no command name leads, or that leaves
+    # extras for it to refuse
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
+    # built now, before the table's functions are spied on below
     parser, commands = cli._build_parser()
     funcs = {command: p.get_default("func") for command, p in commands.items()}
-    parsed, top = [], []
+    parsed, top, own = [], [], []
     parse_args = parser.parse_args
     monkeypatch.setattr(parser, "parse_args", lambda argv: top.append(argv) or parse_args(argv))
+    for command, p in commands.items():
+        monkeypatch.setattr(p, "parse_known_args", lambda *args, run=p.parse_known_args: (
+            own.append(args) or run(*args)))
 
     def spy(func):
         def run(args):
@@ -557,14 +574,24 @@ def test_main_parses_as_the_top_parser_did(capsys, monkeypatch, tmp_path):
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    for command, func in funcs.items():
-        commands[command].set_defaults(func=spy(func))
+    spies = {command: spy(func) for command, func in funcs.items()}
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        command: (help_text, spies[command], options)
+        for command, (help_text, _, options) in cli._COMMANDS.items()})
+    plain = []
+    for command, run in spies.items():
+        commands[command].set_defaults(func=run)
     try:
         for argv in _ODD_ARGVS:
             parsed.clear()
             top.clear()
+            own.clear()
             new = (_exit_code(lambda: main(argv)), *capsys.readouterr())
             led = bool(argv) and argv[0] in commands
+            read = cli._read_plain(argv) is not None
+            if read:
+                plain.append(argv)
+            assert bool(own or top) == (not read), argv
             assert bool(top) == (not led or "unrecognized arguments" in new[2]), argv
             old = (_exit_code(lambda: old_route(argv)), *capsys.readouterr())
             assert new == old, argv
@@ -575,6 +602,17 @@ def test_main_parses_as_the_top_parser_did(capsys, monkeypatch, tmp_path):
     finally:
         for command, func in funcs.items():
             commands[command].set_defaults(func=func)
+    assert len(plain) == 18
+    assert ["analyze", "--n", "14", "--xi2-db", "-4.5"] in plain
+
+
+def test_plain_reader_reads_as_argparse_does():
+    # on 20 000 seeded argvs per command the plain reader either declines,
+    # leaving the argv to argparse, or gives the namespace argparse gives it;
+    # CI runs this on every Python it tests, whose argparse rules it follows
+    read, declined, disagreements = plain_reader_disagreements(2012, 20000)
+    assert disagreements == []
+    assert read > 15000 and declined > 15000
 
 
 def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
@@ -1089,26 +1127,30 @@ def loaded(*names):
 results = [loaded("__future__", "dataclasses", "inspect", "json", "csv", "importlib.resources",
                   "typing", "pathlib", "fractions")]
 for argv in ARGVS:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    results.append((code, out.getvalue(), loaded("json", "csv"), loaded("fractions")))
+    results.append((code, out.getvalue(), err.getvalue(), loaded("json", "csv"), loaded("fractions"),
+                    loaded("argparse", "gettext", "re")))
 print(repr(results))
 """
 
 
 def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     # json, csv, pathlib and the rest are imported where they are used, and
-    # fractions by no command; this process has them loaded already, so only a
-    # fresh interpreter shows a missing import
+    # fractions by no command; argparse, with gettext and re, only for a
+    # command line the plain reader leaves to it (verify's abbreviated --nm
+    # here).  csv, json and pathlib import re themselves.  This process has
+    # them loaded already, so only a fresh interpreter shows a missing import
     src = Path(cli.__file__).resolve().parents[1]
 
     def argvs(out_dir):
         return [
             ["analyze", "--n", "14", "--fq", "40.4"],
+            ["verify", "--nmax=8"],
             ["analyze", "--dataset", "bundled.csv", "--out", str(out_dir)],
             ["rank-summary", "--dataset", "bundled.csv"],
-            ["verify", "--nmax", "8"],
+            ["verify", "--nm", "8"],
         ]
 
     script = _FRESH_RUN.replace("ARGVS", repr(argvs(tmp_path / "fresh")))
@@ -1120,14 +1162,15 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     )
     first, *runs = ast.literal_eval(result.stdout)
     assert first == []
-    assert runs[0][2] == []
-    assert [run[3] for run in runs] == [[]] * 4
+    assert [run[3] for run in runs[:2]] == [[], []]
+    assert [run[4] for run in runs] == [[]] * 5
+    assert [run[5] for run in runs] == [[], [], ["re"], ["re"], ["argparse", "gettext", "re"]]
     expected = []
     for argv in argvs(tmp_path / "here"):
         code = main(argv)
-        expected.append((code, capsys.readouterr().out))
-    assert [run[:2] for run in runs] == expected
-    assert [code for code, _ in expected] == [0] * 4
+        expected.append((code, *capsys.readouterr()))
+    assert [run[:3] for run in runs] == expected
+    assert [code for code, _, _ in expected] == [0] * 5
 
     def written(out_dir):
         return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.*")}

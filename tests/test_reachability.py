@@ -30,6 +30,8 @@ ARGVS = [
     ["analyze", "--dataset", "bundled.csv", "--out", "out"],
     ["rank-summary", "--dataset", "bundled.csv"],
     ["verify", "--nmax", "12"],
+    # an abbreviation, which argparse reads and cli's plain reader leaves to it
+    ["verify", "--nm", "12"],
 ]
 
 # function -> why no command enters it

@@ -7,9 +7,10 @@ kept here as the reference it is checked against.
 """
 
 import random
-from decimal import ROUND_FLOOR, Context, Decimal, DefaultContext, Inexact, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, DefaultContext, Inexact, Overflow, Underflow, localcontext
 from fractions import Fraction
 
+import pytest
 from support import quantity
 
 from metroent import squeezing, witness
@@ -42,6 +43,16 @@ def test_db_text_to_linear_is_exact_30_digit_snapshot():
 
 def test_db_cache_is_bounded():
     assert squeezing.db_text_to_linear.cache_info().maxsize is not None
+
+
+def test_db_power_past_the_exponent_range_raises_and_is_not_cached():
+    # no command reaches these, as a dB value past +-1000 is refused first;
+    # an underflow once gave and cached 0E-1000000000000000028
+    squeezing.db_text_to_linear.cache_clear()
+    for text, signal in (("1e30", Overflow), ("-1e30", Underflow)):
+        with pytest.raises(signal):
+            squeezing.db_text_to_linear(text)
+    assert squeezing.db_text_to_linear.cache_info().currsize == 0
 
 
 def test_db_snapshot_ignores_the_callers_decimal_context():
