@@ -9,8 +9,8 @@ verify        check every closed form against brute force, exit 1 on mismatch
 
 Each command's options are declared once, in ``_COMMANDS``.  :func:`main`
 reads a plainly formed command line from that table itself; ``argparse``,
-whose parser is built from the same table, is imported only for help, a
-usage error or an unusual form of command line.
+whose parser is built from the same table, is imported only to read
+whatever the plain reader declines: help, a usage error or an unusual form.
 
 Datasets are UTF-8 CSV files with header ``label,n,kind,value,unit,reference``
 where kind is ``fq`` or ``xi2`` and unit is ``linear``, ``db`` or ``none``.
@@ -19,7 +19,6 @@ pipeline; no binary floats are involved in any exclusion decision.
 """
 
 
-import functools
 import io
 import os
 import sys
@@ -366,7 +365,7 @@ def _is_negative_number(text: str) -> bool:
 
 
 def _read_plain(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace the command's own parser gives ``argv``, but for ``command``, or None.
+    """The namespace argparse gives ``argv``, but for its ``command`` entry, or None.
 
     ``argv`` is read by argparse's rules if it is a command name, then only
     exact ``--flag=value``, ``--flag value`` and store-true ``--flag`` tokens
@@ -374,7 +373,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     negative number; a repeated flag keeps its last value.  Anything else is
     None, left to argparse: help, an abbreviation, ``--``, a missing, extra
     or unconvertible value, a bad choice, a missing required option, and an
-    ``--flag=--``, which argparse before 3.13 reads as an empty list.
+    ``--flag=--``, which :func:`main` refuses.
     """
     if not argv or argv[0] not in _PLAIN:
         return None
@@ -401,15 +400,10 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     return None if missing else SimpleNamespace(**args, func=_COMMANDS[argv[0]][1])
 
 
-@functools.cache
 def _build_parser():
-    """The argparse parser and its command -> subparser map, built from ``_COMMANDS`` on first use.
+    """The argparse parser, built from ``_COMMANDS``; ``dest`` names a missing command.
 
-    Only a command line that :func:`_read_plain` leaves needs it, so
-    ``argparse`` is imported here.  Building it costs far more than parsing
-    one command line, so a process that calls :func:`main` many times builds
-    it once.  Reuse is safe: parsing leaves the parsers unchanged, and help text reads the
-    terminal width when printed.  The map is ``sub.choices``; ``dest`` names a missing command.
+    Only a command line that :func:`_read_plain` declines needs it, so ``argparse`` is imported here.
     """
     import argparse
 
@@ -423,26 +417,24 @@ def _build_parser():
         for flag, kw in options:
             command.add_argument(flag, **kw)
         command.set_defaults(func=func)
-    return parser, sub.choices
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run ``argv`` (default ``sys.argv[1:]``) and return the exit code.
 
-    A plainly formed command line is read by :func:`_read_plain` from
-    ``_COMMANDS``, with no ``argparse`` loaded.  Anything else goes to
-    argparse: the command's own parser reads what follows its name, as the
-    top parser would, and an argv with no command first, or with extras,
-    goes through the top ``parse_args``, which prints its help or error.
+    :func:`_read_plain` reads a plainly formed command line, with no ``argparse``
+    loaded; argparse reads whatever it declines, and refuses ``--flag=--`` with a
+    usage error on every Python: a file or directory of that name is ``./--``.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv)
     if args is None:
-        parser, commands = _build_parser()
-        command = commands.get(argv[0]) if argv else None
-        args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
-        if args is None or extras:
-            args = parser.parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        # argparse reads --flag=-- as [] before Python 3.13, and as "--" from it
+        if any(value in ([], "--") for value in vars(args).values()):
+            parser.error("no option takes the value '--'")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import random
 from bisect import bisect_left
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
@@ -432,23 +433,17 @@ PLAIN_ODD = ("-h", "--help", "--he", "--", "x", "-x", "-5", "--bogus", "--nm", "
              "--xi2-", "--si", "--cl", "--o", "--n ")
 
 
-def plain_reader_disagreements(seed: int, per_command: int) -> tuple[int, int, list[list[str]]]:
-    """Argvs on which ``cli._read_plain`` neither declines nor gives argparse's namespace.
+def plain_reader_argvs(seed: int, per_command: int):
+    """``per_command`` seeded argvs per command, drawn from ``PLAIN_VALUES`` and ``PLAIN_ODD``.
 
-    ``per_command`` seeded argvs per command: its name, each required flag
-    with a fitting value half the time, then up to five words, each a flag of
-    some command or a ``PLAIN_ODD`` token, alone, with a value joined by
-    ``=`` or with one as the next word.  A value fits the flag's choices or
-    type 7 times in 10, else is drawn from ``PLAIN_VALUES``.  An argv the
-    reader reads must parse under the top parser to the same namespace,
-    value types included, but for its ``command``.  Returns how many argvs
-    were read and declined, and the argvs that disagree.
+    Each is the command's name, each required flag with a fitting value half
+    the time, then up to five words, each a flag of some command or a
+    ``PLAIN_ODD`` token, alone, with a value joined by ``=`` or with one as
+    the next word.  A value fits the flag's choices or type 7 times in 10,
+    else is drawn from ``PLAIN_VALUES``.
     """
     rng = random.Random(seed)
-    parser, _ = cli._build_parser()
     flags = sorted({flag for _, _, options in cli._COMMANDS.values() for flag, _ in options})
-    read = declined = 0
-    disagreements = []
 
     def value(kw):
         fits = kw.get("choices") or (("14", "6", "-3") if "type" in kw else ("-4.5", "a b"))
@@ -465,19 +460,65 @@ def plain_reader_disagreements(seed: int, per_command: int) -> tuple[int, int, l
                 flag = rng.choice(list(own) if rng.random() < 0.85 else flags + list(PLAIN_ODD))
                 text = value(own.get(flag, {}))
                 argv += rng.choice([[flag], [flag, text], [f"{flag}={text}"]])
-            got = cli._read_plain(argv)
-            if got is None:
-                declined += 1
+            yield argv
+
+
+def plain_reader_disagreements(seed: int, per_command: int) -> tuple[int, int, list[list[str]]]:
+    """Argvs of :func:`plain_reader_argvs` that ``cli._read_plain`` reads otherwise than argparse.
+
+    The reader either declines an argv or gives argparse's namespace: an argv
+    it reads must parse under the top parser to the same namespace, value
+    types included, but for its ``command``.  Returns how many argvs were
+    read and declined, and the argvs that disagree.
+    """
+    parser = cli._build_parser()
+    read = declined = 0
+    disagreements = []
+    for argv in plain_reader_argvs(seed, per_command):
+        got = cli._read_plain(argv)
+        if got is None:
+            declined += 1
+            continue
+        read += 1
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            expected = None
+        else:
+            del expected["command"]
+        typed = {name: (type(v), v) for name, v in vars(got).items()}
+        if expected is None or typed != {name: (type(v), v) for name, v in expected.items()}:
+            disagreements.append(argv)
+    return read, declined, disagreements
+
+
+def main_escapes(seed: int, per_command: int, workdir) -> tuple[int, list[tuple[list[str], str]]]:
+    """The argvs of :func:`plain_reader_argvs` that ``cli._read_plain`` declines and ``cli.main`` raises on.
+
+    Each declined argv runs through ``cli.main`` in ``workdir``, so that a
+    relative ``--out`` or ``--dataset`` lands there, with its output
+    discarded.  An int return and ``SystemExit`` are the two ends a command
+    line may have.  Returns how many argvs were declined, and each other end
+    as ``(argv, repr)``.
+    """
+    declined, escapes = 0, []
+    home = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in plain_reader_argvs(seed, per_command):
+            if cli._read_plain(argv) is not None:
                 continue
-            read += 1
+            declined += 1
             try:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    expected = vars(parser.parse_args(argv))
+                    code = cli.main(argv)
             except SystemExit:
-                expected = None
-            else:
-                del expected["command"]
-            typed = {name: (type(v), v) for name, v in vars(got).items()}
-            if expected is None or typed != {name: (type(v), v) for name, v in expected.items()}:
-                disagreements.append(argv)
-    return read, declined, disagreements
+                continue
+            except Exception as exc:
+                code = exc
+            if type(code) is not int:
+                escapes.append((argv, repr(code)))
+    finally:
+        os.chdir(home)
+    return declined, escapes

@@ -100,7 +100,6 @@ def test_unreached_functions_are_the_ledger(capsys, tmp_path, monkeypatch):
     # no file of that name here, so bundled.csv reads the packaged data
     monkeypatch.chdir(tmp_path)
     # a call an earlier test cached would never be entered here
-    cli._build_parser.cache_clear()
     squeezing.db_text_to_linear.cache_clear()
     entered = set()
 
