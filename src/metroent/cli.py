@@ -22,7 +22,6 @@ pipeline; no binary floats are involved in any exclusion decision.
 import io
 import os
 import sys
-from decimal import Decimal
 from itertools import islice, repeat
 from types import SimpleNamespace
 
@@ -141,15 +140,16 @@ def grid_csv_text(grid: TupleGrid) -> str:
 def report_json_text(report: WitnessReport) -> str:
     """The ``report.json`` text of ``report``: the measurement, its answer, and the grid file.
 
-    ``q_advantage`` is a QFI record's gain F - n over the shot-noise limit n,
-    exact decimal text worked out in ``EXACT``, and null for a squeezing record.
+    ``q_advantage`` is a QFI record's gain F - n over the shot-noise limit n, exact
+    decimal text worked out in ``EXACT`` from the measurement's ``Decimal`` F, and
+    null for a squeezing record.
     """
     import json
 
     m = report.measurement
     q = None
     if m.kind == witness.KIND_QFI:
-        q = format(EXACT.subtract(Decimal(m.value, EXACT), m.n).normalize(EXACT), "f")
+        q = format(EXACT.subtract(m._quantity, m.n).normalize(EXACT), "f")
     return json.dumps({
         "label": m.label,
         "n": m.n,

@@ -1,4 +1,4 @@
-"""The exact dB-text snapshot of a squeezing value.
+"""The exact dB snapshot of a squeezing value.
 
 A measured xi**2 strictly below 2n / (f + 2n), for a class with QFI limit
 f, witnesses entanglement beyond the class: the criterion that
@@ -20,18 +20,18 @@ _DB = Context(prec=DB_DIGITS, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_
 
 
 @functools.lru_cache(maxsize=1024)
-def db_text_to_linear(text: str) -> Decimal:
-    """The ``Decimal`` snapshot of 10**(db/10) for a decimal dB string.
+def db_text_to_linear(db: Decimal) -> Decimal:
+    """The ``Decimal`` snapshot of 10**(db/10), cached by value.
 
-    The text is read exactly, then divided by 10 and raised to the power in
-    ``_DB``, each step rounded half-even to ``DB_DIGITS`` significant digits
-    whatever the caller's context or ``decimal.DefaultContext`` holds, so
-    exclusion outcomes are platform-independent.  They are not always those
-    of the exact 10**(db/10): a text within about a unit in the 30th digit
-    of a class boundary can be decided either way, as long texts can be.  At
-    n = 470, ``-3.9757023897587820686307879387200615`` dB answers w = 3,
-    where the exact threshold 1408.000...0075 exceeds the w = 3 limit 1408
-    and so answers w = 4.  The bundled -4.5 dB lies far from every
-    boundary: its threshold is 0.03 from the nearest quarter.
+    ``db`` is the exact ``Decimal`` that ``Measurement`` read, so ``-4.5``,
+    ``-4.50`` and ``-45E-1`` share one entry.  It is divided by 10 and raised
+    to the power in ``_DB``, each step rounded half-even to ``DB_DIGITS``
+    significant digits whatever the caller's context or ``DefaultContext``
+    holds, so exclusion outcomes are platform-independent, though not always
+    those of the exact 10**(db/10): a value within about a unit in the 30th
+    digit of a class boundary can be decided either way.  At n = 470, dB value
+    ``-3.9757023897587820686307879387200615`` answers w = 3, where the exact
+    threshold 1408.000...0075 exceeds the w = 3 limit 1408, giving w = 4.
+    The bundled -4.5 dB lies 0.03 in threshold from the nearest quarter.
     """
-    return _DB.power(10, _DB.divide(Decimal(text, _DB), 10))
+    return _DB.power(10, _DB.divide(db, 10))

@@ -130,7 +130,7 @@ class Measurement(_Record):
                 # 10**(db/10) keeps its exponent within +-MAX_EXPONENT too
                 if abs(a) > 10 * MAX_EXPONENT * b:
                     raise ValueError
-                a, b = (q := db_text_to_linear(value)).as_integer_ratio()
+                a, b = (q := db_text_to_linear(q)).as_integer_ratio()
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad decimal value {value!r}") from exc
         if a <= 0:

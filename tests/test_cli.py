@@ -1197,46 +1197,6 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     assert written(tmp_path / "fresh") == written(tmp_path / "here")
 
 
-# tools/identity_digest.py with each cli.main call made under a hostile
-# decimal.DefaultContext and current context: prec 3, ROUND_FLOOR, Emin -9,
-# Emax 9, capitals 0 and clamp 1, with every signal trapped (argv[1] "trap")
-# or none; the rest of argv goes to the tool.  Run from the checkout root.
-HOSTILE_DECIMAL_DIGEST = """
-import decimal
-import os
-import sys
-
-sys.path[:0] = [os.path.abspath("src"), os.path.abspath("tools")]
-import identity_digest
-from metroent import cli
-
-# the thread's own context, made now: made later, it would copy the hostile defaults
-decimal.setcontext(decimal.Context())
-signals = list(decimal.DefaultContext.traps) if sys.argv[1] == "trap" else []
-hostile = decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR, Emin=-9, Emax=9, capitals=0,
-                          clamp=1, flags=[], traps=signals)
-fields = ("prec", "rounding", "Emin", "Emax", "capitals", "clamp", "traps")
-run = cli.main
-
-
-def hostile_main(argv):
-    default = decimal.DefaultContext
-    saved = default.copy()
-    for name in fields:
-        setattr(default, name, getattr(hostile, name))
-    try:
-        with decimal.localcontext(hostile):
-            return run(argv)
-    finally:
-        for name in fields:
-            setattr(default, name, getattr(saved, name))
-
-
-cli.main = hostile_main
-sys.exit(identity_digest.main(sys.argv[2:]))
-"""
-
-
 def test_identity_digest_is_pinned(tmp_path):
     # byte-identity in small: every call of the n <= 8 sweep hashes to the
     # recorded digest; a subprocess, as the tool changes the working directory.
@@ -1260,8 +1220,7 @@ def test_identity_digest_is_pinned(tmp_path):
     # decimal.DefaultContext
     for mode in ("trap", "none"):
         result = subprocess.run(
-            [sys.executable, "-c", HOSTILE_DECIMAL_DIGEST, mode, "--nmax", "8"],
-            cwd=repo,
+            [sys.executable, str(repo / "tools" / "hostile_digest.py"), mode, "--nmax", "8"],
             capture_output=True,
             text=True,
         )

@@ -134,3 +134,36 @@ def test_the_scan_sees_each_kind_of_ambient_decimal_use():
         (11, "Decimal() without a context"),
         (12, "DefaultContext"),
     ]
+
+
+def _decimal_calls(tree):
+    """The dotted name of the class and function around each ``Decimal(...)`` call."""
+    def walk(node, scope):
+        if isinstance(node, ast.Call) and _named(node.func, {"Decimal"}):
+            yield scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    yield from walk(tree, "")
+
+
+def test_one_decimal_call_reads_every_value():
+    # Measurement reads a value's text once; the dB converter and report.json
+    # take the Decimal it holds
+    found = [path.stem + scope for path in SOURCES
+             for scope in _decimal_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["witness.Measurement.__init__"]
+
+
+def test_the_scan_sees_each_decimal_call():
+    source = (
+        "import decimal\n"
+        "A = Decimal('1', C)\n"
+        "class M:\n"
+        "    def f(self, x):\n"
+        "        g = lambda: decimal.Decimal(x, C)\n"
+        "        return Decimal\n"
+    )
+    assert list(_decimal_calls(ast.parse(source))) == ["", ".M.f"]

@@ -34,11 +34,11 @@ def xi2(n, value, unit="linear"):
 
 
 def test_db_text_to_linear_is_exact_30_digit_snapshot():
-    got = squeezing.db_text_to_linear("-4.5")
+    got = squeezing.db_text_to_linear(Decimal("-4.5"))
     assert got == Fraction(Decimal("0.354813389233575458433218702264"))
-    assert squeezing.db_text_to_linear("0") == 1
-    assert squeezing.db_text_to_linear("10") == 10
-    assert squeezing.db_text_to_linear("20") == 100
+    assert squeezing.db_text_to_linear(Decimal("0")) == 1
+    assert squeezing.db_text_to_linear(Decimal("10")) == 10
+    assert squeezing.db_text_to_linear(Decimal("20")) == 100
 
 
 def test_db_cache_is_bounded():
@@ -51,7 +51,7 @@ def test_db_power_past_the_exponent_range_raises_and_is_not_cached():
     squeezing.db_text_to_linear.cache_clear()
     for text, signal in (("1e30", Overflow), ("-1e30", Underflow)):
         with pytest.raises(signal):
-            squeezing.db_text_to_linear(text)
+            squeezing.db_text_to_linear(Decimal(text))
     assert squeezing.db_text_to_linear.cache_info().currsize == 0
 
 

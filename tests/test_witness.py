@@ -210,14 +210,39 @@ def test_each_value_is_parsed_once(monkeypatch):
     calls = []
     convert = witness.db_text_to_linear
 
-    def counting(text):
-        calls.append(text)
-        return convert(text)
+    def counting(db):
+        calls.append(db)
+        return convert(db)
 
     monkeypatch.setattr(witness, "db_text_to_linear", counting)
     report = witness.analyze(xi2_db(470, "-4.5"))
     assert (report.depth, report.separability, report.rank) == (4, 435, -399)
-    assert calls == ["-4.5"]
+    # the converter takes the Decimal the constructor read, not the text again
+    assert [type(db) for db in calls] == [Decimal] and calls == [Decimal("-4.5")]
+
+
+def test_spellings_of_one_value_give_one_answer(capsys):
+    # the cuts, the summary row but its value column, and q_advantage read the
+    # Decimal the constructor read, and a dB snapshot is cached by that value
+    squeezing.db_text_to_linear.cache_clear()
+    ms = [xi2_db(470, value) for value in ("-4.5", "-4.50", "-45E-1")]
+    info = squeezing.db_text_to_linear.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert ms[0]._quantity is ms[1]._quantity is ms[2]._quantity
+    for n, kind, unit, option, spellings in (
+            (14, "fq", "none", "--fq", ("40.4", "40.40", "4.04E1", "404E-1")),
+            (470, "xi2", "db", "--xi2-db", ("-4.5", "-4.50", "-45E-1"))):
+        ms = [Measurement("m", n, kind, value, unit) for value in spellings]
+        assert len({(m._cut1, m._cut4) for m in ms}) == 1, option
+        assert len({report_json(m)["q_advantage"] for m in ms}) == 1, option
+        rows = set()
+        for value in spellings:
+            assert main(["analyze", "--n", str(n), f"{option}={value}"]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            label, n_text, kind_text, shown, *answer = row.split()
+            assert shown == value
+            rows.add((*header.split(), label, n_text, kind_text, *answer))
+        assert len(rows) == 1, (option, rows)
 
 
 def test_exceeds_examples():
@@ -781,7 +806,7 @@ def test_cuts_are_the_ceilings_of_the_threshold(case):
     threshold = m.exclusion_threshold()
     assert (m._cut1, m._cut4) == (math.ceil(threshold), math.ceil(4 * threshold)), case
     if unit == "db":
-        q = squeezing.db_text_to_linear(text)
+        q = squeezing.db_text_to_linear(Decimal(text))
         assert type(q) is Decimal and len(q.as_tuple().digits) <= squeezing.DB_DIGITS, case
         assert q is m._quantity
 
