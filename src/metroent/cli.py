@@ -26,7 +26,7 @@ from itertools import islice, repeat
 from types import SimpleNamespace
 
 from . import bounds, oracle, tuples, witness
-from .witness import EXACT, Measurement, TupleGrid, WitnessReport
+from .witness import Measurement, TupleGrid, WitnessReport
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
 # Largest n for the two per-tuple outputs, ``bounds --class wh`` and the
@@ -141,15 +141,17 @@ def report_json_text(report: WitnessReport) -> str:
     """The ``report.json`` text of ``report``: the measurement, its answer, and the grid file.
 
     ``q_advantage`` is a QFI record's gain F - n over the shot-noise limit n, exact
-    decimal text worked out in ``EXACT`` from the measurement's ``Decimal`` F, and
-    null for a squeezing record.
+    decimal text worked out in ``_exact.EXACT`` from the integer ratio of F that the
+    measurement read, and null for a squeezing record.
     """
     import json
 
     m = report.measurement
     q = None
     if m.kind == witness.KIND_QFI:
-        q = format(EXACT.subtract(m._quantity, m.n).normalize(EXACT), "f")
+        from ._exact import EXACT
+
+        q = format(EXACT.subtract(EXACT.divide(*m._quantity), m.n).normalize(EXACT), "f")
     return json.dumps({
         "label": m.label,
         "n": m.n,

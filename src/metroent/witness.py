@@ -4,8 +4,8 @@ A measurement is either a lower bound on the quantum Fisher information or
 an upper bound on the spin-squeezing coefficient.  Both reduce to a single
 exact-rational exclusion threshold: a class with QFI limit f is excluded
 exactly when f < threshold.  All comparisons are exact (the measured value
-is parsed from its decimal text), so excluded-tuple counts are
-bit-reproducible.
+is read from its decimal text as an integer ratio), so excluded-tuple
+counts are bit-reproducible.
 
 A measurement exactly at a class limit does not exclude the class: the
 limits are attainable, so exclusion requires strictly exceeding them.
@@ -13,7 +13,6 @@ limits are attainable, so exclusion requires strictly exceeding them.
 
 
 from bisect import bisect_left
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, Inexact, InvalidOperation
 from types import MappingProxyType
 
 from . import bounds, tuples
@@ -27,10 +26,9 @@ _VALUE_NAMES = {(KIND_QFI, "none"): "QFI value", ("xi2", "linear"): "linear xi**
 # huge integer
 MAX_VALUE_CHARS = 100
 MAX_EXPONENT = 100
-# the context, every field fixed, that reads a value's text and works out F - n: the digits
-# of F and of n <= MAX_N lie in 10**MAX_EXPONENT..10**(1 - MAX_EXPONENT - MAX_VALUE_CHARS)
-EXACT = Context(prec=MAX_VALUE_CHARS + 2 * MAX_EXPONENT, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN,
-                Emax=MAX_EMAX, capitals=1, clamp=0, flags=[], traps=[InvalidOperation, Inexact])
+# metroent._exact, imported at the first dB value, as it loads decimal: an import
+# statement run at every value costs tens of microseconds in a cold process
+_exact = None
 # Largest particle count accepted, so that no input starts unbounded work:
 # atomic-ensemble squeezing experiments reach 10**5 to 10**6 atoms, and each
 # record costs at most O(n) exact-integer work (see analyze).
@@ -64,6 +62,35 @@ def is_plain_text(text: str) -> bool:
     return text.isascii() and "_" not in text and text == text.strip()
 
 
+def _read_ratio(text: str) -> tuple[int, int]:
+    """The value of decimal text as an integer ratio (a, 10**k), or a ValueError.
+
+    The text must be at most MAX_VALUE_CHARS long and pass
+    :func:`is_plain_text`: a sign, digits with at most one ``.``, and an
+    optional ``e`` or ``E`` exponent, whose leading digit lies within
+    10**+-MAX_EXPONENT.  That is what ``Decimal`` reads, with its
+    ``adjusted()`` bounded, less the infinities and NaNs, which have no
+    integer ratio.  Zero's leading digit is the one ``Decimal`` gives it:
+    ``0e500`` is out of range.
+    """
+    if len(text) > MAX_VALUE_CHARS or not is_plain_text(text):
+        raise ValueError
+    mantissa, marker, exponent = text.lower().partition("e")
+    sign = -1 if mantissa[:1] == "-" else 1
+    # an empty text's [:1] is in "+-", and gives no digits
+    whole, _, fraction = (mantissa[1:] if mantissa[:1] in "+-" else mantissa).partition(".")
+    digits = whole + fraction
+    power = exponent[1:] if exponent[:1] in "+-" else exponent
+    if not digits.isdigit() or marker and not power.isdigit():
+        raise ValueError
+    # a/10**k, and Decimal's adjusted(), the power of ten of the leading digit, zero's included
+    k = len(fraction) - int(exponent or 0)
+    if abs(len(digits.lstrip("0") or "0") - 1 - k) > MAX_EXPONENT:
+        raise ValueError
+    a = sign * int(digits)
+    return (a, 10**k) if k >= 0 else (a * 10**-k, 1)
+
+
 class _Record:
     """A read-only record whose fields, its ``__slots__``, are each set once, by keyword."""
 
@@ -88,15 +115,20 @@ class Measurement(_Record):
     """One published sensitivity value for an n-particle state.
 
     ``value`` is kept as the original decimal text: ASCII, with no ``_`` and
-    no surrounding whitespace.  It is parsed exactly, once, when the
-    measurement is made, and the integer cuts every exclusion decision
-    compares against are stored with it.  Squeezing values carry an explicit
-    unit (``linear`` or ``db``), QFI values carry ``none``.  Instances are
-    read-only; equality and hash read the six constructor fields only.
+    no surrounding whitespace.  It is read once, when the measurement is
+    made, as an exact integer ratio, with no ``decimal``; the integer cuts
+    every exclusion decision compares against are stored with it.  A dB
+    value x is converted to 10**(x/10) in ``decimal``: its 30-digit snapshot
+    when that certifies the cuts, else a value refined until they are those
+    of the exact 10**(x/10) (:func:`metroent._exact.certified_db_ratio`);
+    a value too near a class limit to certify at the top precision is
+    refused.  Squeezing values carry an explicit unit (``linear`` or
+    ``db``), QFI values carry ``none``.  Instances are read-only; equality
+    and hash read the six constructor fields only.
     """
 
-    # _quantity is the linear-scale Decimal; _cut1 and _cut4 are ceil(T) and
-    # ceil(4T): a limit f is excluded iff f < _cut1, and a rank limit iff 4f < _cut4
+    # _quantity is the exact linear-scale ratio (a, b) the cuts come from; _cut1 and _cut4 are
+    # ceil(T) and ceil(4T): a limit f is excluded iff f < _cut1, and a rank limit iff 4f < _cut4
     __slots__ = ("label", "n", "kind", "value", "unit", "reference", "_quantity", "_cut1", "_cut4")
 
     def __init__(
@@ -118,28 +150,26 @@ class Measurement(_Record):
         if (kind, unit) not in _VALUE_NAMES:
             raise ValueError(f"(kind, unit) must be one of {[*_VALUE_NAMES]}, got {(kind, unit)!r}")
         try:
-            # bound and vet the text before Decimal reads it; as_integer_ratio is
-            # exact, and refuses a NaN or an infinity
-            if len(value) > MAX_VALUE_CHARS or not is_plain_text(value):
+            a, b = _read_ratio(value)
+            # 10**(db/10) keeps its exponent within +-MAX_EXPONENT too
+            if unit == "db" and abs(a) > 10 * MAX_EXPONENT * b:
                 raise ValueError
-            q = Decimal(value, EXACT)
-            if abs(q.adjusted()) > MAX_EXPONENT:
-                raise ValueError
-            a, b = q.as_integer_ratio()
-            if unit == "db":
-                # 10**(db/10) keeps its exponent within +-MAX_EXPONENT too
-                if abs(a) > 10 * MAX_EXPONENT * b:
-                    raise ValueError
-                a, b = (q := db_text_to_linear(q)).as_integer_ratio()
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad decimal value {value!r}") from exc
+        if unit == "db":
+            global _exact
+            if _exact is None:
+                from . import _exact
+            db = _exact.EXACT.divide(a, b)
+            a, b = _exact.certified_db_ratio(db, db_text_to_linear(db), n)
         if a <= 0:
             raise ValueError(f"{_VALUE_NAMES[kind, unit]} must be positive, got {value}")
+        quantity = a, b
         if kind != KIND_QFI:
             # T = a/b for a QFI value; a squeezing value a/b gives T = 2n(b - a)/a
             a, b = 2 * n * (b - a), a
         self._set(label=label, n=n, kind=kind, value=value, unit=unit, reference=reference,
-                  _quantity=q, _cut1=-(-a // b), _cut4=-(-4 * a // b))
+                  _quantity=quantity, _cut1=-(-a // b), _cut4=-(-4 * a // b))
 
     def _fields(self) -> tuple:
         return (self.label, self.n, self.kind, self.value, self.unit, self.reference)
@@ -161,13 +191,15 @@ class Measurement(_Record):
 
         For a QFI lower bound F this is F itself.  A squeezing upper bound
         xi**2 excludes a class when xi**2 < 2n/(f + 2n), which rearranges to
-        f < 2n(1 - xi**2)/xi**2.  No command calls this: the constructor
-        works out the stored cuts ceil(T) and ceil(4T) from the integer
-        ratio of the value, so ``fractions`` is imported here, not at start-up.
+        f < 2n(1 - xi**2)/xi**2, with xi**2 the stored ratio ``_quantity``
+        (for a dB value, the one its cuts were certified from).  No command
+        calls this: the constructor works out the stored cuts ceil(T) and
+        ceil(4T) from that ratio, so ``fractions``, which imports
+        ``decimal``, is imported here, not at start-up.
         """
         from fractions import Fraction
 
-        q = Fraction(self._quantity)
+        q = Fraction(*self._quantity)
         if self.kind == KIND_QFI:
             return q
         return 2 * self.n * (1 - q) / q

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import random
 from bisect import bisect_left
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal,
+                     Inexact, InvalidOperation)
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -227,6 +229,52 @@ def linear_xi2_disagreements(ns: range) -> tuple[int, list[tuple]]:
     return _answer_disagreements(ns, cases)
 
 
+# the 80 digits in which the dB texts of the tests are worked out, far more than their 36
+DB_LOG = Context(prec=80)
+
+
+def limit_db(n: int, limit: int) -> Decimal:
+    """x = 10 log10(2n/(limit + 2n)), the dB value whose threshold T is ``limit``, to 80 digits."""
+    return DB_LOG.multiply(10, DB_LOG.log10(DB_LOG.divide(2 * n, limit + 2 * n)))
+
+
+def db_xi2_disagreements(ns: range) -> tuple[int, list[tuple]]:
+    """:func:`_answer_disagreements` for every n in ``ns``, at squeezing values in dB.
+
+    Each distinct (w, h) limit L of n is met by x = 10 log10(2n/(L + 2n)) dB,
+    written at 36 significant digits rounded down and rounded up: T lies
+    about 10**-35 of L away, where the 30-digit snapshot cannot tell the
+    sides apart.  Brute force reads the ceiling of T from a 200-digit
+    evaluation (:func:`db_cuts`).
+    """
+
+    def cases(n, limits):
+        for limit in limits:
+            x = limit_db(n, limit)
+            for rounding in (ROUND_FLOOR, ROUND_CEILING):
+                text = str(Context(prec=36, rounding=rounding).plus(x))
+                m = witness.Measurement("brute", n, "xi2", text, "db")
+                yield m, db_cuts(text, n)[0]
+
+    return _answer_disagreements(ns, cases)
+
+
+def adversarial_db_texts(n: int, widths: range):
+    """dB texts on and around each width limit of ``widths`` at n, where a 30-digit snapshot errs.
+
+    For each width limit f, x = 10 log10(2n/(f + 2n)) is written at 33 to 36
+    significant digits, rounded half-even, and moved by -2 to 2 units in its
+    last digit: T then lies within about 10**-31 of f, or on the other side.
+    """
+    for w in widths:
+        x = limit_db(n, bounds.max_qfi_width(n, w))
+        for digits in range(33, 37):
+            rounded = Context(prec=digits).plus(x)
+            unit = DB_LOG.scaleb(1, rounded.as_tuple().exponent)
+            for step in range(-2, 3):
+                yield str(DB_LOG.fma(step, unit, rounded))
+
+
 def walk_exclusion_counts(
     m, depth: int, separability: int, rank: int, *, simple: bool = False
 ) -> dict[str, int]:
@@ -312,9 +360,25 @@ def fraction_to_decimal_text(value: Fraction) -> str:
     return f"-{text}" if value < 0 else text
 
 
-def quantity(m) -> Decimal:
-    """The measured quantity of ``m`` on linear scale, the exact ``Decimal`` it keeps."""
-    return m._quantity
+# far more digits than any dB text's distance from a cut needs
+DB_CHECK = Context(prec=200)
+
+
+def db_cuts(text: str, n: int) -> tuple[int, int]:
+    """ceil(T) and ceil(4T) of an n-particle dB value from a 200-digit evaluation of 10**(x/10).
+
+    T = 2n(1 - q)/q for q = 10**(x/10).  The 200 digits leave a margin of
+    some 160 digits over the tests' dB texts, of at most 36 digits; a whole
+    multiple of 10 dB gives an exact power.
+    """
+    q = Fraction(DB_CHECK.power(10, DB_CHECK.divide(Decimal(text), 10)))
+    threshold = 2 * n * (1 - q) / q
+    return math.ceil(threshold), math.ceil(4 * threshold)
+
+
+def quantity(m) -> Fraction:
+    """The measured quantity of ``m`` on linear scale, the exact integer ratio it keeps."""
+    return Fraction(*m._quantity)
 
 
 def wh_limit(n: int, w: int, h: int, simple: bool = False) -> int:
@@ -420,6 +484,94 @@ def cell_flags(cell, threshold) -> tuple[bool, bool, bool, bool]:
     _, _, f, status = cell
     letters = "" if status in ("OK", "WH") else status
     return "W" in letters, "H" in letters, "R" in letters, f < threshold
+
+
+# how Measurement read a value's text before its integer reader: Decimal in a context
+# exact for every accepted text, with an invalid text trapped
+DECIMAL_READ = Context(prec=300, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
+                       clamp=0, flags=[], traps=[InvalidOperation, Inexact])
+# texts the value reader's check draws besides numbers: the infinities and NaNs Decimal
+# reads, and malformed, loose and non-ASCII forms
+READER_ODD = ("inf", "Inf", "Infinity", "INFINITY", "infinit", "nan", "NaN", "NaN12", "sNaN", "snan",
+              "sNaN0", "e", "E5", ".", "", "+", "-", ".e1", "1e", "1E+", "1e-", "--1", "+-1", "1..2",
+              "1.2.3", "1e1.5", "1e1e1", "1e+-1", "0x10", "1_000", "1e1_0", " 1", "1 ", "1 e5", "1e 5",
+              "1e٣", "٣", "١.٥", "１", "1\n", "\t1", "1\u00a0")
+
+
+def value_reader_texts(seed: int, count: int):
+    """``count`` seeded texts for the value reader's check.
+
+    Most are a sign, digits with leading zeros and at most one ``.``, and
+    an ``e`` or ``E`` exponent put the leading digit at or past
+    10**+-MAX_EXPONENT: 99, 100, 101, far past, or anywhere near, zero's
+    included.  The rest are ``READER_ODD`` forms, with a sign, or numbers
+    with one character of ``_ .eE+-٣x`` put in or a digit taken out, or
+    padded to about MAX_VALUE_CHARS.
+    """
+    rng = random.Random(seed)
+    limit = witness.MAX_EXPONENT
+    for _ in range(count):
+        if rng.random() < 0.05:
+            yield rng.choice(("", "", "+", "-")) + rng.choice(READER_ODD)
+            continue
+        digits = "0" * rng.choice((0, 0, 0, 1, 3)) + "".join(
+            rng.choices("0123456789", k=rng.choice((0, 1, 1, 2, 5, rng.randint(0, 60)))))
+        dot = rng.choice((None, None, *range(len(digits) + 1)))
+        mantissa = digits if dot is None else f"{digits[:dot]}.{digits[dot:]}"
+        text = rng.choice(("", "", "+", "-")) + mantissa
+        if rng.random() < 0.7:
+            try:
+                adjusted = Decimal(mantissa).adjusted()
+            except ArithmeticError:
+                adjusted = 0
+            target = rng.choice((limit - 1, limit, limit + 1, 2 * limit, rng.randint(-limit - 10, limit + 10)))
+            exponent = rng.choice((1, -1)) * target - adjusted
+            exponent_text = str(exponent) if rng.random() < 0.8 else f"{exponent:+04d}"
+            text += rng.choice("eE") + exponent_text
+        if rng.random() < 0.1:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice("_ .eE+-٣x") + text[at:]
+        elif rng.random() < 0.05 and text:
+            at = rng.randrange(len(text))
+            text = text[:at] + text[at + 1:]
+        if rng.random() < 0.05:
+            text = rng.choice("123456789") * (witness.MAX_VALUE_CHARS - len(text) + rng.randint(-2, 1)) + text
+        yield text
+
+
+def decimal_ratio(text: str) -> Fraction | None:
+    """The value Measurement read from ``text`` with ``Decimal``, or None where it refused the text."""
+    if len(text) > witness.MAX_VALUE_CHARS or not witness.is_plain_text(text):
+        return None
+    try:
+        q = Decimal(text, DECIMAL_READ)
+        if abs(q.adjusted()) > witness.MAX_EXPONENT:
+            return None
+        return Fraction(*q.as_integer_ratio())
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def value_reader_disagreements(seed: int, count: int, read=None) -> tuple[int, list[str]]:
+    """Texts of :func:`value_reader_texts` that ``read`` reads otherwise than :func:`decimal_ratio`.
+
+    ``read``, by default ``witness._read_ratio``, gives a ratio ``(a, b)``
+    or raises ValueError; it must refuse exactly the texts the ``Decimal``
+    read refused, and give the others' values.  Returns how many texts the
+    ``Decimal`` read accepted, and the texts that disagree.
+    """
+    read = read or witness._read_ratio
+    accepted, disagreements = 0, []
+    for text in value_reader_texts(seed, count):
+        expected = decimal_ratio(text)
+        try:
+            got = Fraction(*read(text))
+        except ValueError:
+            got = None
+        accepted += expected is not None
+        if got != expected:
+            disagreements.append(text)
+    return accepted, disagreements
 
 
 # the differential check of cli._read_plain against argparse: values that fit

@@ -1143,13 +1143,13 @@ def loaded(*names):
     return [name for name in names if name in sys.modules]
 
 results = [loaded("__future__", "dataclasses", "inspect", "json", "csv", "importlib.resources",
-                  "typing", "pathlib", "fractions")]
+                  "typing", "pathlib", "fractions", "decimal", "numbers")]
 for argv in ARGVS:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     results.append((code, out.getvalue(), err.getvalue(), loaded("json", "csv"), loaded("fractions"),
-                    loaded("argparse", "gettext", "re")))
+                    loaded("argparse", "gettext", "re"), loaded("decimal", "numbers")))
 print(repr(results))
 """
 
@@ -1158,42 +1158,56 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     # json, csv, pathlib and the rest are imported where they are used, and
     # fractions by no command; argparse, with gettext and re, only for a
     # command line the plain reader leaves to it (verify's abbreviated --nm
-    # here).  csv, json and pathlib import re themselves.  This process has
-    # them loaded already, so only a fresh interpreter shows a missing import
+    # here).  csv, json and pathlib import re themselves.  decimal, with
+    # numbers, loads only for a dB value or a report's q_advantage: a QFI or
+    # linear xi**2 value is read as an integer ratio.  This process has them
+    # loaded already, so only a fresh interpreter shows a missing import
     src = Path(cli.__file__).resolve().parents[1]
 
-    def argvs(out_dir):
+    def interpreters(out_dir):
+        # each list runs in one fresh interpreter: the second shows that a QFI
+        # report loads decimal by itself
         return [
-            ["analyze", "--n", "14", "--fq", "40.4"],
-            ["verify", "--nmax=8"],
-            ["analyze", "--dataset", "bundled.csv", "--out", str(out_dir)],
-            ["rank-summary", "--dataset", "bundled.csv"],
-            ["verify", "--nm", "8"],
+            [
+                ["analyze", "--n", "14", "--fq", "40.4"],
+                ["analyze", "--n", "14", "--xi2", "0.5"],
+                ["verify", "--nmax=8"],
+                ["analyze", "--n", "470", "--xi2-db", "-4.5"],
+                ["analyze", "--dataset", "bundled.csv", "--out", str(out_dir)],
+                ["rank-summary", "--dataset", "bundled.csv"],
+                ["verify", "--nm", "8"],
+            ],
+            [["analyze", "--n", "14", "--fq", "40.4", "--out", str(out_dir / "qfi")]],
         ]
 
-    script = _FRESH_RUN.replace("ARGVS", repr(argvs(tmp_path / "fresh")))
-    result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, str(src)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    first, *runs = ast.literal_eval(result.stdout)
-    assert first == []
-    assert [run[3] for run in runs[:2]] == [[], []]
-    assert [run[4] for run in runs] == [[]] * 5
-    assert [run[5] for run in runs] == [[], [], ["re"], ["re"], ["argparse", "gettext", "re"]]
+    runs = []
+    for argvs in interpreters(tmp_path / "fresh"):
+        script = _FRESH_RUN.replace("ARGVS", repr(argvs))
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script, str(src)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        first, *batch = ast.literal_eval(result.stdout)
+        assert first == []
+        runs += batch
+    assert [run[3] for run in runs[:4]] == [[]] * 4
+    assert [run[4] for run in runs] == [[]] * 8
+    assert [run[5] for run in runs] == [[]] * 4 + [["re"], ["re"], ["argparse", "gettext", "re"], ["re"]]
+    assert [run[6] for run in runs] == [[]] * 3 + [["decimal", "numbers"]] * 5
     expected = []
-    for argv in argvs(tmp_path / "here"):
-        code = main(argv)
-        expected.append((code, *capsys.readouterr()))
+    for argvs in interpreters(tmp_path / "here"):
+        for argv in argvs:
+            code = main(argv)
+            expected.append((code, *capsys.readouterr()))
     assert [run[:3] for run in runs] == expected
-    assert [code for code, _, _ in expected] == [0] * 5
+    assert [code for code, _, _ in expected] == [0] * 8
 
     def written(out_dir):
         return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.*")}
 
-    assert len(written(tmp_path / "here")) == 10
+    assert len(written(tmp_path / "here")) == 12
     assert written(tmp_path / "fresh") == written(tmp_path / "here")
 
 
@@ -1251,4 +1265,4 @@ def test_cli_import_leaves_numpy_out():
         text=True,
         check=True,
     )
-    assert result.stdout == "bounds cli oracle squeezing tuples witness\n"
+    assert result.stdout == "_exact bounds cli oracle squeezing tuples witness\n"

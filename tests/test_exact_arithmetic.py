@@ -137,10 +137,18 @@ def test_the_scan_sees_each_kind_of_ambient_decimal_use():
 
 
 def _decimal_calls(tree):
-    """The dotted name of the class and function around each ``Decimal(...)`` call."""
+    """The dotted name of the class and function around each use of ``decimal``.
+
+    That is each ``Decimal(...)`` call, and each import from ``decimal`` or
+    from ``_exact``, the package's module of decimal contexts.
+    """
     def walk(node, scope):
         if isinstance(node, ast.Call) and _named(node.func, {"Decimal"}):
             yield scope
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            if {"decimal", "_exact"} & {name.rpartition(".")[2] for name in names}:
+                yield scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
         for child in ast.iter_child_nodes(node):
@@ -149,12 +157,15 @@ def _decimal_calls(tree):
     yield from walk(tree, "")
 
 
-def test_one_decimal_call_reads_every_value():
-    # Measurement reads a value's text once; the dB converter and report.json
-    # take the Decimal it holds
-    found = [path.stem + scope for path in SOURCES
-             for scope in _decimal_calls(ast.parse(path.read_text(encoding="utf-8")))]
-    assert found == ["witness.Measurement.__init__"]
+def test_decimal_loads_only_for_a_db_value_or_a_report():
+    # Measurement reads a value's text once, as an integer ratio, and no
+    # Decimal(...) call reads text; decimal and the contexts of _exact are
+    # imported by _exact itself and, when called, by the dB branch of
+    # Measurement, the dB converter and report.json's q_advantage alone
+    found = sorted(path.stem + scope for path in SOURCES
+                   for scope in _decimal_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == ["_exact", "cli.report_json_text", "squeezing.db_text_to_linear",
+                     "witness.Measurement.__init__"]
 
 
 def test_the_scan_sees_each_decimal_call():
@@ -165,5 +176,11 @@ def test_the_scan_sees_each_decimal_call():
         "    def f(self, x):\n"
         "        g = lambda: decimal.Decimal(x, C)\n"
         "        return Decimal\n"
+        "    def g(self):\n"
+        "        from ._exact import EXACT\n"
+        "        import os, decimal as d\n"
+        "        from . import bounds\n"
+        "        from .witness import Decimal\n"
+        "        from . import _exact\n"
     )
-    assert list(_decimal_calls(ast.parse(source))) == ["", ".M.f"]
+    assert list(_decimal_calls(ast.parse(source))) == ["", "", ".M.f", ".M.g", ".M.g", ".M.g"]

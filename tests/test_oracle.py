@@ -12,6 +12,7 @@ from support import (
     answer_disagreements,
     brute_answer,
     brute_max_squares,
+    db_xi2_disagreements,
     linear_xi2_disagreements,
     reference_fold,
     shape_table,
@@ -136,6 +137,15 @@ def test_linear_xi2_answer_matches_the_brute_force_answer():
     # force's at the ceiling of the exact threshold.  CI runs the same check
     # up to MAX_NMAX.
     assert linear_xi2_disagreements(range(1, 31)) == (4436, [])
+
+
+def test_db_xi2_answer_matches_the_brute_force_answer():
+    # the dB path: at 36-digit dB texts just below and just above each distinct
+    # (w, h) limit of n <= 30, where T lies about 10**-35 from the limit and
+    # the 30-digit snapshot cannot certify the cuts, analyze's tight answer
+    # equals brute force's at the ceiling of a 200-digit T.  CI runs the same
+    # check up to MAX_NMAX.
+    assert db_xi2_disagreements(range(1, 31)) == (4436, [])
 
 
 def test_stripping_1_rows_derives_each_diagram_once():

@@ -1,9 +1,11 @@
 """Tests for measurement parsing, exclusion logic and grid construction."""
 
+import inspect
 import json
 import math
 import random
 import re
+import textwrap
 import tracemalloc
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
@@ -12,8 +14,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from support import (
+    adversarial_db_texts,
     cell_flags,
     count_disagreements,
+    db_cuts,
     fraction_to_decimal_text,
     grid_cells,
     grid_counts,
@@ -24,10 +28,11 @@ from support import (
     scan_depth,
     scan_rank,
     scan_separability,
+    value_reader_disagreements,
     wh_limit,
 )
 
-from metroent import bounds, squeezing, tuples, witness
+from metroent import _exact, bounds, squeezing, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_width
 from metroent.cli import grid_csv_text, main, parse_dataset_text, report_json_text
 from metroent.witness import Measurement
@@ -90,11 +95,14 @@ def test_db_values_are_bounded_before_conversion(monkeypatch):
 )
 @pytest.mark.parametrize("kind, unit", [("fq", "none"), ("xi2", "linear"), ("xi2", "db")])
 def test_measurement_refuses_loose_decimal_text(monkeypatch, value, kind, unit):
-    # Decimal and Fraction read each of these as a number; none reaches them
+    # Decimal, Fraction and int read each of these as a number; the value reader
+    # refuses each, and no dB value reaches the converter
     def refuse(text):
-        raise AssertionError(f"parsed {text!r}")
+        raise AssertionError(f"converted {text!r}")
 
-    monkeypatch.setattr(witness, "Decimal", refuse)
+    monkeypatch.setattr(witness, "db_text_to_linear", refuse)
+    with pytest.raises(ValueError):
+        witness._read_ratio(value)
     with pytest.raises(ValueError, match=re.escape(f"bad decimal value {value!r}")):
         Measurement(label="x", n=14, kind=kind, value=value, unit=unit)
 
@@ -105,7 +113,7 @@ def test_measurements_compare_by_their_six_fields():
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a == Measurement("ions-n14", 14, "fq", "40.4", "none", "Monz 2011")
     # the parsed value and its cuts play no part, only the text does
-    for name, hidden in (("_quantity", Decimal(1)), ("_cut1", 0), ("_cut4", 0)):
+    for name, hidden in (("_quantity", (1, 1)), ("_cut1", 0), ("_cut4", 0)):
         object.__setattr__(b, name, hidden)
     assert a == b and hash(a) == hash(b)
     assert a != Measurement("ions-n14", 14, "fq", "40.40", "none", "Monz 2011")
@@ -126,7 +134,7 @@ def test_records_are_read_only():
                 setattr(record, name, 0)
             with pytest.raises(AttributeError):
                 delattr(record, name)
-    assert (m.value, m._quantity, m._cut1, m._cut4) == ("40.4", Decimal("40.4"), 41, 162)
+    assert (m.value, m._quantity, m._cut1, m._cut4) == ("40.4", (404, 10), 41, 162)
     assert (report.depth, grid.n) == (4, 14)
 
 
@@ -159,15 +167,80 @@ def test_only_three_kind_unit_pairs_are_accepted(kind, unit):
         Measurement(label="x", n=5, kind=kind, value="1", unit=unit)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4: the dB conversion keeps 30 significant digits, so a"
-    " threshold 7.5e-33 above f_3 = 1408 reads as at most 1408",
-)
 def test_db_value_just_above_a_width_limit_excludes_it():
-    # a 200-digit evaluation puts T at 1408 + 7.5e-33, above f_3 = 1408, so w = 4
+    # a 200-digit evaluation puts T at 1408 + 7.5e-33, above f_3 = 1408, so w = 4;
+    # the 30-digit snapshot reads it as at most 1408, and is refined
     m = Measurement("x", 470, "xi2", "-3.9757023897587820686307879387200615", "db")
     assert witness.infer_depth(m) == 4
+
+
+def test_db_cuts_are_those_of_a_200_digit_evaluation():
+    # a seeded slice of the texts on and two last-digit steps around each width
+    # limit at n = 470, at 33 to 36 digits: the 30-digit snapshot gives about
+    # half of them the wrong cuts, and the measurement refines those
+    texts = random.Random(2012).sample(list(adversarial_db_texts(470, range(1, 200))), 400)
+    wrong = []
+    for text in texts:
+        m = xi2_db(470, text)
+        if (m._cut1, m._cut4) != db_cuts(text, 470):
+            wrong.append(text)
+    assert wrong == []
+
+
+def test_whole_db_values_take_the_exact_cuts(monkeypatch):
+    # x/10 whole: 10**(x/10) is exact, so T = 2n(1 - q)/q can sit on a cut, as
+    # T = 18n does at -10 dB, and no precision could certify it; no rung of the
+    # refinement ladder may be tried
+    monkeypatch.setattr(_exact, "_LADDER", ())
+    for n in (1, 14, 470, witness.MAX_N):
+        for text, q in (("-10", Fraction(1, 10)), ("-20.0", Fraction(1, 100)), ("10", Fraction(10)),
+                        ("0", Fraction(1)), ("-1000", Fraction(1, 10**100)), ("-1E1", Fraction(1, 10))):
+            m = xi2_db(n, text)
+            threshold = 2 * n * (1 - q) / q
+            assert (quantity(m), m._cut1, m._cut4) == (q, math.ceil(threshold), math.ceil(4 * threshold))
+
+
+def test_db_value_past_the_top_rung_is_refused(capsys, monkeypatch):
+    # with no rung above the snapshot, the value cannot be decided: exit 2, no answer
+    monkeypatch.setattr(_exact, "_LADDER", ())
+    assert main(["analyze", "--n", "470", "--xi2-db", "-3.9757023897587820686307879387200615"]) == 2
+    assert capsys.readouterr() == ("", "error: dB value -3.9757023897587820686307879387200615 lies"
+                                       " too near a class limit to decide\n")
+    # the bundled -4.5 dB certifies at 30 digits
+    assert xi2_db(470, "-4.5")._cut1 == 1710
+
+
+def test_value_reader_reads_as_decimal_did():
+    # on 20 000 seeded texts, the integer reader accepts exactly the texts that
+    # Decimal with its adjusted() bound accepted, with the same values; CI runs
+    # 300 000 on each of two seeds
+    accepted, disagreements = value_reader_disagreements(2012, 20000)
+    assert disagreements == []
+    assert 8000 < accepted < 16000
+
+
+# deliberate faults in witness._read_ratio: (fault, source text, faulty text)
+READER_FAULTS = (
+    ("exponent bound loosened", "> MAX_EXPONENT", "> MAX_EXPONENT + 1"),
+    ("leading zeros counted", 'len(digits.lstrip("0") or "0")', "len(digits)"),
+    ("zero read as two digits", 'or "0"', 'or "00"'),
+    ("infinity read as 1", "text.lower()", 'text.lower().replace("infinity", "1").replace("inf", "1")'),
+    ("E refused", "text.lower()", "text"),
+    ("empty exponent read as 0", "marker and not power.isdigit()", "power and not power.isdigit()"),
+    ("two dots read", 'partition(".")', 'replace(".", "", 1).partition(".")'),
+    ("non-ASCII digits read", "not is_plain_text(text)", "not text == text.strip()"),
+    ("length cap dropped", "len(text) > MAX_VALUE_CHARS or ", ""),
+)
+
+
+@pytest.mark.parametrize("fault, old, new", READER_FAULTS, ids=[fault for fault, _, _ in READER_FAULTS])
+def test_the_reader_check_catches_a_broken_reader(fault, old, new):
+    source = textwrap.dedent(inspect.getsource(witness._read_ratio))
+    assert source.count(old) == 1, fault
+    namespace = dict(vars(witness))
+    exec(source.replace(old, new), namespace)
+    _, disagreements = value_reader_disagreements(2012, 20000, read=namespace["_read_ratio"])
+    assert disagreements, fault
 
 
 @pytest.mark.parametrize(
@@ -223,12 +296,12 @@ def test_each_value_is_parsed_once(monkeypatch):
 
 def test_spellings_of_one_value_give_one_answer(capsys):
     # the cuts, the summary row but its value column, and q_advantage read the
-    # Decimal the constructor read, and a dB snapshot is cached by that value
+    # ratio the constructor read, and a dB snapshot is cached by the value's Decimal
     squeezing.db_text_to_linear.cache_clear()
     ms = [xi2_db(470, value) for value in ("-4.5", "-4.50", "-45E-1")]
     info = squeezing.db_text_to_linear.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert ms[0]._quantity is ms[1]._quantity is ms[2]._quantity
+    assert ms[0]._quantity == ms[1]._quantity == ms[2]._quantity
     for n, kind, unit, option, spellings in (
             (14, "fq", "none", "--fq", ("40.4", "40.40", "4.04E1", "404E-1")),
             (470, "xi2", "db", "--xi2-db", ("-4.5", "-4.50", "-45E-1"))):
@@ -800,7 +873,9 @@ def measured_values(draw):
 @example(case=("xi2", "db", "-4.5", 470))
 def test_cuts_are_the_ceilings_of_the_threshold(case):
     # the constructor's integer-ratio cuts are ceil(T) and ceil(4T) of the
-    # Fraction view, and a dB value's snapshot is a Decimal of DB_DIGITS digits
+    # Fraction view.  A dB value's snapshot is a Decimal of DB_DIGITS digits; the
+    # measurement keeps its ratio, or a refinement within 10**-25 of it where the
+    # snapshot cannot certify the cuts, and they are those of a 200-digit evaluation
     kind, unit, text, n = case
     m = Measurement(label="m", n=n, kind=kind, value=text, unit=unit)
     threshold = m.exclusion_threshold()
@@ -808,7 +883,9 @@ def test_cuts_are_the_ceilings_of_the_threshold(case):
     if unit == "db":
         q = squeezing.db_text_to_linear(Decimal(text))
         assert type(q) is Decimal and len(q.as_tuple().digits) <= squeezing.DB_DIGITS, case
-        assert q is m._quantity
+        kept = Fraction(*m._quantity)
+        assert kept == q or abs(kept - Fraction(q)) * 10**25 < kept, case
+        assert (m._cut1, m._cut4) == db_cuts(text, n), case
 
 
 @pytest.mark.parametrize("simple", [False, True])
