@@ -141,17 +141,19 @@ def report_json_text(report: WitnessReport) -> str:
     """The ``report.json`` text of ``report``: the measurement, its answer, and the grid file.
 
     ``q_advantage`` is a QFI record's gain F - n over the shot-noise limit n, exact
-    decimal text worked out in ``_exact.EXACT`` from the integer ratio of F that the
-    measurement read, and null for a squeezing record.
+    decimal text worked out in integers from the ratio a/10**k of F that the
+    measurement read: the sign, the whole part and the fractional digits, trailing
+    zeros stripped.  It is null for a squeezing record.
     """
     import json
 
     m = report.measurement
     q = None
     if m.kind == witness.KIND_QFI:
-        from ._exact import EXACT
-
-        q = format(EXACT.subtract(EXACT.divide(*m._quantity), m.n).normalize(EXACT), "f")
+        a, b = m._quantity
+        whole, fraction = divmod(abs(a - m.n * b), b)
+        digits = str(fraction).zfill(len(str(b)) - 1).rstrip("0")
+        q = "-" * (a < m.n * b) + str(whole) + "." * bool(digits) + digits
     return json.dumps({
         "label": m.label,
         "n": m.n,

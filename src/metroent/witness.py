@@ -16,7 +16,7 @@ from bisect import bisect_left
 from types import MappingProxyType
 
 from . import bounds, tuples
-from .squeezing import db_text_to_linear
+from .squeezing import certified_db_ratio, db_text_to_linear
 
 KIND_QFI = "fq"
 # the accepted (kind, unit) pairs, each with what its sign error calls the value
@@ -26,9 +26,6 @@ _VALUE_NAMES = {(KIND_QFI, "none"): "QFI value", ("xi2", "linear"): "linear xi**
 # huge integer
 MAX_VALUE_CHARS = 100
 MAX_EXPONENT = 100
-# metroent._exact, imported at the first dB value, as it loads decimal: an import
-# statement run at every value costs tens of microseconds in a cold process
-_exact = None
 # Largest particle count accepted, so that no input starts unbounded work:
 # atomic-ensemble squeezing experiments reach 10**5 to 10**6 atoms, and each
 # record costs at most O(n) exact-integer work (see analyze).
@@ -117,12 +114,13 @@ class Measurement(_Record):
     ``value`` is kept as the original decimal text: ASCII, with no ``_`` and
     no surrounding whitespace.  It is read once, when the measurement is
     made, as an exact integer ratio, with no ``decimal``; the integer cuts
-    every exclusion decision compares against are stored with it.  A dB
-    value x is converted to 10**(x/10) in ``decimal``: its 30-digit snapshot
-    when that certifies the cuts, else a value refined until they are those
-    of the exact 10**(x/10) (:func:`metroent._exact.certified_db_ratio`);
-    a value too near a class limit to certify at the top precision is
-    refused.  Squeezing values carry an explicit unit (``linear`` or
+    every exclusion decision compares against are stored with it.  Only a
+    dB value x is converted in ``decimal``, by :mod:`metroent.squeezing`, to
+    10**(x/10): its 30-digit snapshot when that certifies the cuts, else a
+    value refined until they are those of the exact 10**(x/10)
+    (:func:`metroent.squeezing.certified_db_ratio`); a value too near a
+    class limit to certify at the top precision is refused, named as
+    written.  Squeezing values carry an explicit unit (``linear`` or
     ``db``), QFI values carry ``none``.  Instances are read-only; equality
     and hash read the six constructor fields only.
     """
@@ -157,11 +155,14 @@ class Measurement(_Record):
         except ValueError as exc:
             raise ValueError(f"bad decimal value {value!r}") from exc
         if unit == "db":
-            global _exact
-            if _exact is None:
-                from . import _exact
-            db = _exact.EXACT.divide(a, b)
-            a, b = _exact.certified_db_ratio(db, db_text_to_linear(db), n)
+            # lowest terms, the converter's cache key: b = 10**k, so only 2 and 5 can divide both
+            for p in (2, 5):
+                while a % p == b % p == 0:
+                    a, b = a // p, b // p
+            linear = certified_db_ratio(a, b, db_text_to_linear(a, b), n)
+            if linear is None:
+                raise ValueError(f"dB value {value} lies too near a class limit to decide")
+            a, b = linear
         if a <= 0:
             raise ValueError(f"{_VALUE_NAMES[kind, unit]} must be positive, got {value}")
         quantity = a, b

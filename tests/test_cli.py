@@ -1159,14 +1159,15 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     # fractions by no command; argparse, with gettext and re, only for a
     # command line the plain reader leaves to it (verify's abbreviated --nm
     # here).  csv, json and pathlib import re themselves.  decimal, with
-    # numbers, loads only for a dB value or a report's q_advantage: a QFI or
-    # linear xi**2 value is read as an integer ratio.  This process has them
-    # loaded already, so only a fresh interpreter shows a missing import
+    # numbers, loads only for a dB value: a QFI or linear xi**2 value is read
+    # as an integer ratio, and q_advantage is worked out in integers.  This
+    # process has them loaded already, so only a fresh interpreter shows a
+    # missing import
     src = Path(cli.__file__).resolve().parents[1]
 
     def interpreters(out_dir):
         # each list runs in one fresh interpreter: the second shows that a QFI
-        # report loads decimal by itself
+        # report loads no decimal
         return [
             [
                 ["analyze", "--n", "14", "--fq", "40.4"],
@@ -1195,7 +1196,7 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     assert [run[3] for run in runs[:4]] == [[]] * 4
     assert [run[4] for run in runs] == [[]] * 8
     assert [run[5] for run in runs] == [[]] * 4 + [["re"], ["re"], ["argparse", "gettext", "re"], ["re"]]
-    assert [run[6] for run in runs] == [[]] * 3 + [["decimal", "numbers"]] * 5
+    assert [run[6] for run in runs] == [[]] * 3 + [["decimal", "numbers"]] * 4 + [[]]
     expected = []
     for argvs in interpreters(tmp_path / "here"):
         for argv in argvs:

@@ -157,15 +157,14 @@ def _decimal_calls(tree):
     yield from walk(tree, "")
 
 
-def test_decimal_loads_only_for_a_db_value_or_a_report():
-    # Measurement reads a value's text once, as an integer ratio, and no
-    # Decimal(...) call reads text; decimal and the contexts of _exact are
-    # imported by _exact itself and, when called, by the dB branch of
-    # Measurement, the dB converter and report.json's q_advantage alone
+def test_decimal_loads_only_for_a_db_value():
+    # Measurement reads a value's text once, as an integer ratio, no
+    # Decimal(...) call reads text, and report.json's q_advantage is worked
+    # out in integers; decimal and the contexts of _exact are imported by
+    # _exact itself and by squeezing's one accessor, at the first dB value
     found = sorted(path.stem + scope for path in SOURCES
                    for scope in _decimal_calls(ast.parse(path.read_text(encoding="utf-8"))))
-    assert found == ["_exact", "cli.report_json_text", "squeezing.db_text_to_linear",
-                     "witness.Measurement.__init__"]
+    assert found == ["_exact", "squeezing._contexts"]
 
 
 def test_the_scan_sees_each_decimal_call():

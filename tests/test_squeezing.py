@@ -34,11 +34,12 @@ def xi2(n, value, unit="linear"):
 
 
 def test_db_text_to_linear_is_exact_30_digit_snapshot():
-    got = squeezing.db_text_to_linear(Decimal("-4.5"))
+    # the converter takes the dB value's ratio in lowest terms: -4.5 is (-9, 2)
+    got = squeezing.db_text_to_linear(-9, 2)
     assert got == Fraction(Decimal("0.354813389233575458433218702264"))
-    assert squeezing.db_text_to_linear(Decimal("0")) == 1
-    assert squeezing.db_text_to_linear(Decimal("10")) == 10
-    assert squeezing.db_text_to_linear(Decimal("20")) == 100
+    assert squeezing.db_text_to_linear(0, 1) == 1
+    assert squeezing.db_text_to_linear(10, 1) == 10
+    assert squeezing.db_text_to_linear(20, 1) == 100
 
 
 def test_db_cache_is_bounded():
@@ -49,9 +50,9 @@ def test_db_power_past_the_exponent_range_raises_and_is_not_cached():
     # no command reaches these, as a dB value past +-1000 is refused first;
     # an underflow once gave and cached 0E-1000000000000000028
     squeezing.db_text_to_linear.cache_clear()
-    for text, signal in (("1e30", Overflow), ("-1e30", Underflow)):
+    for u, signal in ((10**30, Overflow), (-(10**30), Underflow)):
         with pytest.raises(signal):
-            squeezing.db_text_to_linear(Decimal(text))
+            squeezing.db_text_to_linear(u, 1)
     assert squeezing.db_text_to_linear.cache_info().currsize == 0
 
 

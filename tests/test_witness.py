@@ -283,25 +283,31 @@ def test_each_value_is_parsed_once(monkeypatch):
     calls = []
     convert = witness.db_text_to_linear
 
-    def counting(db):
-        calls.append(db)
-        return convert(db)
+    def counting(u, v):
+        calls.append((u, v))
+        return convert(u, v)
 
     monkeypatch.setattr(witness, "db_text_to_linear", counting)
     report = witness.analyze(xi2_db(470, "-4.5"))
     assert (report.depth, report.separability, report.rank) == (4, 435, -399)
-    # the converter takes the Decimal the constructor read, not the text again
-    assert [type(db) for db in calls] == [Decimal] and calls == [Decimal("-4.5")]
+    # the converter takes the integer ratio the constructor read, in lowest terms,
+    # not the text again
+    assert [tuple(map(type, call)) for call in calls] == [(int, int)] and calls == [(-9, 2)]
 
 
 def test_spellings_of_one_value_give_one_answer(capsys):
     # the cuts, the summary row but its value column, and q_advantage read the
-    # ratio the constructor read, and a dB snapshot is cached by the value's Decimal
-    squeezing.db_text_to_linear.cache_clear()
-    ms = [xi2_db(470, value) for value in ("-4.5", "-4.50", "-45E-1")]
-    info = squeezing.db_text_to_linear.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert ms[0]._quantity == ms[1]._quantity == ms[2]._quantity
+    # ratio the constructor read, and a dB snapshot is cached by that ratio in
+    # lowest terms
+    for spellings in (("-4.5", "-4.50", "-45E-1", "-450E-2", "-0.45E1", "-4500e-3"),
+                      ("-10", "-1E1", "-10.00")):
+        squeezing.db_text_to_linear.cache_clear()
+        ms = [xi2_db(470, value) for value in spellings]
+        info = squeezing.db_text_to_linear.cache_info()
+        assert (info.misses, info.hits) == (1, len(spellings) - 1), spellings
+        assert len({(m._quantity, m._cut1, m._cut4) for m in ms}) == 1, spellings
+    # x/10 whole: the exact cuts of T = 18n
+    assert (ms[0]._quantity, ms[0]._cut1, ms[0]._cut4) == ((1, 10), 18 * 470, 72 * 470)
     for n, kind, unit, option, spellings in (
             (14, "fq", "none", "--fq", ("40.4", "40.40", "4.04E1", "404E-1")),
             (470, "xi2", "db", "--xi2-db", ("-4.5", "-4.50", "-45E-1"))):
@@ -881,7 +887,7 @@ def test_cuts_are_the_ceilings_of_the_threshold(case):
     threshold = m.exclusion_threshold()
     assert (m._cut1, m._cut4) == (math.ceil(threshold), math.ceil(4 * threshold)), case
     if unit == "db":
-        q = squeezing.db_text_to_linear(Decimal(text))
+        q = squeezing.db_text_to_linear(*Fraction(text).as_integer_ratio())
         assert type(q) is Decimal and len(q.as_tuple().digits) <= squeezing.DB_DIGITS, case
         kept = Fraction(*m._quantity)
         assert kept == q or abs(kept - Fraction(q)) * 10**25 < kept, case
