@@ -42,6 +42,11 @@ def _wh_rows(n: int, w: int, h: int) -> tuple[int, int, int]:
     return k, n - h + 1 - (w - 1) * k, h - k - 1
 
 
+def heights(n: int, w: int) -> range:
+    """The valid heights of width w, ceil(n/w) <= h <= n + 1 - w, ascending."""
+    return range(_ceil_div(n, w), n + 2 - w)
+
+
 def wh_limit_column(n: int, w: int, *, simple: bool = False) -> range | list[int]:
     """:func:`max_qfi_wh` (or the simple w*(n - h) + n) at every valid height of width w.
 

@@ -25,7 +25,7 @@ import sys
 from itertools import islice, repeat
 from types import SimpleNamespace
 
-from . import bounds, oracle, tuples, witness
+from . import bounds, witness
 from .witness import Measurement, TupleGrid, WitnessReport
 
 DATASET_HEADER = ["label", "n", "kind", "value", "unit", "reference"]
@@ -206,7 +206,7 @@ def _cmd_bounds(args) -> int:
     write = sys.stdout.write
     if args.cls == "wh":
         write("w,h,f\n")
-        spans = ((w, tuples.heights(n, w)) for w in range(1, n + 1))
+        spans = ((w, bounds.heights(n, w)) for w in range(1, n + 1))
         runs = ((w, [(hs.start, hs.stop, b"")]) for w, hs in spans)
         for chunk in _wh_table(n, args.simple, runs):
             write(chunk.decode("ascii"))
@@ -286,6 +286,8 @@ def _cmd_rank_summary(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     mismatches = oracle.verify_closed_forms(args.nmax)
     if not mismatches:
         print(

@@ -183,18 +183,18 @@ def verify_closed_forms(n_max: int) -> list[dict]:
         )
     found: list[dict] = []
 
-    def compare(closed, brute, label, keys):
+    def compare(closed, brute, label, keys, *head):
         if closed != brute:
             for key, c, b in zip_longest(keys, closed, brute):
                 if c != b:
-                    found.append({"n": n, "class": label.format(key), "closed": c, "brute": b})
+                    found.append({"n": n, "class": label.format(*head, key), "closed": c, "brute": b})
 
     tables = _shape_tables(n_max)
     for n in range(1, n_max + 1):
         corner, column = brute_force_max(tables[n_max - n])
         for w in range(1, n + 1):
             hs = range(-(-n // w), n + 2 - w)
-            compare(bounds.wh_limit_column(n, w), corner[w][hs.start : hs.stop], f"wh({w},{{}})", hs)
+            compare(bounds.wh_limit_column(n, w), corner[w][hs.start : hs.stop], "wh({},{})", hs, w)
         classes = range(1, n + 1)
         compare(
             [bounds.max_qfi_width(n, w) for w in classes],

@@ -1,8 +1,8 @@
-"""The (w, h) tuple domain for a fixed particle number, with class counting.
+"""Reference counts of the (w, h) tuple domain for a fixed particle number.
 
 A tuple (w, h) is valid for n when some partition of n has width exactly w
-and height exactly h, i.e. ceil(n/w) <= h <= n + 1 - w.  Counting functions
-use exact integer arithmetic only.
+and height exactly h, i.e. ceil(n/w) <= h <= n + 1 - w.  No command runs
+these exact-integer counts; tests and the benchmark's checker compare with them.
 """
 
 
@@ -12,16 +12,11 @@ from . import bounds
 from .bounds import _ceil_div
 
 
-def heights(n: int, w: int) -> range:
-    """The valid heights of width w, ceil(n/w) <= h <= n + 1 - w, ascending."""
-    return range(_ceil_div(n, w), n + 2 - w)
-
-
 def all_tuples(n: int) -> list[tuple[int, int]]:
     """Every valid (w, h) pair for n, ordered by (w ascending, h ascending)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return [(w, h) for w in range(1, n + 1) for h in heights(n, w)]
+    return [(w, h) for w in range(1, n + 1) for h in bounds.heights(n, w)]
 
 
 def count_width_leq(n: int, w: int) -> int:
@@ -32,23 +27,6 @@ def count_width_leq(n: int, w: int) -> int:
     if not 1 <= w <= n:
         raise ValueError(f"width must satisfy 1 <= w <= n; got w={w}, n={n}")
     return sum(n + 2 - wi - _ceil_div(n, wi) for wi in range(1, w + 1))
-
-
-def count_widths(n: int, a: int, b: int) -> int:
-    """Number of valid tuples whose width lies in a..b, for 1 <= a <= b + 1 <= n + 1.
-
-    Width w holds n + 1 - w - (n - 1)//w tuples.  The floor quotient is
-    constant on blocks of widths, at most 2*sqrt(n) of them, so the sum
-    costs O(sqrt(n)) exact-integer steps.
-    """
-    total = (b - a + 1) * (2 * n + 2 - a - b) // 2
-    m, w = n - 1, a
-    while w <= b and w <= m:
-        q = m // w
-        last = min(b, m // q)
-        total -= q * (last - w + 1)
-        w = last + 1
-    return total
 
 
 def count_height_geq(n: int, h: int) -> int:

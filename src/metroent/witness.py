@@ -15,7 +15,7 @@ limits are attainable, so exclusion requires strictly exceeding them.
 from bisect import bisect_left
 from types import MappingProxyType
 
-from . import bounds, tuples
+from . import bounds
 from .squeezing import certified_db_ratio, db_text_to_linear
 
 KIND_QFI = "fq"
@@ -250,6 +250,23 @@ def infer_rank(m: Measurement, *, simple: bool = False) -> int:
     return 1 - n + bisect_left(range(1 - n, n), True, key=key)
 
 
+def count_widths(n: int, a: int, b: int) -> int:
+    """Number of valid tuples whose width lies in a..b, for 1 <= a <= b + 1 <= n + 1.
+
+    Width w holds n + 1 - w - (n - 1)//w tuples.  The floor quotient is
+    constant on blocks of widths, at most 2*sqrt(n) of them, so the sum
+    costs O(sqrt(n)) exact-integer steps.
+    """
+    total = (b - a + 1) * (2 * n + 2 - a - b) // 2
+    m, w = n - 1, a
+    while w <= b and w <= m:
+        q = m // w
+        last = min(b, m // q)
+        total -= q * (last - w + 1)
+        w = last + 1
+    return total
+
+
 def exclusion_counts(
     m: Measurement, depth: int, separability: int, rank: int, *, simple: bool = False
 ) -> dict[str, int]:
@@ -261,7 +278,7 @@ def exclusion_counts(
     (Under simple bounds an R flag need not mean (w, h) exclusion: the
     simple rank limit can sit a quarter below a tuple's.)  by_w sums the
     widths below depth and by_h, by conjugation, those above separability,
-    with :func:`tuples.count_widths`.  w - rank + 1 - lo rises with w, so a
+    with :func:`count_widths`.  w - rank + 1 - lo rises with w, so a
     bisection finds the first width c whose R cut is at least lo; the
     widths below c count whole, and width w >= c counts n + 1 + rank - 2w
     while that is positive.  The (w, h) limit excludes exactly the heights
@@ -275,12 +292,12 @@ def exclusion_counts(
     an excluded tuple, and no wider width has a W, H or R flag.
     """
     n, f_max = m.n, m._cut1 - 1
-    by_w = tuples.count_widths(n, 1, depth - 1)
-    by_h = tuples.count_widths(n, separability + 1, n)
+    by_w = count_widths(n, 1, depth - 1)
+    by_h = count_widths(n, separability + 1, n)
     c = 1 + bisect_left(range(1, n + 1), True, key=lambda w: w - rank + 1 >= -(-n // w))
     last = (n + rank) // 2
     # n + 1 + rank - 2*w over w = c..last; c <= last + 1, as the R cut holds at last + 1
-    by_r = tuples.count_widths(n, 1, c - 1) + (last - c + 1) * (n + 1 + rank - c - last)
+    by_r = count_widths(n, 1, c - 1) + (last - c + 1) * (n + 1 + rank - c - last)
     solve, band = bounds.wh_first_height_at_most, range(depth, n - separability + 1)
     by_wh = by_w + sum(n + 2 - w - solve(n, w, f_max, simple=simple) for w in band)
     return {"by_w": by_w, "by_h": by_h, "by_r": by_r, "by_wh": by_wh}

@@ -83,7 +83,7 @@ def test_rectangle_tuples():
 
 
 def _check_limit_column(n, w):
-    hs = tuples.heights(n, w)
+    hs = bounds.heights(n, w)
     assert list(bounds.wh_limit_column(n, w)) == [bounds.max_qfi_wh(n, w, h) for h in hs]
     simple = list(bounds.wh_limit_column(n, w, simple=True))
     assert simple == [wh_limit(n, w, h, simple=True) for h in hs]

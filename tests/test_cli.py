@@ -132,7 +132,7 @@ def test_large_n_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
         raise AssertionError("work started")
 
     monkeypatch.setattr(tuples, "all_tuples", refuse)
-    monkeypatch.setattr(tuples, "heights", refuse)
+    monkeypatch.setattr(bounds, "heights", refuse)
     monkeypatch.setattr(bounds, "wh_first_height_at_most", refuse)
     too_big = str(witness.MAX_N + 1)
     dataset = tmp_path / "big.csv"
@@ -373,7 +373,7 @@ def test_cost_rule_refuses_what_the_old_rules_refused(monkeypatch, ns):
     # rank-summary, no longer held to the sum of n, always reaches it
     monkeypatch.setattr(witness, "analyze", _reach_work)
     monkeypatch.setattr(witness, "infer_rank", _reach_work)
-    monkeypatch.setattr(tuples, "heights", _reach_work)
+    monkeypatch.setattr(bounds, "heights", _reach_work)
     rows = "".join(f"r{i},{n},fq,1,none,\n" for i, n in enumerate(ns))
     with tempfile.TemporaryDirectory() as work:
         dataset, out_dir = Path(work) / "records.csv", Path(work) / "out"
@@ -477,6 +477,8 @@ def test_each_call_prints_what_a_fresh_process_prints(capsys, monkeypatch):
         ("80", []),
         ("80", ["bogus"]),
         ("80", ["verify", "--nmax", "12", "x"]),
+        # verify imports oracle inside its command, here with cli run as __main__
+        ("80", ["verify", "--nmax", "8"]),
     ]
     results = []
     for columns, argv in calls:
@@ -494,7 +496,7 @@ def test_each_call_prints_what_a_fresh_process_prints(capsys, monkeypatch):
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         results.append((code, out, err))
-    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 2]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 2, 0]
     assert results[4] != results[5]  # the usage line is wrapped to each width
 
 
@@ -1143,13 +1145,15 @@ def loaded(*names):
     return [name for name in names if name in sys.modules]
 
 results = [loaded("__future__", "dataclasses", "inspect", "json", "csv", "importlib.resources",
-                  "typing", "pathlib", "fractions", "decimal", "numbers")]
+                  "typing", "pathlib", "fractions", "decimal", "numbers", "metroent.oracle",
+                  "metroent.tuples")]
 for argv in ARGVS:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     results.append((code, out.getvalue(), err.getvalue(), loaded("json", "csv"), loaded("fractions"),
-                    loaded("argparse", "gettext", "re"), loaded("decimal", "numbers")))
+                    loaded("argparse", "gettext", "re"), loaded("decimal", "numbers"),
+                    loaded("metroent.oracle", "metroent.tuples")))
 print(repr(results))
 """
 
@@ -1160,25 +1164,30 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     # command line the plain reader leaves to it (verify's abbreviated --nm
     # here).  csv, json and pathlib import re themselves.  decimal, with
     # numbers, loads only for a dB value: a QFI or linear xi**2 value is read
-    # as an integer ratio, and q_advantage is worked out in integers.  This
-    # process has them loaded already, so only a fresh interpreter shows a
-    # missing import
+    # as an integer ratio, and q_advantage is worked out in integers.  Of the
+    # package, oracle loads only for verify, and tuples, the reference counts,
+    # for no command.  This process has them loaded already, so only a fresh
+    # interpreter shows a missing import
     src = Path(cli.__file__).resolve().parents[1]
 
     def interpreters(out_dir):
-        # each list runs in one fresh interpreter: the second shows that a QFI
-        # report loads no decimal
+        # each list runs in one fresh interpreter: the first runs every other
+        # command before verify, the second shows that verify loads no decimal
+        # and that a QFI report loads none either
         return [
             [
                 ["analyze", "--n", "14", "--fq", "40.4"],
                 ["analyze", "--n", "14", "--xi2", "0.5"],
-                ["verify", "--nmax=8"],
+                ["bounds", "--n", "6", "--class", "wh"],
                 ["analyze", "--n", "470", "--xi2-db", "-4.5"],
                 ["analyze", "--dataset", "bundled.csv", "--out", str(out_dir)],
                 ["rank-summary", "--dataset", "bundled.csv"],
                 ["verify", "--nm", "8"],
             ],
-            [["analyze", "--n", "14", "--fq", "40.4", "--out", str(out_dir / "qfi")]],
+            [
+                ["verify", "--nmax=8"],
+                ["analyze", "--n", "14", "--fq", "40.4", "--out", str(out_dir / "qfi")],
+            ],
         ]
 
     runs = []
@@ -1193,23 +1202,54 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
         first, *batch = ast.literal_eval(result.stdout)
         assert first == []
         runs += batch
-    assert [run[3] for run in runs[:4]] == [[]] * 4
-    assert [run[4] for run in runs] == [[]] * 8
-    assert [run[5] for run in runs] == [[]] * 4 + [["re"], ["re"], ["argparse", "gettext", "re"], ["re"]]
-    assert [run[6] for run in runs] == [[]] * 3 + [["decimal", "numbers"]] * 4 + [[]]
+    assert [run[3] for run in runs[:4] + runs[7:8]] == [[]] * 5
+    assert [run[4] for run in runs] == [[]] * 9
+    assert [run[5] for run in runs] == [[]] * 4 + [["re"], ["re"], ["argparse", "gettext", "re"], [], ["re"]]
+    assert [run[6] for run in runs] == [[]] * 3 + [["decimal", "numbers"]] * 4 + [[], []]
+    assert [run[7] for run in runs] == [[]] * 6 + [["metroent.oracle"]] * 3
     expected = []
     for argvs in interpreters(tmp_path / "here"):
         for argv in argvs:
             code = main(argv)
             expected.append((code, *capsys.readouterr()))
     assert [run[:3] for run in runs] == expected
-    assert [code for code, _, _ in expected] == [0] * 8
+    assert [code for code, _, _ in expected] == [0] * 9
 
     def written(out_dir):
         return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.*")}
 
     assert len(written(tmp_path / "here")) == 12
     assert written(tmp_path / "fresh") == written(tmp_path / "here")
+
+
+_TRACER_RUN = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import metroent.cli
+import tracing
+
+wrapped = tracing.SPANNED + tracing.COUNTED + (tracing.ROWS,)
+for _, owner, attr in wrapped:
+    getattr(tracing._resolve(metroent, owner), attr)
+metroent.squeezing.db_text_to_linear.cache_info()
+print(len(wrapped))
+"""
+
+
+def test_perfbench_tracer_resolves_every_name_after_importing_cli():
+    # perfbench's worker imports metroent.cli alone, then its tracer looks up
+    # each wrapped function by attribute, oracle's and tuples' too, and its loop
+    # reads the dB converter's cache; this process has every module loaded
+    # already, so only a fresh interpreter shows a name that does not resolve
+    src = Path(cli.__file__).resolve().parents[1]
+    perfbench = src.parent / "perfbench"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _TRACER_RUN, str(src), str(perfbench)],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "24\n"
 
 
 def test_identity_digest_is_pinned(tmp_path):

@@ -19,7 +19,7 @@ from support import (
 )
 
 import metroent
-from metroent import bounds, oracle, tuples
+from metroent import bounds, oracle
 from metroent.cli import main
 from metroent.oracle import MAX_NMAX, brute_force_max, iter_partition_rows, verify_closed_forms
 from metroent.tuples import all_tuples
@@ -341,7 +341,7 @@ def test_verify_reports_a_short_limit_column(monkeypatch):
 
 def test_verify_reads_each_band_from_its_own_edges(monkeypatch):
     # a lower edge one too high in the ceiling that wh_limit_column and
-    # tuples.heights share, at width 3 of n = 20, shifts that column by one
+    # bounds.heights share, at width 3 of n = 20, shifts that column by one
     # height; verify walks the band from its own edge, ceil(20/3) = 7
     exact = bounds._ceil_div
 
@@ -349,7 +349,6 @@ def test_verify_reads_each_band_from_its_own_edges(monkeypatch):
         return exact(a, b) + ((a, b) == (20, 3))
 
     monkeypatch.setattr(bounds, "_ceil_div", raised)
-    monkeypatch.setattr(tuples, "_ceil_div", raised)
     found = verify_closed_forms(20)
     assert [m["class"] for m in found] == [f"wh(3,{h})" for h in range(7, 19)]
     assert found[0] == {"n": 20, "class": "wh(3,7)", "closed": 56, "brute": 58}

@@ -44,7 +44,7 @@ UNREACHED = {
     " tests use it, and the benchmark spans its name",
     "tuples.all_tuples": "the whole tuple list, a reference for tests and the benchmark",
     "tuples.count_width_leq": "an O(n) count, the reference the benchmark's checker"
-    " and tests compare tuples.count_widths with",
+    " and tests compare witness.count_widths with",
     "tuples.count_height_geq": "an O(n) count, a reference as count_width_leq",
     "tuples.count_rank_leq": "an O(n**2) count, a reference as count_width_leq",
     "tuples.count_rank_leq_closed": "a closed-form rank count, a cross-check in tests",

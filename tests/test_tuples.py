@@ -3,7 +3,7 @@
 import pytest
 from support import partitions_desc
 
-from metroent import tuples
+from metroent import tuples, witness
 from metroent.bounds import valid_ranks
 
 
@@ -68,14 +68,14 @@ def test_count_widths_matches_the_per_width_sums():
     # suffix of widths, and every range a..b (a > b is empty) of the smaller n
     for n in range(1, 201):
         for w in range(1, n + 1):
-            assert tuples.count_widths(n, 1, w) == tuples.count_width_leq(n, w), (n, w)
-            assert tuples.count_widths(n, w, n) == tuples.count_height_geq(n, w), (n, w)
-        assert tuples.count_widths(n, n + 1, n) == 0
+            assert witness.count_widths(n, 1, w) == tuples.count_width_leq(n, w), (n, w)
+            assert witness.count_widths(n, w, n) == tuples.count_height_geq(n, w), (n, w)
+        assert witness.count_widths(n, n + 1, n) == 0
         if n <= 40:
             prefix = [0] + [tuples.count_width_leq(n, w) for w in range(1, n + 1)]
             for a in range(1, n + 2):
                 for b in range(a - 1, n + 1):
-                    assert tuples.count_widths(n, a, b) == prefix[b] - prefix[a - 1], (n, a, b)
+                    assert witness.count_widths(n, a, b) == prefix[b] - prefix[a - 1], (n, a, b)
 
 
 def test_count_rank_closed_form_in_range():
