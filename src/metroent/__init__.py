@@ -12,10 +12,11 @@ partition-enumeration oracle.  It needs only the standard library.
 __version__ = "0.1.0"
 
 
-# oracle, which only verify runs, and tuples, which no command runs, are imported
-# at their first lookup (PEP 562), so no command's start-up loads them
+# oracle, which only verify runs, tuples, which no command runs, and squeezing,
+# which loads decimal for a dB value alone, are imported at their first lookup
+# (PEP 562), so no command's start-up loads them
 def __getattr__(name: str):
-    if name not in ("oracle", "tuples"):
+    if name not in ("oracle", "squeezing", "tuples"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     __import__(f"{__name__}.{name}")
     return globals()[name]

@@ -27,10 +27,10 @@ from . import bounds
 
 # Largest n_max verify_closed_forms accepts.  The sweep walks the p(n_max)
 # partitions of n_max once and strips their 1-rows for every smaller n, and
-# p(n) grows like exp(pi * sqrt(2n/3)): n_max = 60 (p(60) = 966467) takes
-# about 1.4 s in process (1.3 to 1.5 s over four runs; 1.4 to 1.7 s as a
-# subprocess) on a 2-vCPU x86 Xeon machine with Python 3.11, while
-# n_max = 200 would walk p(200), about 4e12 partitions.
+# p(n) grows like exp(pi * sqrt(2n/3)): n_max = 60 (p(60) = 966467) took
+# 1.33 to 1.74 s in process over six runs (1.44 to 1.50 s as a subprocess,
+# 2.05 to 2.47 s in slower spells) on a 2-vCPU Xeon VM with Python 3.11.7,
+# while n_max = 200 would walk p(200), about 4e12 partitions.
 MAX_NMAX = 60
 
 

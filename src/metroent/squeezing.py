@@ -4,25 +4,27 @@ A measured xi**2 strictly below 2n / (f + 2n), for a class with QFI limit
 f, witnesses entanglement beyond the class: the criterion that
 :class:`metroent.witness.Measurement` applies.  A squeezing value given in
 dB reaches it through :func:`db_text_to_linear` and
-:func:`certified_db_ratio`.
+:func:`certified_db_ratio`.  No module imports this one: it loads, with
+``decimal``, at the first lookup of ``metroent.squeezing``, which the
+package's ``__getattr__`` serves, and ``witness`` makes that lookup only
+for a dB value.
 """
 
 
 import functools
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, InvalidOperation, Overflow, Underflow
 
 # significant digits of every dB conversion, a fixed part of each result
 DB_DIGITS = 30
-# metroent._exact, imported at the first dB value, as it loads decimal: an import
-# statement run at every value costs tens of microseconds in a cold process
-_exact = None
-
-
-def _contexts():
-    """metroent._exact, the dB contexts, imported at the first call."""
-    global _exact
-    if _exact is None:
-        from . import _exact
-    return _exact
+# Each context is built once, here, with all eight fields set, so neither a
+# caller's decimal context nor decimal.DefaultContext reaches any result.
+# _DB rounds the snapshot to DB_DIGITS; _LADDER holds the precisions a dB
+# value is refined at when its snapshot cannot certify the cuts.  Bad text,
+# or a power past either end of the exponent range, raises, so no 0 or
+# infinity stands for a value and is cached.
+_DB, *_LADDER = (Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
+                         clamp=0, flags=[], traps=[InvalidOperation, Overflow, Underflow])
+                 for prec in (DB_DIGITS, 60, 120, 240, 480, 960))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -32,19 +34,18 @@ def db_text_to_linear(u: int, v: int):
     ``u/v`` is the ratio ``Measurement`` read, in lowest terms, so ``-4.5``,
     ``-4.50`` and ``-45E-1`` share one entry, ``(-9, 2)``.  x/10 = u/(10v)
     and the power are each rounded half-even to ``DB_DIGITS`` significant
-    digits in ``_exact._DB``, whatever the caller's context or
-    ``DefaultContext`` holds, so the snapshot is platform-independent.  It
-    can lie on the wrong side of a class boundary when the exact
-    10**(x/10) is within about a unit in its 30th digit, so ``Measurement``
-    keeps its cuts only when :func:`certified_db_ratio` certifies them, and
-    refines the value otherwise: at n = 470, dB value
+    digits in ``_DB``, whatever the caller's context or ``DefaultContext``
+    holds, so the snapshot is platform-independent.  It can lie on the
+    wrong side of a class boundary when the exact 10**(x/10) is within
+    about a unit in its 30th digit, so ``Measurement`` keeps its cuts only
+    when :func:`certified_db_ratio` certifies them, and refines the value
+    otherwise: at n = 470, dB value
     ``-3.9757023897587820686307879387200615`` is refined at 60 digits, where
     the exact threshold 1408.000...0075 exceeds the w = 3 limit 1408, giving
     w = 4.  The bundled -4.5 dB lies 0.03 in threshold from the nearest
     quarter, and its snapshot certifies.
     """
-    db = _contexts()._DB
-    return db.power(10, db.divide(u, 10 * v))
+    return _DB.power(10, _DB.divide(u, 10 * v))
 
 
 def certified_db_ratio(u: int, v: int, snapshot, n: int) -> tuple[int, int] | None:
@@ -64,9 +65,8 @@ def certified_db_ratio(u: int, v: int, snapshot, n: int) -> tuple[int, int] | No
     """
     if u % (10 * v) == 0:
         return snapshot.as_integer_ratio()
-    exact = _contexts()
-    for context in (exact._DB, *exact._LADDER):
-        q = snapshot if context is exact._DB else context.power(10, context.divide(u, 10 * v))
+    for context in (_DB, *_LADDER):
+        q = snapshot if context is _DB else context.power(10, context.divide(u, 10 * v))
         a, b = q.as_integer_ratio()
         r = 8 * n * (b - a) % a
         if min(r, a - r) * 10 ** (context.prec - 5) > 16 * n * b:

@@ -15,8 +15,9 @@ limits are attainable, so exclusion requires strictly exceeding them.
 from bisect import bisect_left
 from types import MappingProxyType
 
+import metroent
+
 from . import bounds
-from .squeezing import certified_db_ratio, db_text_to_linear
 
 KIND_QFI = "fq"
 # the accepted (kind, unit) pairs, each with what its sign error calls the value
@@ -86,6 +87,11 @@ def _read_ratio(text: str) -> tuple[int, int]:
         raise ValueError
     a = sign * int(digits)
     return (a, 10**k) if k >= 0 else (a * 10**-k, 1)
+
+
+def db_text_to_linear(u: int, v: int):
+    """``metroent.squeezing.db_text_to_linear``, found by attribute: no import runs per value."""
+    return metroent.squeezing.db_text_to_linear(u, v)
 
 
 class _Record:
@@ -159,7 +165,7 @@ class Measurement(_Record):
             for p in (2, 5):
                 while a % p == b % p == 0:
                     a, b = a // p, b // p
-            linear = certified_db_ratio(a, b, db_text_to_linear(a, b), n)
+            linear = metroent.squeezing.certified_db_ratio(a, b, db_text_to_linear(a, b), n)
             if linear is None:
                 raise ValueError(f"dB value {value} lies too near a class limit to decide")
             a, b = linear

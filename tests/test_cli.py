@@ -1145,14 +1145,14 @@ def loaded(*names):
     return [name for name in names if name in sys.modules]
 
 results = [loaded("__future__", "dataclasses", "inspect", "json", "csv", "importlib.resources",
-                  "typing", "pathlib", "fractions", "decimal", "numbers", "metroent.oracle",
-                  "metroent.tuples")]
+                  "typing", "pathlib", "fractions", "decimal", "numbers", "metroent.squeezing",
+                  "metroent.oracle", "metroent.tuples")]
 for argv in ARGVS:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     results.append((code, out.getvalue(), err.getvalue(), loaded("json", "csv"), loaded("fractions"),
-                    loaded("argparse", "gettext", "re"), loaded("decimal", "numbers"),
+                    loaded("argparse", "gettext", "re"), loaded("decimal", "numbers", "metroent.squeezing"),
                     loaded("metroent.oracle", "metroent.tuples")))
 print(repr(results))
 """
@@ -1165,9 +1165,9 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     # here).  csv, json and pathlib import re themselves.  decimal, with
     # numbers, loads only for a dB value: a QFI or linear xi**2 value is read
     # as an integer ratio, and q_advantage is worked out in integers.  Of the
-    # package, oracle loads only for verify, and tuples, the reference counts,
-    # for no command.  This process has them loaded already, so only a fresh
-    # interpreter shows a missing import
+    # package, squeezing loads with decimal, oracle only for verify, and tuples,
+    # the reference counts, for no command.  This process has them loaded
+    # already, so only a fresh interpreter shows a missing import
     src = Path(cli.__file__).resolve().parents[1]
 
     def interpreters(out_dir):
@@ -1205,7 +1205,7 @@ def test_fresh_interpreter_defers_unused_modules(capsys, tmp_path):
     assert [run[3] for run in runs[:4] + runs[7:8]] == [[]] * 5
     assert [run[4] for run in runs] == [[]] * 9
     assert [run[5] for run in runs] == [[]] * 4 + [["re"], ["re"], ["argparse", "gettext", "re"], [], ["re"]]
-    assert [run[6] for run in runs] == [[]] * 3 + [["decimal", "numbers"]] * 4 + [[], []]
+    assert [run[6] for run in runs] == [[]] * 3 + [["decimal", "numbers", "metroent.squeezing"]] * 4 + [[], []]
     assert [run[7] for run in runs] == [[]] * 6 + [["metroent.oracle"]] * 3
     expected = []
     for argvs in interpreters(tmp_path / "here"):
@@ -1231,16 +1231,18 @@ import tracing
 wrapped = tracing.SPANNED + tracing.COUNTED + (tracing.ROWS,)
 for _, owner, attr in wrapped:
     getattr(tracing._resolve(metroent, owner), attr)
+deferred = "metroent.squeezing" in sys.modules
 metroent.squeezing.db_text_to_linear.cache_info()
-print(len(wrapped))
+print(len(wrapped), deferred, "metroent.squeezing" in sys.modules)
 """
 
 
 def test_perfbench_tracer_resolves_every_name_after_importing_cli():
     # perfbench's worker imports metroent.cli alone, then its tracer looks up
     # each wrapped function by attribute, oracle's and tuples' too, and its loop
-    # reads the dB converter's cache; this process has every module loaded
-    # already, so only a fresh interpreter shows a name that does not resolve
+    # reads the dB converter's cache, which imports squeezing, absent until
+    # then; this process has every module loaded already, so only a fresh
+    # interpreter shows a name that does not resolve
     src = Path(cli.__file__).resolve().parents[1]
     perfbench = src.parent / "perfbench"
     result = subprocess.run(
@@ -1249,7 +1251,7 @@ def test_perfbench_tracer_resolves_every_name_after_importing_cli():
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "24\n"
+    assert result.stdout == "24 False True\n"
 
 
 def test_identity_digest_is_pinned(tmp_path):
@@ -1306,4 +1308,4 @@ def test_cli_import_leaves_numpy_out():
         text=True,
         check=True,
     )
-    assert result.stdout == "_exact bounds cli oracle squeezing tuples witness\n"
+    assert result.stdout == "bounds cli oracle squeezing tuples witness\n"

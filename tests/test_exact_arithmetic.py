@@ -139,15 +139,15 @@ def test_the_scan_sees_each_kind_of_ambient_decimal_use():
 def _decimal_calls(tree):
     """The dotted name of the class and function around each use of ``decimal``.
 
-    That is each ``Decimal(...)`` call, and each import from ``decimal`` or
-    from ``_exact``, the package's module of decimal contexts.
+    That is each ``Decimal(...)`` call, and each import of ``decimal`` or of
+    ``squeezing``, the package's one module that imports ``decimal``.
     """
     def walk(node, scope):
         if isinstance(node, ast.Call) and _named(node.func, {"Decimal"}):
             yield scope
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
-            if {"decimal", "_exact"} & {name.rpartition(".")[2] for name in names}:
+            if {"decimal", "squeezing"} & {name.rpartition(".")[2] for name in names}:
                 yield scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
@@ -160,11 +160,12 @@ def _decimal_calls(tree):
 def test_decimal_loads_only_for_a_db_value():
     # Measurement reads a value's text once, as an integer ratio, no
     # Decimal(...) call reads text, and report.json's q_advantage is worked
-    # out in integers; decimal and the contexts of _exact are imported by
-    # _exact itself and by squeezing's one accessor, at the first dB value
+    # out in integers; squeezing alone imports decimal, at module scope, and no
+    # module imports squeezing: witness reaches it through the package's
+    # __getattr__, at the first dB value
     found = sorted(path.stem + scope for path in SOURCES
                    for scope in _decimal_calls(ast.parse(path.read_text(encoding="utf-8"))))
-    assert found == ["_exact", "squeezing._contexts"]
+    assert found == ["squeezing"]
 
 
 def test_the_scan_sees_each_decimal_call():
@@ -176,10 +177,10 @@ def test_the_scan_sees_each_decimal_call():
         "        g = lambda: decimal.Decimal(x, C)\n"
         "        return Decimal\n"
         "    def g(self):\n"
-        "        from ._exact import EXACT\n"
+        "        from .squeezing import EXACT\n"
         "        import os, decimal as d\n"
         "        from . import bounds\n"
         "        from .witness import Decimal\n"
-        "        from . import _exact\n"
+        "        from . import squeezing\n"
     )
     assert list(_decimal_calls(ast.parse(source))) == ["", "", ".M.f", ".M.g", ".M.g", ".M.g"]

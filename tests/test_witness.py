@@ -32,7 +32,7 @@ from support import (
     wh_limit,
 )
 
-from metroent import _exact, bounds, squeezing, tuples, witness
+from metroent import bounds, squeezing, tuples, witness
 from metroent.bounds import max_qfi_rank, max_qfi_width
 from metroent.cli import grid_csv_text, main, parse_dataset_text, report_json_text
 from metroent.witness import Measurement
@@ -191,7 +191,7 @@ def test_whole_db_values_take_the_exact_cuts(monkeypatch):
     # x/10 whole: 10**(x/10) is exact, so T = 2n(1 - q)/q can sit on a cut, as
     # T = 18n does at -10 dB, and no precision could certify it; no rung of the
     # refinement ladder may be tried
-    monkeypatch.setattr(_exact, "_LADDER", ())
+    monkeypatch.setattr(squeezing, "_LADDER", ())
     for n in (1, 14, 470, witness.MAX_N):
         for text, q in (("-10", Fraction(1, 10)), ("-20.0", Fraction(1, 100)), ("10", Fraction(10)),
                         ("0", Fraction(1)), ("-1000", Fraction(1, 10**100)), ("-1E1", Fraction(1, 10))):
@@ -202,7 +202,7 @@ def test_whole_db_values_take_the_exact_cuts(monkeypatch):
 
 def test_db_value_past_the_top_rung_is_refused(capsys, monkeypatch):
     # with no rung above the snapshot, the value cannot be decided: exit 2, no answer
-    monkeypatch.setattr(_exact, "_LADDER", ())
+    monkeypatch.setattr(squeezing, "_LADDER", ())
     assert main(["analyze", "--n", "470", "--xi2-db", "-3.9757023897587820686307879387200615"]) == 2
     assert capsys.readouterr() == ("", "error: dB value -3.9757023897587820686307879387200615 lies"
                                        " too near a class limit to decide\n")
